@@ -26,12 +26,12 @@ from .harness import (ExperimentConfig, MetricsLog, best_last, evaluate,
                       load_config, run_ablation, run_decoupling_experiment,
                       run_pipeline, run_stage2)
 from .numnet import (EmaState, Layer, MlpParams, OptState, cosine_lr,
-                     cross_entropy, ema_init, ema_params, ema_update, grad,
-                     init_mlp, mlp_forward, one_hot, optimizer_step, predict,
-                     softmax)
+                     cross_entropy, ema_init, ema_params, ema_update, fit,
+                     grad, init_mlp, mlp_forward, one_hot, optimizer_step,
+                     predict, softmax)
 from .semi import (BalancedSamplerState, MixMatchConfig, Stage3Result,
-                   balanced_sample_L, guess_labels, make_balanced_sampler,
-                   mixmatch_losses, mixup, sample_U_candidates, train_stage3)
+                   balanced_sample_L, make_balanced_sampler, mixup,
+                   sample_U_candidates, stage3_loss, train_stage3)
 from .ssrl import ContrastiveConfig, EncoderTrainResult, embed, nt_xent_loss, train_encoder
 
 __version__ = "0.1.0"
@@ -47,13 +47,13 @@ __all__ = [
     "assess_credibility", "augment", "augment_batch", "balanced_sample_L",
     "best_last", "build_neighbor_graph", "cosine_lr", "cross_entropy",
     "default_pair_map", "ema_init", "ema_params", "ema_update", "embed",
-    "evaluate", "fit_gmm_em", "gmm_posterior", "grad", "graph_regularizer",
-    "guess_labels", "init_mlp", "inject_asymmetric_noise",
+    "evaluate", "fit", "fit_gmm_em", "gmm_posterior", "grad",
+    "graph_regularizer", "init_mlp", "inject_asymmetric_noise",
     "inject_symmetric_noise", "load_config", "make_balanced_sampler",
-    "make_blobs", "mixmatch_losses", "mixup", "mlp_forward", "nt_xent_loss",
-    "one_hot", "optimizer_step", "per_sample_stats", "predict",
-    "run_ablation", "run_decoupling_experiment", "run_pipeline", "run_stage2",
-    "sample_U_candidates", "sharpen", "softmax", "train_encoder",
+    "make_blobs", "mixup", "mlp_forward", "nt_xent_loss", "one_hot",
+    "optimizer_step", "per_sample_stats", "predict", "run_ablation",
+    "run_decoupling_experiment", "run_pipeline", "run_stage2",
+    "sample_U_candidates", "sharpen", "softmax", "stage3_loss", "train_encoder",
     "train_frozen_classifier", "train_stage3", "train_test_split",
     "transfer_labels",
 ]

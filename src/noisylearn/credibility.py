@@ -57,27 +57,15 @@ def train_frozen_classifier(encoder: MlpParams, dataset: LabeledDataset,
     params = numnet.init_mlp([], [Z.shape[1], dataset.n_classes],
                              seed=int(rng.integers(2**31)))
     targets = numnet.one_hot(dataset.y_noisy, dataset.n_classes)
-    opt = numnet.sgd(lr, momentum=momentum)
-    n = len(dataset)
-    steps = math.ceil(n / batch_size)
+    batches = numnet.ce_batches(Z, targets, batch_size, rng)
     loss_curve = []
     train_acc = []
     test_acc = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for s in range(steps):
-            take = order[s * batch_size:(s + 1) * batch_size]
-            zb, tb = Z[take], targets[take]
-
-            def loss_fn(tape):
-                _, _, P = tape.forward(zb)
-                return numnet.cross_entropy_rows(P, tb)
-
-            value, grads = numnet.grad(params, loss_fn)
-            numnet.optimizer_step(opt, params, grads)
-            epoch_losses.append(value)
-        loss_curve.append(float(np.mean(epoch_losses)))
+    # eta_min = lr: the cosine schedule collapses to a constant rate
+    for losses in numnet.fit(params, numnet.sgd(lr, momentum=momentum), epochs,
+                             math.ceil(len(dataset) / batch_size), batches,
+                             eta_min=lr):
+        loss_curve.append(float(np.mean(losses)))
         _, _, P = numnet.mlp_forward(params, Z)
         train_acc.append(float(np.mean(numnet.predict(P) == dataset.y_noisy)))
         if Zt is not None:
@@ -132,18 +120,15 @@ def _log_gauss(values: Array, mean: float, var: float) -> Array:
     return -0.5 * (np.log(2.0 * np.pi * var) + (values - mean) ** 2 / var)
 
 
-def fit_gmm_em(values: Array, tol: float = 1e-6, max_iter: int = 200,
-               seed: int | None = None) -> Gmm1D:
+def fit_gmm_em(values: Array, tol: float = 1e-6, max_iter: int = 200) -> Gmm1D:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initialization is deterministic: component means at the 10th and 90th
     percentiles, equal weights, both variances set to the pooled variance.
-    (`seed` is accepted for interface stability but unused.)
     Responsibilities are computed in log space; variances are floored at
     1e-6. Iteration stops when the mean log-likelihood improves by less
     than `tol`. The returned components are sorted by mean.
     """
-    del seed
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size < 4:
         raise ConfigError("fit_gmm_em: need at least 4 observations")

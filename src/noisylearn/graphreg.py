@@ -99,7 +99,7 @@ def sharpen_t(p: Tensor, temperature: float) -> Tensor:
 
 def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
                       lam_lu: float, lam_uu: float,
-                      count_ordered_pairs: bool = True):
+                      count_ordered_pairs: bool = True) -> Tensor:
     """Affinity-weighted disagreement penalty.
 
     p_unlabeled holds prediction rows for the graph's unlabeled nodes (in
@@ -110,34 +110,31 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
       + lam_uu * sum_{u != v in U}    A_uv ||p_u - p_v||^2
 
     with the unlabeled-unlabeled sum running over ordered pairs; pass
-    count_ordered_pairs=False to count each unordered pair once. Accepts a
-    tape Tensor for p_unlabeled (returns a scalar Tensor) or an ndarray
-    (returns float). The result is zero exactly when all connected pairs
-    agree.
+    count_ordered_pairs=False to count each unordered pair once.
+    p_unlabeled is a tape Tensor or an array; the result is a scalar
+    Tensor. It is zero exactly when all connected pairs agree.
     """
     if lam_lu < 0 or lam_uu < 0:
         raise ConfigError("graph penalty weights must be non-negative")
     U = graph.unlabeled_nodes()
     L = graph.labeled_nodes()
-    is_tensor = isinstance(p_unlabeled, Tensor)
-    p_data = p_unlabeled.data if is_tensor else np.asarray(p_unlabeled, dtype=np.float64)
+    p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
-    if p_data.shape[0] != U.size:
+    if p.shape[0] != U.size:
         raise ConfigError(
             f"graph_regularizer: {U.size} unlabeled nodes but "
-            f"{p_data.shape[0]} prediction rows")
+            f"{p.shape[0]} prediction rows")
     if labels_labeled.shape[0] != L.size:
         raise ConfigError(
             f"graph_regularizer: {L.size} labeled nodes but "
             f"{labels_labeled.shape[0]} label rows")
     if U.size == 0:
-        return as_tensor(0.0) if is_tensor else 0.0
+        return as_tensor(0.0)
 
     A_ul = graph.affinity[np.ix_(U, L)]           # (u, l)
     A_uu = graph.affinity[np.ix_(U, U)].copy()    # (u, u), zero diagonal already
     uu_scale = 2.0 if count_ordered_pairs else 1.0
 
-    p = p_unlabeled if is_tensor else as_tensor(p_data)
     # (u, l, C) and (u, u, C) difference stacks; exact zeros when rows agree
     if L.size and lam_lu > 0:
         diff_ul = p.reshape(U.size, 1, -1) - labels_labeled[None, :, :]
@@ -151,5 +148,4 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
         uu_term = (as_tensor(W) * (diff_uu * diff_uu).sum(axis=2)).sum()
     else:
         uu_term = as_tensor(0.0)
-    total = lu_term * lam_lu + uu_term * lam_uu
-    return total if is_tensor else float(total.data)
+    return lu_term * lam_lu + uu_term * lam_uu

@@ -14,6 +14,8 @@ import csv
 import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +25,8 @@ from . import numnet
 from .credibility import (Stage2Result, TransferredLabels, assess_credibility,
                           per_sample_stats, train_frozen_classifier,
                           transfer_labels)
-from .data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_noise,
-                   make_blobs, train_test_split)
+from .data import (LabeledDataset, NoiseSpec, apply_noise, make_blobs,
+                   train_test_split)
 from .errors import ConfigError
 from .numnet import MlpParams
 from .semi import MixMatchConfig, Stage3Result, train_stage3
@@ -70,10 +72,6 @@ class MetricsLog:
                 f"metrics: epoch {epoch} not increasing for {key}")
         self._last_epoch[key] = epoch
         self.rows.append((run_id, int(epoch), split, metric, float(value)))
-
-    def extend(self, other: "MetricsLog") -> None:
-        for run_id, epoch, split, metric, value in other.rows:
-            self.add(run_id, epoch, split, metric, value)
 
     def series(self, run_id: str, metric: str,
                split: str = "test") -> list[float]:
@@ -168,27 +166,46 @@ class ExperimentConfig:
     run_stage3: bool = True
 
 
-def _build_dataclass(cls, data: dict, context: str):
+def _typed(value, hint, where: str):
+    """`value` checked against the type `hint`; ints widen to floats."""
+    if dataclasses.is_dataclass(hint):
+        return _build_dataclass(hint, value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:                      # `X | None`
+        return None if value is None else _typed(value, args[0], where)
+    if origin is tuple and isinstance(value, (list, tuple)) \
+            and len(value) == len(args):
+        return tuple(_typed(v, a, f"{where}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if origin is dict and isinstance(value, dict):
+        key_type, value_type = args
+        out = {}
+        for k, v in value.items():
+            if (key_type is int and isinstance(k, str)     # JSON object keys
+                    and k.removeprefix("-").isdecimal()):
+                k = int(k)
+            out[_typed(k, key_type, f"{where} key")] = _typed(
+                v, value_type, f"{where}[{k!r}]")
+        return out
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is hint:                            # so bool is not int
+        return value
+    name = hint.__name__ if origin is None else str(hint)
+    raise ConfigError(f"{where} expects {name}, got {type(value).__name__}")
+
+
+def _build_dataclass(cls, data, context: str):
+    where = f"config section {context}" if context else "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {context}: expected an object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
+        raise ConfigError(f"{where}: expected an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(
-            f"config section {context}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        ftype = known[name].type
-        if name == "augmentation":
-            value = _build_dataclass(AugmentationSpec, value,
-                                     f"{context}.{name}")
-        elif name == "pair_map" and value is not None:
-            value = {int(k): int(v) for k, v in value.items()}
-        elif name == "scale_range":
-            value = tuple(value)
-        del ftype
-        kwargs[name] = value
-    return cls(**kwargs)
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    prefix = f"{context}." if context else ""
+    return cls(**{name: _typed(value, hints[name], prefix + name)
+                  for name, value in data.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -205,29 +222,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    sections = {
-        "dataset": DatasetSpec,
-        "noise": NoiseSpec,
-        "stage1": ContrastiveConfig,
-        "stage2": Stage2Config,
-        "stage3": MixMatchConfig,
-        "supervised": SupervisedConfig,
-    }
-    known = {"seed", "test_fraction", "run_stage3", *sections}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    if not isinstance(data.get("seed"), int):
-        raise ConfigError("config: 'seed' must be an integer")
-    kwargs = {"seed": data["seed"]}
-    if "test_fraction" in data:
-        kwargs["test_fraction"] = float(data["test_fraction"])
-    if "run_stage3" in data:
-        kwargs["run_stage3"] = bool(data["run_stage3"])
-    for name, cls in sections.items():
-        if name in data:
-            kwargs[name] = _build_dataclass(cls, data[name], name)
-    return ExperimentConfig(**kwargs)
+    """Build a config from parsed JSON, checking every value's type."""
+    if isinstance(data, dict) and "seed" not in data:
+        raise ConfigError("config: 'seed' is required")
+    return _build_dataclass(ExperimentConfig, data, "")
 
 
 def generate_data(config: ExperimentConfig
@@ -267,33 +265,14 @@ def train_supervised(params: MlpParams, X: Array, y: Array, n_classes: int,
     `frozen` names parameter groups ("encoder", "classifier") excluded
     from updates; the decoupling regimes use it to pin one half.
     """
-    rng = np.random.default_rng(seed)
-    targets = numnet.one_hot(y, n_classes)
-    n = X.shape[0]
-    steps = math.ceil(n / config.batch_size)
-    total_steps = steps * config.epochs
-    opt = numnet.adam(config.lr)
+    batches = numnet.ce_batches(X, numnet.one_hot(y, n_classes),
+                                config.batch_size, np.random.default_rng(seed))
     train_loss = []
     test_acc = []
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for s in range(steps):
-            take = order[s * config.batch_size:(s + 1) * config.batch_size]
-            xb, tb = X[take], targets[take]
-
-            def loss_fn(tape):
-                _, _, P = tape.forward(xb)
-                return numnet.cross_entropy_rows(P, tb)
-
-            value, grads = numnet.grad(params, loss_fn, frozen=frozen)
-            opt.learning_rate = numnet.cosine_lr(step, total_steps,
-                                                 config.lr, config.eta_min)
-            numnet.optimizer_step(opt, params, grads)
-            epoch_losses.append(value)
-            step += 1
-        train_loss.append(float(np.mean(epoch_losses)))
+    for losses in numnet.fit(params, numnet.adam(config.lr), config.epochs,
+                             math.ceil(X.shape[0] / config.batch_size),
+                             batches, config.eta_min, frozen=frozen):
+        train_loss.append(float(np.mean(losses)))
         if test_dataset is not None:
             acc, _ = evaluate(params, test_dataset)
             test_acc.append(acc)

@@ -233,18 +233,28 @@ def load_dataset_csv(path, n_classes: int | None = None) -> LabeledDataset:
         if header[:d] != [f"x_{j}" for j in range(d)]:
             raise CheckpointError(f"dataset file {path}: malformed x_ columns")
         X, yc, yn = [], [], []
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if len(row) != d + 2:
                 raise CheckpointError(
                     f"dataset file {path}: row with {len(row)} fields, "
                     f"expected {d + 2}")
-            X.append([float(v) for v in row[:d]])
-            yc.append(int(row[d]))
-            yn.append(int(row[d + 1]))
+            try:
+                X.append([float(v) for v in row[:d]])
+                yc.append(int(row[d]))
+                yn.append(int(row[d + 1]))
+            except ValueError as e:
+                raise CheckpointError(
+                    f"dataset file {path}: line {line}: {e}") from None
     if not X:
         raise CheckpointError(f"dataset file {path}: no rows")
+    X = np.asarray(X, dtype=np.float64)
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CheckpointError(f"dataset file {path}: non-finite feature value "
+                              f"in row {i} (line {i + 2})")
     yc = np.asarray(yc, dtype=np.int64)
     yn = np.asarray(yn, dtype=np.int64)
     if n_classes is None:
         n_classes = int(max(yc.max(), yn.max())) + 1
-    return LabeledDataset(np.asarray(X, dtype=np.float64), yc, yn, n_classes)
+    return LabeledDataset(X, yc, yn, n_classes)

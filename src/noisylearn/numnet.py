@@ -1,10 +1,11 @@
 """Minimal differentiable numeric core.
 
 A small reverse-mode tape over float64 numpy arrays, MLP parameter
-containers, SGD/Adam optimizers, a cosine learning-rate schedule, and a
-parameter EMA. The tape supports exactly the compositions the training
-stages need (dense layers, ReLU, softmax/log-sum-exp, elementwise algebra,
-slicing, concatenation); it is not a general autodiff system.
+containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
+parameter EMA, and the one training loop (`fit`) every stage runs. The
+tape supports exactly the compositions the training stages need (dense
+layers, ReLU, softmax/log-sum-exp, elementwise algebra, slicing); it is
+not a general autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -221,7 +222,7 @@ class Tensor:
     # -- backward pass ---------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar root."""
+        """Reverse-mode sweep from a scalar root; only leaves keep `.grad`."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar root")
         if not np.isfinite(self.data):
@@ -245,6 +246,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                node.grad = None  # passed on; spent tapes wait for the GC
 
 
 def as_tensor(value) -> Tensor:
@@ -263,21 +265,6 @@ def _make(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
 def _accum(node: Tensor, g: Array) -> None:
     if node.requires_grad or node._parents:
         node._accumulate(g)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def backward():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * out.grad.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(t, out.grad[tuple(sl)])
-        out._backward = backward
-    return out
 
 
 def softmax_rows(logits: Tensor) -> Tensor:
@@ -408,10 +395,6 @@ class MlpParams:
             activation=self.activation,
         )
 
-    def output_width(self) -> int:
-        layers = self.classifier or self.encoder
-        return layers[-1].weight.shape[1]
-
 
 GradDict = dict[str, Array]
 
@@ -490,21 +473,21 @@ class TapeMlp:
             Z = (Z @ w + b).relu()
         return Z
 
-    def logits(self, X) -> Tensor:
-        F = self.embed(X)
+    def head(self, Z: Tensor) -> Tensor:
+        """Head layers on a representation: ReLU between them, raw output."""
+        F = Z
         for i, (w, b) in enumerate(self.classifier):
             F = F @ w + b
             if i < len(self.classifier) - 1:
                 F = F.relu()
         return F
 
+    def logits(self, X) -> Tensor:
+        return self.head(self.embed(X))
+
     def forward(self, X) -> tuple[Tensor, Tensor, Tensor]:
         Z = self.embed(X)
-        F = Z
-        for i, (w, b) in enumerate(self.classifier):
-            F = F @ w + b
-            if i < len(self.classifier) - 1:
-                F = F.relu()
+        F = self.head(Z)
         return Z, F, softmax_rows(F)
 
     def gradients(self) -> GradDict:
@@ -634,3 +617,52 @@ def ema_params(ema: EmaState, template: MlpParams) -> MlpParams:
     for name, a in out.walk():
         a[...] = ema.shadow[name]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The training loop
+# ---------------------------------------------------------------------------
+
+LossFn = Callable[[TapeMlp], Tensor]
+
+
+def fit(params: MlpParams, opt: OptState, epochs: int, steps: int,
+        batches: Callable[[], Iterable[LossFn]], eta_min: float,
+        frozen: tuple[str, ...] = (), ema: EmaState | None = None
+        ) -> Iterator[list[float]]:
+    """Train `params` in place, yielding each epoch's step losses.
+
+    `batches()` is called once per epoch and yields `steps` tape loss
+    functions. Each step takes the gradient (skipping `frozen` groups),
+    sets the rate on a cosine schedule from the optimizer's initial rate
+    to `eta_min` over all epochs (constant when the two are equal),
+    applies the update, and folds the weights into `ema` when given.
+    """
+    lr0 = opt.learning_rate
+    for epoch in range(epochs):
+        losses = []
+        for step, loss_fn in enumerate(batches(), epoch * steps):
+            value, grads = grad(params, loss_fn, frozen=frozen)
+            opt.learning_rate = cosine_lr(step, steps * epochs, lr0, eta_min)
+            optimizer_step(opt, params, grads)
+            if ema is not None:
+                ema_update(ema, params)
+            losses.append(value)
+        yield losses
+
+
+def ce_batches(X: Array, targets: Array, batch_size: int,
+               rng: np.random.Generator) -> Callable[[], Iterator[LossFn]]:
+    """Batches for `fit`: mean cross-entropy on slices of a fresh shuffle.
+
+    Each call draws a permutation of the rows from `rng` and yields one
+    loss function per consecutive `batch_size` slice of it.
+    """
+    def batches() -> Iterator[LossFn]:
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch_size):
+            take = order[start:start + batch_size]
+            yield lambda tape, xb=X[take], tb=targets[take]: (
+                cross_entropy_rows(tape.forward(xb)[2], tb))
+
+    return batches

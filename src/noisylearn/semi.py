@@ -24,7 +24,8 @@ from . import numnet
 from .credibility import TransferEntry, TransferredLabels
 from .data import AugmentationSpec, LabeledDataset, augment_batch
 from .errors import ConfigError
-from .graphreg import build_neighbor_graph, graph_regularizer, sharpen, sharpen_t
+from .graphreg import (NeighborGraph, build_neighbor_graph, graph_regularizer,
+                       sharpen, sharpen_t)
 from .numnet import MlpParams, Tensor
 
 Array = np.ndarray
@@ -115,10 +116,10 @@ def uniform_sample_L(transfer: TransferredLabels, batch: int,
 
 def sample_U_candidates(ds: LabeledDataset, batch: int,
                         rng: np.random.Generator) -> Array:
-    """Uniform feature rows from the whole training set; labels never attach."""
+    """Uniform row indices into the whole training set; labels never attach."""
     if len(ds) == 0:
         raise ConfigError("sample_U_candidates: empty dataset")
-    return ds.X[rng.integers(0, len(ds), size=batch)].copy()
+    return rng.integers(0, len(ds), size=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +132,6 @@ def _guess_from_views(params: MlpParams, views: list[Array], T: float) -> Array:
         _, _, P = numnet.mlp_forward(params, view)
         acc = P if acc is None else acc + P
     return sharpen(acc / len(views), T)
-
-
-def guess_labels(params: MlpParams, x_u: Array, K: int, T: float,
-                 augmentation: AugmentationSpec,
-                 rng: np.random.Generator) -> Array:
-    """Soft targets: sharpened mean prediction over K augmented views.
-
-    `params` should be the EMA shadow when EMA guessing is enabled. Accepts
-    one vector or a matrix of rows.
-    """
-    if K < 1:
-        raise ConfigError("guess_labels: K must be >= 1")
-    single = np.asarray(x_u).ndim == 1
-    X = np.atleast_2d(np.asarray(x_u, dtype=np.float64))
-    views = [augment_batch(X, augmentation, rng) for _ in range(K)]
-    q = _guess_from_views(params, views, T)
-    return q[0] if single else q
 
 
 def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
@@ -224,31 +208,36 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
 
 
 def mixmatch_losses_from(tape, batch: MixedBatch) -> tuple[Tensor, Tensor]:
-    """Supervised CE and unsupervised squared-distance terms on the tape."""
+    """Supervised CE and unsupervised squared-distance terms (0 without U)."""
     _, _, P_sup = tape.forward(batch.X_sup)
     l_sup = numnet.cross_entropy_rows(P_sup, batch.y_sup)
+    if not batch.X_unsup.shape[0]:
+        return l_sup, numnet.as_tensor(0.0)
     _, _, P_unsup = tape.forward(batch.X_unsup)
     diff = P_unsup - batch.q_unsup
-    l_unsup = (diff * diff).sum(axis=1).mean()
-    return l_sup, l_unsup
+    return l_sup, (diff * diff).sum(axis=1).mean()
 
 
-def mixmatch_losses(model: MlpParams, labeled_batch: tuple[Array, Array],
-                    unlabeled_batch: Array, config: MixMatchConfig,
-                    rng: np.random.Generator,
-                    guess_params: MlpParams | None = None
-                    ) -> tuple[float, float]:
-    """Loss values for one batch without touching any tape state.
+def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
+                config: MixMatchConfig) -> tuple[Tensor, dict[str, float]]:
+    """The stage-3 objective L_sup + lambda_u * L_unsup + R on one batch.
 
-    `labeled_batch` is (features, one-hot targets); `unlabeled_batch` is
-    feature rows. Guessing uses `guess_params` when given, else the model.
+    R is the graph penalty on the sharpened predictions for the raw
+    unlabeled rows, or zero without a graph. Returns the total on the tape
+    and the values of its three parts.
     """
-    batch = prepare_mixmatch_batch(guess_params or model,
-                                   labeled_batch[0], labeled_batch[1],
-                                   unlabeled_batch, config, rng)
-    tape = numnet.TapeMlp(model)
     l_sup, l_unsup = mixmatch_losses_from(tape, batch)
-    return float(l_sup.data), float(l_unsup.data)
+    if graph is None:
+        r = numnet.as_tensor(0.0)
+    else:
+        p_hat = sharpen_t(numnet.softmax_rows(tape.logits(batch.X_u_raw)),
+                          config.T)
+        r = graph_regularizer(graph, p_hat, batch.y_l, config.lambda_lu,
+                              config.lambda_uu,
+                              count_ordered_pairs=config.count_ordered_pairs)
+    total = l_sup + l_unsup * config.lambda_u + r
+    return total, {"l_sup": float(l_sup.data), "l_unsup": float(l_unsup.data),
+                   "r_graph": float(r.data)}
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +257,18 @@ def _entries_to_batch(entries: list[TransferEntry], ds: LabeledDataset,
     y = np.zeros((len(entries), n_classes))
     y[np.arange(len(entries)), [e.label for e in entries]] = 1.0
     return ds.X[idx], y, idx
+
+
+def _labeled_only_batch(X_l: Array, y_l: Array, config: MixMatchConfig,
+                        rng: np.random.Generator) -> MixedBatch:
+    """Mixup of augmented L rows with a shuffle of themselves (U is empty)."""
+    x_hat = augment_batch(X_l, config.augmentation, rng)
+    perm = rng.permutation(x_hat.shape[0])
+    X_sup, y_sup = mixup(x_hat, y_l, x_hat[perm], y_l[perm], config.alpha, rng)
+    empty = np.zeros((0, X_l.shape[1]))
+    return MixedBatch(X_sup=X_sup, y_sup=y_sup, X_unsup=empty,
+                      q_unsup=np.zeros((0, y_l.shape[1])), X_l_raw=X_l,
+                      y_l=y_l, X_u_raw=empty)
 
 
 def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
@@ -295,92 +296,53 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
 
     sampler = make_balanced_sampler(transfer) if config.use_cbs else None
     U = transfer.unlabeled_indices()
-    n = len(ds)
     C = transfer.n_classes
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = steps_per_epoch * config.epochs
-    opt = numnet.adam(config.lr)
+    steps = math.ceil(len(ds) / config.batch_size)
     ema = numnet.ema_init(params, config.ema_decay)
+    roles = np.array(["labeled"] * config.batch_size
+                     + ["unlabeled"] * config.batch_size, dtype=object)
+    sums = dict.fromkeys(("l_sup", "l_unsup", "r_graph", "total"), 0.0)
 
-    history: list[dict] = []
-    step = 0
-    for epoch in range(config.epochs):
-        comp_sums = {"l_sup": 0.0, "l_unsup": 0.0, "r_graph": 0.0, "total": 0.0}
-        for _ in range(steps_per_epoch):
+    def step_loss(batch: MixedBatch, graph: NeighborGraph | None):
+        def loss_fn(tape):
+            total, parts = stage3_loss(tape, batch, graph, config)
+            for key, value in {**parts, "total": float(total.data)}.items():
+                sums[key] += value
+            return total
+        return loss_fn
+
+    def batches():
+        for _ in range(steps):
             if sampler is not None:
                 entries = balanced_sample_L(sampler, config.batch_size, rng)
             else:
                 entries = uniform_sample_L(transfer, config.batch_size, rng)
             X_l, y_l, l_idx = _entries_to_batch(entries, ds, C)
-
-            have_unlabeled = U.size > 0
-            if have_unlabeled:
-                if config.use_cbs:
-                    u_idx = rng.integers(0, n, size=config.batch_size)
-                else:
-                    u_idx = U[rng.integers(0, U.size, size=config.batch_size)]
-                X_u = ds.X[u_idx]
-                guess_src = (numnet.ema_params(ema, params)
-                             if config.guess_with_ema else params)
-                batch = prepare_mixmatch_batch(guess_src, X_l, y_l, X_u,
-                                               config, rng)
-                graph = None
-                if config.use_gsr:
-                    Z_joint = np.concatenate([Z_table[l_idx], Z_table[u_idx]])
-                    roles = np.array(["labeled"] * len(l_idx)
-                                     + ["unlabeled"] * len(u_idx), dtype=object)
-                    graph = build_neighbor_graph(Z_joint, config.tau_c, roles)
+            if U.size == 0:
+                yield step_loss(_labeled_only_batch(X_l, y_l, config, rng), None)
+                continue
+            if config.use_cbs:
+                u_idx = sample_U_candidates(ds, config.batch_size, rng)
             else:
-                x_hat = augment_batch(X_l, config.augmentation, rng)
-                perm = rng.permutation(x_hat.shape[0])
-                X_sup, y_sup = mixup(x_hat, y_l, x_hat[perm], y_l[perm],
-                                     config.alpha, rng)
-                batch = MixedBatch(X_sup=X_sup, y_sup=y_sup,
-                                   X_unsup=np.zeros((0, ds.n_features)),
-                                   q_unsup=np.zeros((0, C)),
-                                   X_l_raw=X_l, y_l=y_l,
-                                   X_u_raw=np.zeros((0, ds.n_features)))
-                graph = None
+                u_idx = U[rng.integers(0, U.size, size=config.batch_size)]
+            guess_src = (numnet.ema_params(ema, params)
+                         if config.guess_with_ema else params)
+            batch = prepare_mixmatch_batch(guess_src, X_l, y_l, ds.X[u_idx],
+                                           config, rng)
+            graph = None
+            if config.use_gsr:
+                graph = build_neighbor_graph(
+                    np.concatenate([Z_table[l_idx], Z_table[u_idx]]),
+                    config.tau_c, roles)
+            yield step_loss(batch, graph)
 
-            components: dict[str, float] = {}
-
-            def loss_fn(tape):
-                _, _, P_sup = tape.forward(batch.X_sup)
-                l_sup = numnet.cross_entropy_rows(P_sup, batch.y_sup)
-                if batch.X_unsup.shape[0]:
-                    _, _, P_unsup = tape.forward(batch.X_unsup)
-                    diff = P_unsup - batch.q_unsup
-                    l_unsup = (diff * diff).sum(axis=1).mean()
-                else:
-                    l_unsup = numnet.as_tensor(0.0)
-                if graph is not None:
-                    logits_u = tape.logits(batch.X_u_raw)
-                    p_hat = sharpen_t(numnet.softmax_rows(logits_u), config.T)
-                    r = graph_regularizer(
-                        graph, p_hat, batch.y_l,
-                        config.lambda_lu, config.lambda_uu,
-                        count_ordered_pairs=config.count_ordered_pairs)
-                else:
-                    r = numnet.as_tensor(0.0)
-                total = l_sup + l_unsup * config.lambda_u + r
-                components["l_sup"] = float(l_sup.data)
-                components["l_unsup"] = float(l_unsup.data)
-                components["r_graph"] = float(r.data)
-                return total
-
-            value, grads = numnet.grad(params, loss_fn)
-            opt.learning_rate = numnet.cosine_lr(
-                step, total_steps, config.lr, config.eta_min)
-            numnet.optimizer_step(opt, params, grads)
-            numnet.ema_update(ema, params)
-            step += 1
-            for key in ("l_sup", "l_unsup", "r_graph"):
-                comp_sums[key] += components[key]
-            comp_sums["total"] += value
-
+    history: list[dict] = []
+    for epoch, _ in enumerate(numnet.fit(
+            params, numnet.adam(config.lr), config.epochs, steps, batches,
+            config.eta_min, ema=ema)):
         row = {"epoch": epoch}
-        for key, total in comp_sums.items():
-            row[key] = total / steps_per_epoch
+        for key in sums:      # per-step means, summed in step order
+            row[key], sums[key] = sums[key] / steps, 0.0
         if test_dataset is not None:
             _, _, P = numnet.mlp_forward(params, test_dataset.X)
             row["test_acc"] = float(np.mean(

@@ -24,40 +24,28 @@ Array = np.ndarray
 NEG_MASK = -1e12  # additive mask for self-similarity terms
 
 
-def nt_xent_loss(Z, temperature: float):
+def nt_xent_loss(Z, temperature: float) -> Tensor:
     """Contrastive loss over an interleaved batch of paired rows.
 
-    Rows 2k and 2k+1 must be the two views of the same example. Accepts a
-    plain ndarray (returns float) or a tape Tensor (returns a scalar Tensor
-    for backprop). Each row is L2-normalized, all pairwise cosine
-    similarities are scaled by `temperature`, the self term is masked out,
-    and the loss is the mean cross-entropy of picking the partner row.
+    Rows 2k and 2k+1 must be the two views of the same example. `Z` is a
+    tape Tensor or an array; the result is a scalar Tensor. Each row is
+    L2-normalized, all pairwise cosine similarities are scaled by
+    `temperature`, the self term is masked out, and the loss is the mean
+    cross-entropy of picking the partner row.
     """
-    is_tensor = isinstance(Z, Tensor)
-    raw = Z.data if is_tensor else np.asarray(Z, dtype=np.float64)
-    n = raw.shape[0]
+    Z = numnet.as_tensor(Z)
+    n = Z.shape[0]
     if n < 4 or n % 2 != 0:
         raise ConfigError(f"nt_xent_loss: need an even batch of >= 4 rows, got {n}")
     if temperature <= 0:
         raise ConfigError("nt_xent_loss: temperature must be positive")
     idx = np.arange(n)
     partner = idx ^ 1  # 2k <-> 2k+1
-    eye = np.eye(n) * NEG_MASK
-
-    if is_tensor:
-        norms = (Z * Z).sum(axis=1, keepdims=True) ** 0.5
-        Zn = Z / norms
-        S = (Zn @ Zn.T) * (1.0 / temperature) + eye
-        lse = numnet.logsumexp_rows(S).reshape(n)
-        pos = S[idx, partner]
-        return (lse - pos).mean()
-
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    Zn = raw / norms
-    S = Zn @ Zn.T / temperature + eye
-    row_max = S.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(S - row_max).sum(axis=1)) + row_max[:, 0]
-    return float((lse - S[idx, partner]).mean())
+    norms = (Z * Z).sum(axis=1, keepdims=True) ** 0.5
+    Zn = Z / norms
+    S = (Zn @ Zn.T) * (1.0 / temperature) + np.eye(n) * NEG_MASK
+    lse = numnet.logsumexp_rows(S).reshape(n)
+    return (lse - S[idx, partner]).mean()
 
 
 @dataclass
@@ -113,36 +101,20 @@ def train_encoder(X: Array, config: ContrastiveConfig, seed: int,
     batch = min(config.batch_size, n if n % 2 == 0 else n - 1)
     if batch < 2:
         raise ConfigError("train_encoder: not enough rows for a paired batch")
-    steps_per_epoch = math.ceil(n / batch)
-    total_steps = steps_per_epoch * config.epochs
-    opt = numnet.adam(config.learning_rate)
-    step = 0
-    loss_curve = []
-    for _ in range(config.epochs):
-        epoch_losses = []
-        for _ in range(steps_per_epoch):
+    steps = math.ceil(n / batch)
+
+    def batches():
+        for _ in range(steps):
             take = rng.choice(n, size=batch, replace=False)
-            v1 = augment_batch(X[take], config.augmentation, rng)
-            v2 = augment_batch(X[take], config.augmentation, rng)
             views = np.empty((2 * batch, X.shape[1]))
-            views[0::2] = v1
-            views[1::2] = v2
+            views[0::2] = augment_batch(X[take], config.augmentation, rng)
+            views[1::2] = augment_batch(X[take], config.augmentation, rng)
+            yield lambda tape, views=views: nt_xent_loss(
+                tape.logits(views), config.temperature)
 
-            def loss_fn(tape):
-                Z = tape.embed(views)
-                for i, (w, b) in enumerate(tape.classifier):
-                    Z = Z @ w + b
-                    if i < len(tape.classifier) - 1:
-                        Z = Z.relu()
-                return nt_xent_loss(Z, config.temperature)
-
-            value, grads = numnet.grad(params, loss_fn)
-            opt.learning_rate = numnet.cosine_lr(
-                step, total_steps, config.learning_rate, config.eta_min)
-            numnet.optimizer_step(opt, params, grads)
-            epoch_losses.append(value)
-            step += 1
-        loss_curve.append(float(np.mean(epoch_losses)))
+    loss_curve = [float(np.mean(losses)) for losses in numnet.fit(
+        params, numnet.adam(config.learning_rate), config.epochs, steps,
+        batches, config.eta_min)]
     encoder = MlpParams(encoder=params.encoder, classifier=[])
     return EncoderTrainResult(encoder=encoder, projection=list(params.classifier),
                               loss_curve=loss_curve)

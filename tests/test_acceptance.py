@@ -60,13 +60,7 @@ def test_criterion_01_gradient_correctness(capsys):
         Z, tau=cfg.tau_c, roles=["labeled"] * 4 + ["unlabeled"] * 5)
 
     def stage3_loss(tape):
-        l_sup, l_unsup = semi.mixmatch_losses_from(tape, batch)
-        logits_u = tape.logits(batch.X_u_raw)
-        p_hat = graphreg.sharpen_t(numnet.softmax_rows(logits_u), cfg.T)
-        r = graphreg.graph_regularizer(
-            graph, p_hat, batch.y_l, cfg.lambda_lu, cfg.lambda_uu,
-            count_ordered_pairs=cfg.count_ordered_pairs)
-        return l_sup + l_unsup * cfg.lambda_u + r
+        return semi.stage3_loss(tape, batch, graph, cfg)[0]
 
     _, grads3 = numnet.grad(model, stage3_loss)
     fd3 = central_diff(model, lambda p: float(
@@ -144,9 +138,11 @@ def test_criterion_04_probability_and_graph_algebra(capsys):
 
     p_u = numnet.softmax(rng.normal(size=(500, 10)))
     y_l = numnet.one_hot(rng.integers(0, 10, size=500), 10)
-    r_random = graphreg.graph_regularizer(graph, p_u, y_l, 0.01, 0.005)
+    r_random = float(graphreg.graph_regularizer(graph, p_u, y_l, 0.01,
+                                                0.005).data)
     agree = numnet.one_hot(np.full(500, 3), 10)
-    r_agree = graphreg.graph_regularizer(graph, agree, agree, 0.01, 0.005)
+    r_agree = float(graphreg.graph_regularizer(graph, agree, agree, 0.01,
+                                               0.005).data)
 
     dt = time.perf_counter() - t0
     ok = (closure <= 1e-12 and argmax_kept and symmetric and in_range

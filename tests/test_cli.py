@@ -140,6 +140,32 @@ def test_bad_config_exits_two(tmp_path):
     assert "seed" in out.stderr
 
 
+def test_mistyped_config_value_exits_two(tmp_path):
+    config = write_tiny_config(tmp_path / "config.json",
+                               stage1={"epochs": "4"})
+    out = run_cli("pipeline", "--config", str(config), "--out-dir", "run",
+                  cwd=tmp_path)
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert "stage1.epochs expects int, got str" in out.stderr
+
+
+def test_non_finite_csv_value_exits_two(tmp_path):
+    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
+                  "--per-class", "20", "--features", "6", "--seed", "2",
+                  cwd=tmp_path)
+    assert gen.returncode == 0, gen.stderr
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "nan"
+    lines[3] = ",".join(cells)
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    out = run_cli("stage1", "--data", "train.csv", "--out", "enc.json",
+                  "--epochs", "2", "--batch-size", "16", "--seed", "3",
+                  cwd=tmp_path)
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert "train.csv" in out.stderr and "row 2 (line 4)" in out.stderr
+
+
 def test_numeric_blowup_exits_three(tmp_path):
     gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
                   "--per-class", "20", "--features", "6", "--seed", "2",
