@@ -10,10 +10,9 @@ ablation on synthetic Gaussian blobs.
 """
 
 from .credibility import (CredibilityScores, Gmm1D, Stage2Result,
-                          TransferEntry, TransferredLabels,
-                          assess_credibility, fit_gmm_em, gmm_posterior,
-                          per_sample_stats, train_frozen_classifier,
-                          transfer_labels)
+                          TransferredLabels, assess_credibility, fit_gmm_em,
+                          gmm_posterior, labeled_records, per_sample_stats,
+                          train_frozen_classifier, transfer_labels)
 from .data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_noise,
                    augment, augment_batch, default_pair_map,
                    inject_asymmetric_noise, inject_symmetric_noise,
@@ -43,17 +42,16 @@ __all__ = [
     "ExperimentConfig", "Gmm1D", "LabeledDataset", "Layer", "MetricsLog",
     "MixMatchConfig", "MlpParams", "NeighborGraph", "NoiseSpec",
     "NumericError", "OptState", "PipelineError", "Stage2Result",
-    "Stage3Result", "TransferEntry", "TransferredLabels", "apply_noise",
-    "assess_credibility", "augment", "augment_batch", "balanced_sample_L",
-    "best_last", "build_neighbor_graph", "cosine_lr", "cross_entropy",
-    "default_pair_map", "ema_init", "ema_params", "ema_update", "embed",
-    "evaluate", "fit", "fit_gmm_em", "gmm_posterior", "grad",
-    "graph_regularizer", "init_mlp", "inject_asymmetric_noise",
-    "inject_symmetric_noise", "load_config", "make_balanced_sampler",
-    "make_blobs", "mixup", "mlp_forward", "nt_xent_loss", "one_hot",
-    "optimizer_step", "per_sample_stats", "predict", "run_ablation",
-    "run_decoupling_experiment", "run_pipeline", "run_stage2",
-    "sample_U_candidates", "sharpen", "softmax", "stage3_loss", "train_encoder",
-    "train_frozen_classifier", "train_stage3", "train_test_split",
-    "transfer_labels",
+    "Stage3Result", "TransferredLabels", "apply_noise", "assess_credibility",
+    "augment", "augment_batch", "balanced_sample_L", "best_last",
+    "build_neighbor_graph", "cosine_lr", "cross_entropy", "default_pair_map",
+    "ema_init", "ema_params", "ema_update", "embed", "evaluate", "fit",
+    "fit_gmm_em", "gmm_posterior", "grad", "graph_regularizer", "init_mlp",
+    "inject_asymmetric_noise", "inject_symmetric_noise", "labeled_records",
+    "load_config", "make_balanced_sampler", "make_blobs", "mixup",
+    "mlp_forward", "nt_xent_loss", "one_hot", "optimizer_step",
+    "per_sample_stats", "predict", "run_ablation", "run_decoupling_experiment",
+    "run_pipeline", "run_stage2", "sample_U_candidates", "sharpen", "softmax",
+    "stage3_loss", "train_encoder", "train_frozen_classifier", "train_stage3",
+    "train_test_split", "transfer_labels",
 ]

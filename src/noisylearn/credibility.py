@@ -212,35 +212,39 @@ class CredibilityScores:
     confidence_gmm: Gmm1D | None = None
 
 
-@dataclass
-class TransferEntry:
-    index: int
-    label: int
-    origin: str   # "kept" | "corrected"
+LABELED_DTYPE = np.dtype([("index", np.int64), ("label", np.int64),
+                          ("origin", "U9")])
+
+
+def labeled_records(index, label, origin) -> np.recarray:
+    """L rows as a record array: row index, assigned label, origin string."""
+    return np.rec.fromarrays([index, label, origin], dtype=LABELED_DTYPE)
 
 
 @dataclass
 class TransferredLabels:
-    """Partition of training rows into labeled (L) and unlabeled (U) sets."""
+    """Partition of training rows into labeled (L) and unlabeled (U) sets.
 
-    labeled: list[TransferEntry]
-    unlabeled: list[int]
+    `labeled` is a record array (see `labeled_records`); each row has
+    `.index`, `.label` and `.origin` ("kept" | "corrected"). `unlabeled`
+    holds the U row indices. Stage 2 builds both in ascending row order.
+    """
+
+    labeled: np.recarray
+    unlabeled: Array
     tau_clean: float
     tau_right: float
     n_classes: int
 
     def labeled_indices(self) -> Array:
-        return np.array([e.index for e in self.labeled], dtype=np.int64)
+        return self.labeled.index
 
     def labeled_targets(self) -> Array:
         """One-hot targets for the labeled set, in `labeled` order."""
-        out = np.zeros((len(self.labeled), self.n_classes))
-        for row, entry in enumerate(self.labeled):
-            out[row, entry.label] = 1.0
-        return out
+        return numnet.one_hot(self.labeled.label, self.n_classes)
 
     def unlabeled_indices(self) -> Array:
-        return np.array(self.unlabeled, dtype=np.int64)
+        return self.unlabeled
 
 
 def _minmax(values: Array) -> Array:
@@ -308,17 +312,11 @@ def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,
         raise ConfigError("transfer_labels: misaligned inputs")
     if n_classes is None:
         n_classes = int(max(y_noisy.max(), y_pred.max())) + 1
-    labeled: list[TransferEntry] = []
-    unlabeled: list[int] = []
-    for i in range(y_noisy.shape[0]):
-        if scores.p_clean[i] >= tau_clean:
-            labeled.append(TransferEntry(index=i, label=int(y_noisy[i]),
-                                         origin="kept"))
-        elif scores.p_right[i] >= tau_right:
-            labeled.append(TransferEntry(index=i, label=int(y_pred[i]),
-                                         origin="corrected"))
-        else:
-            unlabeled.append(i)
-    return TransferredLabels(labeled=labeled, unlabeled=unlabeled,
+    kept = scores.p_clean >= tau_clean
+    in_L = kept | (scores.p_right >= tau_right)
+    index = np.flatnonzero(in_L)
+    labeled = labeled_records(index, np.where(kept, y_noisy, y_pred)[index],
+                              np.where(kept[index], "kept", "corrected"))
+    return TransferredLabels(labeled=labeled, unlabeled=np.flatnonzero(~in_L),
                              tau_clean=tau_clean, tau_right=tau_right,
                              n_classes=n_classes)

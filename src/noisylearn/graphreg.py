@@ -21,24 +21,19 @@ Array = np.ndarray
 
 @dataclass
 class NeighborGraph:
-    """Symmetric affinity matrix over one batch plus each row's role."""
+    """Symmetric affinity matrix over one batch; rows [0, n_labeled) are L."""
 
     affinity: Array          # (n, n); diagonal present but inert in the penalty
-    roles: Array             # (n,) strings "labeled" | "unlabeled"
+    n_labeled: int           # the remaining rows are U
     tau: float
 
     @property
     def n_nodes(self) -> int:
         return self.affinity.shape[0]
 
-    def labeled_nodes(self) -> Array:
-        return np.flatnonzero(self.roles == "labeled")
 
-    def unlabeled_nodes(self) -> Array:
-        return np.flatnonzero(self.roles == "unlabeled")
-
-
-def build_neighbor_graph(Z: Array, tau: float = 0.5, roles=None) -> NeighborGraph:
+def build_neighbor_graph(Z: Array, tau: float = 0.5,
+                         n_labeled: int = 0) -> NeighborGraph:
     """Thresholded-cosine affinity over embedding rows.
 
     Entries are max(cos - tau, 0) for every pair including i = j, so they
@@ -46,20 +41,15 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5, roles=None) -> NeighborGrap
     the penalty, where same-node distances vanish). The off-diagonal part
     is mirrored from the upper triangle so symmetry holds bitwise.
 
-    `roles` tags each row "labeled" or "unlabeled" for the penalty;
-    omitted, every row counts as unlabeled.
+    The first `n_labeled` rows are the labeled nodes of the penalty and
+    the rest unlabeled; by default every row counts as unlabeled.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ConfigError("build_neighbor_graph: Z must be 2-D")
-    if roles is None:
-        roles = np.full(Z.shape[0], "unlabeled", dtype=object)
-    roles = np.asarray(roles, dtype=object).astype(str)
-    if roles.shape != (Z.shape[0],):
-        raise ConfigError("build_neighbor_graph: one role per row required")
-    bad = set(roles) - {"labeled", "unlabeled"}
-    if bad:
-        raise ConfigError(f"unknown roles: {sorted(bad)}")
+    if not 0 <= n_labeled <= Z.shape[0]:
+        raise ConfigError(f"build_neighbor_graph: n_labeled {n_labeled} "
+                          f"outside [0, {Z.shape[0]}]")
     if not 0.0 <= tau < 1.0:
         raise ConfigError(f"tau must lie in [0, 1), got {tau}")
     norms = np.linalg.norm(Z, axis=1)
@@ -70,7 +60,7 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5, roles=None) -> NeighborGrap
     R = np.maximum(cos - tau, 0.0)
     upper = np.triu(R, 1)
     A = upper + upper.T + np.diag(np.diag(R))
-    return NeighborGraph(affinity=A, roles=roles, tau=tau)
+    return NeighborGraph(affinity=A, n_labeled=n_labeled, tau=tau)
 
 
 def sharpen(p: Array, temperature: float) -> Array:
@@ -102,9 +92,9 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
                       count_ordered_pairs: bool = True) -> Tensor:
     """Affinity-weighted disagreement penalty.
 
-    p_unlabeled holds prediction rows for the graph's unlabeled nodes (in
-    `unlabeled_nodes()` order) and labels_labeled holds target rows for the
-    labeled nodes (in `labeled_nodes()` order). The penalty is
+    p_unlabeled holds prediction rows for the graph's unlabeled nodes and
+    labels_labeled target rows for its labeled nodes, both in node order.
+    The penalty is
 
         lam_lu * sum_{u in U, v in L} A_uv ||p_u - y_v||^2
       + lam_uu * sum_{u != v in U}    A_uv ||p_u - p_v||^2
@@ -116,35 +106,32 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     """
     if lam_lu < 0 or lam_uu < 0:
         raise ConfigError("graph penalty weights must be non-negative")
-    U = graph.unlabeled_nodes()
-    L = graph.labeled_nodes()
+    n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
     p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
-    if p.shape[0] != U.size:
+    if p.shape[0] != n_u:
         raise ConfigError(
-            f"graph_regularizer: {U.size} unlabeled nodes but "
+            f"graph_regularizer: {n_u} unlabeled nodes but "
             f"{p.shape[0]} prediction rows")
-    if labels_labeled.shape[0] != L.size:
+    if labels_labeled.shape[0] != n_l:
         raise ConfigError(
-            f"graph_regularizer: {L.size} labeled nodes but "
+            f"graph_regularizer: {n_l} labeled nodes but "
             f"{labels_labeled.shape[0]} label rows")
-    if U.size == 0:
+    if n_u == 0:
         return as_tensor(0.0)
 
-    A_ul = graph.affinity[np.ix_(U, L)]           # (u, l)
-    A_uu = graph.affinity[np.ix_(U, U)].copy()    # (u, u), zero diagonal already
     uu_scale = 2.0 if count_ordered_pairs else 1.0
-
     # (u, l, C) and (u, u, C) difference stacks; exact zeros when rows agree
-    if L.size and lam_lu > 0:
-        diff_ul = p.reshape(U.size, 1, -1) - labels_labeled[None, :, :]
-        lu_term = (as_tensor(A_ul) * (diff_ul * diff_ul).sum(axis=2)).sum()
+    if n_l and lam_lu > 0:
+        diff_ul = p.reshape(n_u, 1, -1) - labels_labeled[None, :, :]
+        lu_term = (as_tensor(graph.affinity[n_l:, :n_l])
+                   * (diff_ul * diff_ul).sum(axis=2)).sum()
     else:
         lu_term = as_tensor(0.0)
-    if U.size > 1 and lam_uu > 0:
-        diff_uu = p.reshape(U.size, 1, -1) - p.reshape(1, U.size, -1)
+    if n_u > 1 and lam_uu > 0:
+        diff_uu = p.reshape(n_u, 1, -1) - p.reshape(1, n_u, -1)
         # upper triangle only; halves the work and the diagonal is zero anyway
-        W = np.triu(A_uu, 1) * uu_scale
+        W = np.triu(graph.affinity[n_l:, n_l:], 1) * uu_scale
         uu_term = (as_tensor(W) * (diff_uu * diff_uu).sum(axis=2)).sum()
     else:
         uu_term = as_tensor(0.0)

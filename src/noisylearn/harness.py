@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -136,6 +137,14 @@ class Stage2Config:
     tau_clean: float = 0.5
     tau_right: float = 0.5
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("lr must be positive and momentum in [0, 1)")
+        if not (0.0 <= self.tau_clean <= 1.0 and 0.0 <= self.tau_right <= 1.0):
+            raise ConfigError("tau_clean and tau_right must lie in [0, 1]")
+
 
 @dataclass
 class SupervisedConfig:
@@ -149,8 +158,8 @@ class SupervisedConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr < self.eta_min:
-            raise ConfigError("lr must be >= eta_min")
+        if self.lr <= 0 or not 0.0 <= self.eta_min <= self.lr:
+            raise ConfigError("lr must be positive and eta_min in [0, lr]")
 
 
 @dataclass
@@ -204,8 +213,12 @@ def _build_dataclass(cls, data, context: str):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     prefix = f"{context}." if context else ""
-    return cls(**{name: _typed(value, hints[name], prefix + name)
-                  for name, value in data.items()})
+    values = {name: _typed(value, hints[name], prefix + name)
+              for name, value in data.items()}
+    try:
+        return cls(**values)
+    except ConfigError as e:        # a range check in cls.__post_init__
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -376,6 +389,10 @@ def run_stage2(encoder: MlpParams, train: LabeledDataset,
                                tau_clean=config.tau_clean,
                                tau_right=config.tau_right,
                                n_classes=train.n_classes)
+    n_l, n_u = len(transfer.labeled), len(transfer.unlabeled)
+    if n_l == 0 or n_u == 0:
+        print(f"warning: stage 2 left L or U empty: |L|={n_l}, |U|={n_u}",
+              file=sys.stderr)
     return Stage2Result(probe=probe, scores=scores, y_pred=y_pred,
                         transfer=transfer)
 
@@ -511,9 +528,7 @@ def emit_histograms(out_dir, train: LabeledDataset, losses: Array,
     correct_mask = np.asarray(y_pred) == train.y_clean
     _split_histogram(paths["confidence"], np.asarray(confidences),
                      correct_mask, "correct", "wrong")
-    counts = np.zeros(transfer.n_classes, dtype=np.int64)
-    for entry in transfer.labeled:
-        counts[entry.label] += 1
+    counts = np.bincount(transfer.labeled.label, minlength=transfer.n_classes)
     with open(paths["class_counts"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series", "bin_left", "bin_right", "count"])

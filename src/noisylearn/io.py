@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .credibility import Gmm1D, TransferEntry, TransferredLabels
+from .credibility import Gmm1D, TransferredLabels, labeled_records
 from .data import LabeledDataset
 from .errors import CheckpointError
 from .numnet import Layer, MlpParams
@@ -136,9 +136,9 @@ def save_transfer(path, transfer: TransferredLabels, n_samples: int) -> None:
         "n_classes": transfer.n_classes,
         "thresholds": {"tau_clean": transfer.tau_clean,
                        "tau_right": transfer.tau_right},
-        "L": [{"index": e.index, "label": e.label, "origin": e.origin}
-              for e in transfer.labeled],
-        "U": list(transfer.unlabeled),
+        "L": [{"index": i, "label": y, "origin": o}
+              for i, y, o in transfer.labeled.tolist()],
+        "U": transfer.unlabeled.tolist(),
     }
     _write_text(path, canonical_json(doc))
 
@@ -152,29 +152,29 @@ def load_transfer(path) -> tuple[TransferredLabels, int]:
     if not isinstance(n_samples, int) or n_samples < 1:
         raise CheckpointError(f"transfer file {path}: bad n_samples")
     thresholds = doc.get("thresholds") or {}
-    labeled = []
+    index, label, origin = [], [], []
     for row in doc.get("L", []):
         try:
-            entry = TransferEntry(index=int(row["index"]),
-                                  label=int(row["label"]),
-                                  origin=str(row["origin"]))
+            i, y, o = int(row["index"]), int(row["label"]), str(row["origin"])
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"transfer file {path}: bad L entry "
                                   f"{row!r}") from e
-        if entry.origin not in ("kept", "corrected"):
-            raise CheckpointError(f"transfer file {path}: bad origin "
-                                  f"{entry.origin!r}")
-        if not 0 <= entry.label < n_classes:
+        if o not in ("kept", "corrected"):
+            raise CheckpointError(f"transfer file {path}: bad origin {o!r}")
+        if not 0 <= y < n_classes:
             raise CheckpointError(f"transfer file {path}: label out of range "
                                   f"in entry {row!r}")
-        labeled.append(entry)
+        index.append(i)
+        label.append(y)
+        origin.append(o)
     unlabeled = [int(i) for i in doc.get("U", [])]
-    seen = {e.index for e in labeled} | set(unlabeled)
-    if len(seen) != len(labeled) + len(unlabeled) or seen != set(range(n_samples)):
+    seen = set(index) | set(unlabeled)
+    if len(seen) != len(index) + len(unlabeled) or seen != set(range(n_samples)):
         raise CheckpointError(
             f"transfer file {path}: L and U must partition [0, {n_samples})")
     transfer = TransferredLabels(
-        labeled=labeled, unlabeled=unlabeled,
+        labeled=labeled_records(index, label, origin),
+        unlabeled=np.array(unlabeled, dtype=np.int64),
         tau_clean=float(thresholds.get("tau_clean", 0.5)),
         tau_right=float(thresholds.get("tau_right", 0.5)),
         n_classes=n_classes,
@@ -257,4 +257,10 @@ def load_dataset_csv(path, n_classes: int | None = None) -> LabeledDataset:
     yn = np.asarray(yn, dtype=np.int64)
     if n_classes is None:
         n_classes = int(max(yc.max(), yn.max())) + 1
+    for column, y in (("y_clean", yc), ("y_noisy", yn)):
+        i = int(np.argmax((y < 0) | (y >= n_classes)))
+        if not 0 <= y[i] < n_classes:
+            raise CheckpointError(
+                f"dataset file {path}: {column} {y[i]} outside "
+                f"[0, {n_classes}) in row {i} (line {i + 2})")
     return LabeledDataset(X, yc, yn, n_classes)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numnet
-from .credibility import TransferEntry, TransferredLabels
+from .credibility import TransferredLabels
 from .data import AugmentationSpec, LabeledDataset, augment_batch
 from .errors import ConfigError
 from .graphreg import (NeighborGraph, build_neighbor_graph, graph_regularizer,
@@ -68,6 +68,8 @@ class MixMatchConfig:
             raise ConfigError("tau_c must lie in [0, 1)")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ConfigError("ema_decay must lie in [0, 1)")
+        if self.lr <= 0 or not 0.0 <= self.eta_min <= self.lr:
+            raise ConfigError("lr must be positive and eta_min in [0, lr]")
 
 
 # ---------------------------------------------------------------------------
@@ -76,42 +78,38 @@ class MixMatchConfig:
 
 @dataclass
 class BalancedSamplerState:
-    """L entries grouped by assigned class, for 1/C class sampling."""
+    """L positions grouped by assigned class, for 1/C class sampling."""
 
-    by_class: dict[int, list[TransferEntry]]
-    classes: list[int]   # represented classes, ascending
+    order: Array    # L positions, stably sorted by label
+    starts: Array   # where each represented class begins in `order`
+    sizes: Array    # L rows per represented class, classes ascending
 
 
 def make_balanced_sampler(transfer: TransferredLabels) -> BalancedSamplerState:
-    if not transfer.labeled:
+    labels = transfer.labeled.label
+    if labels.size == 0:
         raise ConfigError("balanced sampler: L is empty")
-    by_class: dict[int, list[TransferEntry]] = {}
-    for entry in transfer.labeled:
-        by_class.setdefault(entry.label, []).append(entry)
-    return BalancedSamplerState(by_class=by_class,
-                                classes=sorted(by_class))
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True,
+                                 return_counts=True)
+    return BalancedSamplerState(order=order, starts=starts, sizes=sizes)
 
 
 def balanced_sample_L(state: BalancedSamplerState, batch: int,
-                      rng: np.random.Generator) -> list[TransferEntry]:
-    """Draw with replacement: class uniform among represented, then entry."""
-    if not state.classes:
-        raise ConfigError("balanced sampler: L is empty")
-    class_draws = rng.integers(0, len(state.classes), size=batch)
-    out = []
-    for ci in class_draws:
-        pool = state.by_class[state.classes[ci]]
-        out.append(pool[rng.integers(0, len(pool))])
-    return out
+                      rng: np.random.Generator) -> Array:
+    """L positions drawn with replacement: class uniform among represented,
+    then a row of that class."""
+    classes = rng.integers(0, state.sizes.size, size=batch)
+    return state.order[state.starts[classes]
+                       + rng.integers(0, state.sizes[classes])]
 
 
 def uniform_sample_L(transfer: TransferredLabels, batch: int,
-                     rng: np.random.Generator) -> list[TransferEntry]:
-    """Uniform-with-replacement draws over all L entries."""
-    if not transfer.labeled:
+                     rng: np.random.Generator) -> Array:
+    """L positions drawn uniformly with replacement."""
+    if len(transfer.labeled) == 0:
         raise ConfigError("uniform sampler: L is empty")
-    picks = rng.integers(0, len(transfer.labeled), size=batch)
-    return [transfer.labeled[i] for i in picks]
+    return rng.integers(0, len(transfer.labeled), size=batch)
 
 
 def sample_U_candidates(ds: LabeledDataset, batch: int,
@@ -251,14 +249,6 @@ class Stage3Result:
     history: list[dict]          # one row per epoch
 
 
-def _entries_to_batch(entries: list[TransferEntry], ds: LabeledDataset,
-                      n_classes: int) -> tuple[Array, Array, Array]:
-    idx = np.array([e.index for e in entries], dtype=np.int64)
-    y = np.zeros((len(entries), n_classes))
-    y[np.arange(len(entries)), [e.label for e in entries]] = 1.0
-    return ds.X[idx], y, idx
-
-
 def _labeled_only_batch(X_l: Array, y_l: Array, config: MixMatchConfig,
                         rng: np.random.Generator) -> MixedBatch:
     """Mixup of augmented L rows with a shuffle of themselves (U is empty)."""
@@ -286,7 +276,7 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     """
     from .ssrl import embed
 
-    if not transfer.labeled:
+    if len(transfer.labeled) == 0:
         raise ConfigError("train_stage3: transfer has an empty L set")
     rng = np.random.default_rng(seed)
     params = MlpParams(encoder=encoder_init.clone().encoder,
@@ -295,12 +285,10 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     Z_table = embed(frozen_graph, ds.X)
 
     sampler = make_balanced_sampler(transfer) if config.use_cbs else None
-    U = transfer.unlabeled_indices()
-    C = transfer.n_classes
+    L_idx, L_targets = transfer.labeled.index, transfer.labeled_targets()
+    U = transfer.unlabeled
     steps = math.ceil(len(ds) / config.batch_size)
     ema = numnet.ema_init(params, config.ema_decay)
-    roles = np.array(["labeled"] * config.batch_size
-                     + ["unlabeled"] * config.batch_size, dtype=object)
     sums = dict.fromkeys(("l_sup", "l_unsup", "r_graph", "total"), 0.0)
 
     def step_loss(batch: MixedBatch, graph: NeighborGraph | None):
@@ -314,10 +302,11 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     def batches():
         for _ in range(steps):
             if sampler is not None:
-                entries = balanced_sample_L(sampler, config.batch_size, rng)
+                pos = balanced_sample_L(sampler, config.batch_size, rng)
             else:
-                entries = uniform_sample_L(transfer, config.batch_size, rng)
-            X_l, y_l, l_idx = _entries_to_batch(entries, ds, C)
+                pos = uniform_sample_L(transfer, config.batch_size, rng)
+            l_idx, y_l = L_idx[pos], L_targets[pos]
+            X_l = ds.X[l_idx]
             if U.size == 0:
                 yield step_loss(_labeled_only_batch(X_l, y_l, config, rng), None)
                 continue
@@ -333,7 +322,7 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
             if config.use_gsr:
                 graph = build_neighbor_graph(
                     np.concatenate([Z_table[l_idx], Z_table[u_idx]]),
-                    config.tau_c, roles)
+                    config.tau_c, n_labeled=l_idx.size)
             yield step_loss(batch, graph)
 
     history: list[dict] = []

@@ -67,6 +67,9 @@ class ContrastiveConfig:
             raise ConfigError("batch_size must be an even number >= 4")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.learning_rate <= 0 or not 0 <= self.eta_min <= self.learning_rate:
+            raise ConfigError("learning_rate must be positive and eta_min "
+                              "in [0, learning_rate]")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from noisylearn import credibility, graphreg, harness, numnet, semi
-from noisylearn.credibility import TransferEntry, TransferredLabels
+from noisylearn.credibility import TransferredLabels, labeled_records
 from noisylearn.data import (default_pair_map, inject_asymmetric_noise,
                              inject_symmetric_noise, make_blobs)
 from test_credibility import bimodal_sample, reference_em
@@ -56,8 +56,7 @@ def test_criterion_01_gradient_correctness(capsys):
     batch = semi.prepare_mixmatch_batch(guesser, X_l, y_l, X_u, cfg,
                                         np.random.default_rng(7))
     Z = rng.normal(size=(9, 16))
-    graph = graphreg.build_neighbor_graph(
-        Z, tau=cfg.tau_c, roles=["labeled"] * 4 + ["unlabeled"] * 5)
+    graph = graphreg.build_neighbor_graph(Z, tau=cfg.tau_c, n_labeled=4)
 
     def stage3_loss(tape):
         return semi.stage3_loss(tape, batch, graph, cfg)[0]
@@ -130,8 +129,7 @@ def test_criterion_04_probability_and_graph_algebra(capsys):
                               == np.argmax(P, axis=1)))
 
     Z = rng.normal(size=(1000, 16))
-    roles = ["labeled"] * 500 + ["unlabeled"] * 500
-    graph = graphreg.build_neighbor_graph(Z, tau=0.5, roles=roles)
+    graph = graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=500)
     A = graph.affinity
     symmetric = bool(np.array_equal(A, A.T))
     in_range = bool(A.min() >= 0.0 and A.max() <= 0.5 + 1e-12)
@@ -154,17 +152,18 @@ def test_criterion_04_probability_and_graph_algebra(capsys):
 
 
 def test_criterion_05_balanced_sampler(capsys):
-    entries = [TransferEntry(i, 0, "kept") for i in range(900)]
-    entries += [TransferEntry(900 + i, 1, "kept") for i in range(100)]
-    transfer = TransferredLabels(labeled=entries, unlabeled=[],
+    labeled = labeled_records(np.arange(1000), [0] * 900 + [1] * 100,
+                              ["kept"] * 1000)
+    transfer = TransferredLabels(labeled=labeled,
+                                 unlabeled=np.zeros(0, dtype=np.int64),
                                  tau_clean=0.5, tau_right=0.5, n_classes=2)
     state = semi.make_balanced_sampler(transfer)
     rng = np.random.default_rng(37)
     minority = 0
     total = 100_000
     for _ in range(100):
-        batch = semi.balanced_sample_L(state, 1000, rng)
-        minority += sum(1 for e in batch if e.label == 1)
+        pos = semi.balanced_sample_L(state, 1000, rng)
+        minority += int(np.sum(labeled.label[pos] == 1))
     freq = minority / total
     ok = abs(freq - 0.5) <= 0.02
     _report(capsys, 5, ok, f"minority-class frequency {freq:.4f} over {total} draws "

@@ -1,22 +1,32 @@
-"""The benchmark tracer must find every function it patches.
+"""The benchmark must keep working against the package it measures.
 
 bench/spans.py wraps noisylearn's public functions by name from outside
-the package. A rename in src/ would otherwise only surface when the
-benchmark runs; here it fails the unit suite.
+the package, and the bench's output checks read the stage-2 transfer. A
+rename in src/ or a change to what the transfer exposes would otherwise
+only surface when the benchmark runs; here it fails the unit suite.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from noisylearn import harness, numnet
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_timed_tracer_finds_every_target():
+def bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        import spans
+        return __import__(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_timed_tracer_finds_every_target():
+    spans = bench_module("spans")
     tracer = spans.Tracer(timed=True)
     originals = [getattr(t.owner, t.attr, None) for t in tracer.targets]
     with tracer:      # raises spans.MissingTarget if a name is gone
@@ -24,3 +34,34 @@ def test_timed_tracer_finds_every_target():
                    for t, fn in zip(tracer.targets, originals))
     assert all(getattr(t.owner, t.attr) is fn
                for t, fn in zip(tracer.targets, originals))
+
+
+def test_bench_triage_reads_a_real_transfer():
+    spans, workloads = bench_module("spans"), bench_module("workloads")
+    config = harness.config_from_dict(
+        {"seed": 3, "dataset": {"n_classes": 3, "n_per_class": 40,
+                                "n_features": 6},
+         "noise": {"kind": "symmetric", "ratio": 0.4}})
+    train, _ = harness.generate_data(config)
+    encoder = numnet.init_mlp([6, 8], [8, 3], seed=3)
+    stage2 = harness.run_stage2(encoder, train, config.stage2, seed=4)
+    transfer = stage2.transfer
+    n_l, n_u = len(transfer.labeled), len(transfer.unlabeled)
+    assert n_l and n_u
+
+    values = Counter()
+    spans._triage(values, {"train": train}, stage2)
+    origin = transfer.labeled.origin
+    corrected = transfer.labeled[origin == "corrected"]
+    assert values["credibility.kept"] == np.sum(origin == "kept")
+    assert values["credibility.corrected"] == corrected.size
+    assert values["credibility.kept"] + values["credibility.corrected"] == n_l
+    assert values["credibility.unknown"] == n_u
+    assert values["credibility.corrected_right"] == np.sum(
+        corrected.label == train.y_clean[corrected.index])
+
+    quality, problems = workloads._triage(transfer, train.y_clean)
+    assert problems == []
+    assert quality["l_fraction"] == n_l / len(train)
+    assert quality["l_precision"] == np.mean(
+        transfer.labeled.label == train.y_clean[transfer.labeled.index])

@@ -138,6 +138,20 @@ def test_bad_config_exits_two(tmp_path):
                   cwd=tmp_path)
     assert out.returncode == 2
     assert "seed" in out.stderr
+    # out-of-range values exit 2 at load time, naming section and field
+    for section, values, field in (
+            ("stage2", {"batch_size": 0}, "batch_size"),
+            ("stage2", {"lr": 0}, "lr"),
+            ("stage3", {"lr": 0}, "lr"),
+            ("stage1", {"learning_rate": 0}, "learning_rate"),
+            ("stage3", {"lr": 0.001, "eta_min": 0.002}, "eta_min")):
+        config = write_tiny_config(tmp_path / "range.json",
+                                   **{section: values})
+        out = run_cli("pipeline", "--config", str(config), "--out-dir", "run",
+                      cwd=tmp_path)
+        assert out.returncode == 2, (section, values, out.stderr)
+        assert f"config section {section}: " in out.stderr, out.stderr
+        assert field in out.stderr, out.stderr
 
 
 def test_mistyped_config_value_exits_two(tmp_path):
@@ -164,6 +178,24 @@ def test_non_finite_csv_value_exits_two(tmp_path):
                   cwd=tmp_path)
     assert out.returncode == 2, (out.returncode, out.stderr)
     assert "train.csv" in out.stderr and "row 2 (line 4)" in out.stderr
+
+
+def test_out_of_range_csv_label_exits_two(tmp_path):
+    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
+                  "--per-class", "20", "--features", "6", "--seed", "2",
+                  cwd=tmp_path)
+    assert gen.returncode == 0, gen.stderr
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[-2] = "-1"                     # y_clean of row 2
+    lines[3] = ",".join(cells)
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    out = run_cli("stage1", "--data", "train.csv", "--out", "enc.json",
+                  "--epochs", "2", "--batch-size", "16", "--seed", "3",
+                  cwd=tmp_path)
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert "train.csv" in out.stderr, out.stderr
+    assert "y_clean -1 outside [0, 3) in row 2 (line 4)" in out.stderr
 
 
 def test_numeric_blowup_exits_three(tmp_path):

@@ -222,7 +222,7 @@ def test_transfer_thresholds_are_inclusive():
     by_index = {e.index: e for e in out.labeled}
     assert by_index[0].origin == "kept" and by_index[0].label == 0
     assert by_index[1].origin == "corrected" and by_index[1].label == 2
-    assert out.unlabeled == [2]
+    assert out.unlabeled.tolist() == [2]
 
 
 def test_transfer_all_kept_when_fully_credible():
@@ -233,15 +233,15 @@ def test_transfer_all_kept_when_fully_credible():
     assert len(out.labeled) == 4
     assert all(e.origin == "kept" for e in out.labeled)
     assert np.array_equal(out.labeled_targets().argmax(axis=1), y_noisy)
-    assert out.unlabeled == []
+    assert out.unlabeled.size == 0
 
 
 def test_transfer_all_unknown_when_nothing_credible():
     out = credibility.transfer_labels(
         np.array([0, 1]), np.array([1, 0]),
         make_scores([0.0, 0.0], [0.0, 0.0]), n_classes=2)
-    assert out.labeled == []
-    assert out.unlabeled == [0, 1]
+    assert len(out.labeled) == 0
+    assert out.unlabeled.tolist() == [0, 1]
 
 
 def test_transfer_kept_wins_over_corrected():
@@ -269,6 +269,51 @@ def test_transfer_partition_property(seed, n):
             assert e.label == y_noisy[e.index]
         else:
             assert e.label == y_pred[e.index]
+
+
+def reference_transfer(y_noisy, y_pred, p_clean, p_right, tau_clean,
+                       tau_right):
+    """The per-row rule: keep if p_clean >= tau_clean, else correct if
+    p_right >= tau_right, else unlabeled."""
+    labeled, unlabeled = [], []
+    for i in range(len(y_noisy)):
+        if p_clean[i] >= tau_clean:
+            labeled.append((i, int(y_noisy[i]), "kept"))
+        elif p_right[i] >= tau_right:
+            labeled.append((i, int(y_pred[i]), "corrected"))
+        else:
+            unlabeled.append(i)
+    return labeled, unlabeled
+
+
+def scores_near(threshold):
+    """Scores drawn at, just below, just above, or away from a threshold."""
+    return st.one_of(
+        st.just(threshold),
+        st.just(float(np.nextafter(threshold, -np.inf))),
+        st.just(float(np.nextafter(threshold, np.inf))),
+        st.floats(0.0, 1.0))
+
+
+@given(st.data(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_transfer_matches_per_row_rule(data_, tau_clean, tau_right, n):
+    p_clean = data_.draw(st.lists(scores_near(tau_clean), min_size=n,
+                                  max_size=n))
+    p_right = data_.draw(st.lists(scores_near(tau_right), min_size=n,
+                                  max_size=n))
+    y_noisy = data_.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    y_pred = data_.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    out = credibility.transfer_labels(
+        np.array(y_noisy), np.array(y_pred), make_scores(p_clean, p_right),
+        tau_clean=tau_clean, tau_right=tau_right, n_classes=4)
+    labeled, unlabeled = reference_transfer(y_noisy, y_pred, p_clean, p_right,
+                                            tau_clean, tau_right)
+    assert out.labeled.tolist() == labeled
+    assert out.unlabeled.tolist() == unlabeled
+    assert out.labeled_indices().tolist() == [i for i, _, _ in labeled]
+    assert out.unlabeled_indices().tolist() == unlabeled
 
 
 def test_transfer_monotone_in_thresholds():

@@ -50,16 +50,27 @@ def test_graph_rejects_bad_input():
     Z_bad[1] = 0.0
     with pytest.raises(NumericError):
         graphreg.build_neighbor_graph(Z_bad, tau=0.5)
-    with pytest.raises(ConfigError):
-        graphreg.build_neighbor_graph(Z, tau=0.5, roles=["labeled", "x", "x"])
+    for n_labeled in (-1, 4):
+        with pytest.raises(ConfigError):
+            graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=n_labeled)
 
 
 def test_graph_role_partition():
-    Z = unit_rows([[1, 0], [0.9, 0.1], [0, 1], [0.1, 0.9]])
-    roles = ["labeled", "unlabeled", "labeled", "unlabeled"]
-    g = graphreg.build_neighbor_graph(Z, tau=0.2, roles=roles)
-    assert g.labeled_nodes().tolist() == [0, 2]
-    assert g.unlabeled_nodes().tolist() == [1, 3]
+    # rows [0, n_labeled) are L, the rest U; the penalty pairs them so
+    Z = unit_rows([[1, 0], [0.9, 0.1], [0, 1], [0.1, 0.9], [0.7, 0.7]])
+    g = graphreg.build_neighbor_graph(Z, tau=0.2, n_labeled=2)
+    assert g.n_labeled == 2 and g.n_nodes == 5
+    assert graphreg.build_neighbor_graph(Z, tau=0.2).n_labeled == 0
+    rng = np.random.default_rng(9)
+    p = rng.dirichlet(np.ones(3), size=3)
+    y = np.eye(3)[[0, 2]]
+    A = g.affinity
+    lu = sum(A[2 + u, v] * np.sum((p[u] - y[v]) ** 2)
+             for u in range(3) for v in range(2))
+    uu = sum(A[2 + u, 2 + w] * np.sum((p[u] - p[w]) ** 2)
+             for u in range(3) for w in range(3) if u != w)
+    got = float(graphreg.graph_regularizer(g, p, y, 0.01, 0.005).data)
+    assert got == pytest.approx(0.01 * lu + 0.005 * uu, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +140,7 @@ def test_sharpen_t_matches_numpy_version():
 def agreement_setup():
     """Two labeled and two unlabeled nodes, all predictions equal targets."""
     Z = unit_rows([[1, 0], [1, 0], [1, 0], [1, 0]])
-    roles = ["labeled", "labeled", "unlabeled", "unlabeled"]
-    g = graphreg.build_neighbor_graph(Z, tau=0.5, roles=roles)
+    g = graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=2)
     y = np.array([[1.0, 0.0], [1.0, 0.0]])
     p = np.array([[1.0, 0.0], [1.0, 0.0]])
     return g, p, y
@@ -145,8 +155,7 @@ def test_regularizer_nonnegative_random():
     rng = np.random.default_rng(4)
     for _ in range(20):
         Z = rng.normal(size=(6, 4)) + 0.2
-        roles = ["labeled"] * 3 + ["unlabeled"] * 3
-        g = graphreg.build_neighbor_graph(Z, tau=0.1, roles=roles)
+        g = graphreg.build_neighbor_graph(Z, tau=0.1, n_labeled=3)
         p = rng.dirichlet(np.ones(3), size=3)
         y = np.eye(3)
         assert float(graphreg.graph_regularizer(g, p, y, 0.01, 0.005).data) >= 0.0
@@ -155,8 +164,7 @@ def test_regularizer_nonnegative_random():
 def test_regularizer_hand_value():
     # one labeled / two unlabeled identical embeddings, tau 0.5 -> A = 0.5
     Z = unit_rows([[1, 0], [1, 0], [1, 0]])
-    roles = ["labeled", "unlabeled", "unlabeled"]
-    g = graphreg.build_neighbor_graph(Z, tau=0.5, roles=roles)
+    g = graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=1)
     y = np.array([[1.0, 0.0]])
     p = np.array([[0.9, 0.1], [1.0, 0.0]])
     # LU: 0.5*(0.02) + 0.5*0 = 0.01; UU ordered both directions: 2*0.5*0.02
@@ -171,8 +179,7 @@ def test_regularizer_hand_value():
 
 def test_regularizer_empty_unlabeled_is_zero():
     Z = unit_rows([[1, 0], [0, 1]])
-    g = graphreg.build_neighbor_graph(Z, tau=0.0,
-                                      roles=["labeled", "labeled"])
+    g = graphreg.build_neighbor_graph(Z, tau=0.0, n_labeled=2)
     out = graphreg.graph_regularizer(g, np.zeros((0, 2)), np.eye(2), 0.01, 0.005)
     assert float(out.data) == 0.0
 
@@ -186,8 +193,7 @@ def test_regularizer_shape_mismatch():
 def test_regularizer_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     Z = rng.normal(size=(5, 3)) + 0.3
-    roles = ["labeled", "labeled", "unlabeled", "unlabeled", "unlabeled"]
-    g = graphreg.build_neighbor_graph(Z, tau=0.2, roles=roles)
+    g = graphreg.build_neighbor_graph(Z, tau=0.2, n_labeled=2)
     p0 = rng.dirichlet(np.ones(4), size=3)
     y = rng.dirichlet(np.ones(4), size=2)
 

@@ -126,6 +126,27 @@ def test_config_rejects_unknown_keys():
         harness.config_from_dict({"seed": 1, "mystery": True})
 
 
+@pytest.mark.parametrize("section, values, field", [
+    ("stage2", {"batch_size": 0}, "batch_size"),
+    ("stage2", {"epochs": 0}, "epochs"),
+    ("stage2", {"lr": 0}, "lr"),
+    ("stage2", {"momentum": 1.0}, "momentum"),
+    ("stage2", {"tau_clean": 1.5}, "tau_clean"),
+    ("stage2", {"tau_right": -0.1}, "tau_right"),
+    ("stage3", {"lr": 0}, "lr"),
+    ("stage3", {"lr": 0.001, "eta_min": 0.01}, "eta_min"),
+    ("stage3", {"eta_min": -0.1}, "eta_min"),
+    ("stage1", {"learning_rate": 0}, "learning_rate"),
+    ("stage1", {"learning_rate": 1e-4}, "eta_min"),
+    ("supervised", {"lr": 0, "eta_min": 0}, "lr"),
+])
+def test_config_range_errors_name_the_field(section, values, field):
+    with pytest.raises(ConfigError) as err:
+        harness.config_from_dict({"seed": 1, section: values})
+    assert f"config section {section}: " in str(err.value)
+    assert field in str(err.value)
+
+
 def test_config_defaults_and_coercions(tmp_path):
     doc = {"seed": 9,
            "noise": {"kind": "asymmetric", "ratio": 0.4,
@@ -225,6 +246,21 @@ def test_pipeline_skips_stage3_when_disabled():
     assert 0.0 <= top1 <= 1.0
 
 
+def test_run_stage2_warns_when_a_set_is_empty(capsys):
+    config = tiny_config()
+    train, _ = harness.generate_data(config)
+    encoder = numnet.init_mlp([6, 8], [8, 3], seed=3)
+    result = harness.run_stage2(encoder, train, config.stage2, seed=4)
+    assert len(result.transfer.labeled) and len(result.transfer.unlabeled)
+    assert capsys.readouterr().err == ""
+    # tau_clean = 0 keeps every row, so U is empty
+    keep_all = harness.Stage2Config(epochs=6, tau_clean=0.0)
+    result = harness.run_stage2(encoder, train, keep_all, seed=4)
+    assert len(result.transfer.unlabeled) == 0
+    assert capsys.readouterr().err == (
+        f"warning: stage 2 left L or U empty: |L|={len(train)}, |U|=0\n")
+
+
 def test_ablation_grid_runs_all_cells():
     config = tiny_config()
     log = harness.run_ablation(config)
@@ -249,10 +285,11 @@ def test_emit_histograms_layout(tmp_path):
     losses = rng.exponential(1.0, n)
     confs = rng.random(n)
     y_pred = rng.integers(0, 3, n)
-    entries = [credibility.TransferEntry(i, int(train.y_noisy[i]), "kept")
-               for i in range(0, n, 2)]
+    rows = np.arange(0, n, 2)
+    labeled = credibility.labeled_records(rows, train.y_noisy[rows],
+                                          ["kept"] * rows.size)
     transfer = credibility.TransferredLabels(
-        entries, [i for i in range(1, n, 2)], 0.5, 0.5, 3)
+        labeled, np.arange(1, n, 2), 0.5, 0.5, 3)
     paths = harness.emit_histograms(tmp_path, train, losses, confs, y_pred,
                                     transfer)
     assert set(paths) == {"loss", "confidence", "class_counts"}
@@ -269,4 +306,6 @@ def test_emit_histograms_layout(tmp_path):
     assert sum(int(r[3]) for r in body if r[0] == "noisy") == n - n_clean
     with open(paths["class_counts"]) as fh:
         label_rows = list(csv.reader(fh))[1:]
-    assert sum(int(r[3]) for r in label_rows) == len(entries)
+    assert sum(int(r[3]) for r in label_rows) == len(labeled)
+    assert [int(r[3]) for r in label_rows] == [
+        sum(1 for e in labeled if e.label == c) for c in range(3)]

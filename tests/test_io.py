@@ -61,28 +61,56 @@ def test_checkpoint_rejects_corrupt_shapes(tmp_path):
 
 def test_transfer_round_trip(tmp_path):
     path = tmp_path / "transfer.json"
-    entries = [credibility.TransferEntry(0, 2, "kept"),
-               credibility.TransferEntry(2, 1, "corrected")]
-    transfer = credibility.TransferredLabels(entries, [1, 3], 0.5, 0.6, 3)
+    labeled = credibility.labeled_records([0, 2], [2, 1], ["kept", "corrected"])
+    transfer = credibility.TransferredLabels(labeled, np.array([1, 3]), 0.5,
+                                             0.6, 3)
     io.save_transfer(path, transfer, n_samples=4)
+    assert path.read_text() == (
+        '{"L":[{"index":0,"label":2,"origin":"kept"},'
+        '{"index":2,"label":1,"origin":"corrected"}],"U":[1,3],'
+        '"format_version":1,"n_classes":3,"n_samples":4,'
+        '"thresholds":{"tau_clean":0.5,"tau_right":0.6}}\n')
     loaded, n = io.load_transfer(path)
     assert n == 4
     assert loaded.tau_clean == 0.5 and loaded.tau_right == 0.6
     assert loaded.n_classes == 3
     assert [(e.index, e.label, e.origin) for e in loaded.labeled] == \
         [(0, 2, "kept"), (2, 1, "corrected")]
-    assert loaded.unlabeled == [1, 3]
+    assert loaded.unlabeled.tolist() == [1, 3]
+    io.save_transfer(tmp_path / "again.json", loaded, n_samples=4)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_transfer_rejects_broken_partition(tmp_path):
     path = tmp_path / "transfer.json"
-    entries = [credibility.TransferEntry(0, 2, "kept")]
-    transfer = credibility.TransferredLabels(entries, [1], 0.5, 0.5, 3)
+    labeled = credibility.labeled_records([0], [2], ["kept"])
+    transfer = credibility.TransferredLabels(labeled, np.array([1]), 0.5, 0.5,
+                                             3)
     io.save_transfer(path, transfer, n_samples=2)
     doc = json.loads(path.read_text())
     doc["U"] = [0]  # now overlaps L and misses index 1
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
+        io.load_transfer(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"index": 0, "label": 2}, "bad L entry"),
+    ({"index": "x", "label": 2, "origin": "kept"}, "bad L entry"),
+    ({"index": 0, "label": 2, "origin": "guessed"}, "bad origin 'guessed'"),
+    ({"index": 0, "label": 3, "origin": "kept"}, "label out of range"),
+])
+def test_transfer_rejects_bad_entries(tmp_path, row, message):
+    path = tmp_path / "transfer.json"
+    transfer = credibility.TransferredLabels(
+        credibility.labeled_records([], [], []), np.array([0, 1]), 0.5, 0.5, 3)
+    io.save_transfer(path, transfer, n_samples=2)
+    loaded, _ = io.load_transfer(path)          # an empty L loads back
+    assert len(loaded.labeled) == 0 and loaded.unlabeled.tolist() == [0, 1]
+    doc = json.loads(path.read_text())
+    doc["L"], doc["U"] = [row], [1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=message):
         io.load_transfer(path)
 
 

@@ -11,10 +11,12 @@ def identity_aug():
 
 
 def small_transfer(n_labeled, n_unlabeled, n_classes=3, label_of=None):
-    entries = [credibility.TransferEntry(i, (label_of(i) if label_of else i % n_classes), "kept")
-               for i in range(n_labeled)]
-    unlabeled = list(range(n_labeled, n_labeled + n_unlabeled))
-    return credibility.TransferredLabels(entries, unlabeled, 0.5, 0.5,
+    labels = [label_of(i) if label_of else i % n_classes
+              for i in range(n_labeled)]
+    labeled = credibility.labeled_records(np.arange(n_labeled), labels,
+                                          ["kept"] * n_labeled)
+    unlabeled = np.arange(n_labeled, n_labeled + n_unlabeled)
+    return credibility.TransferredLabels(labeled, unlabeled, 0.5, 0.5,
                                          n_classes)
 
 
@@ -124,7 +126,8 @@ def test_balanced_sampler_equalizes_frequencies():
     rng = np.random.default_rng(10)
     labels = []
     for _ in range(200):
-        labels.extend(e.label for e in semi.balanced_sample_L(state, 100, rng))
+        pos = semi.balanced_sample_L(state, 100, rng)
+        labels.extend(transfer.labeled.label[pos])
     freq = np.mean(np.array(labels) == 1)
     assert abs(freq - 0.5) < 0.02
 
@@ -132,12 +135,40 @@ def test_balanced_sampler_equalizes_frequencies():
 def test_balanced_sampler_skips_absent_classes():
     transfer = small_transfer(10, 0, n_classes=5, label_of=lambda i: i % 2)
     state = semi.make_balanced_sampler(transfer)
-    batch = semi.balanced_sample_L(state, 50, np.random.default_rng(11))
-    assert set(e.label for e in batch) == {0, 1}
+    pos = semi.balanced_sample_L(state, 50, np.random.default_rng(11))
+    assert set(transfer.labeled.label[pos].tolist()) == {0, 1}
+
+
+def reference_balanced_draws(transfer, batch, rng):
+    """The scalar loop: a represented class uniformly, then one of its L
+    positions uniformly, one `rng.integers` call per row."""
+    by_class = {}
+    for pos, label in enumerate(transfer.labeled.label.tolist()):
+        by_class.setdefault(label, []).append(pos)
+    classes = sorted(by_class)
+    out = []
+    for ci in rng.integers(0, len(classes), size=batch):
+        pool = by_class[classes[ci]]
+        out.append(pool[rng.integers(0, len(pool))])
+    return out
+
+
+def test_balanced_sampler_matches_scalar_loop():
+    # uneven classes, one absent, and labels out of position order
+    labels = [2, 0, 2, 2, 4, 0, 2, 4, 2, 2, 2]
+    transfer = small_transfer(len(labels), 0, n_classes=5,
+                              label_of=labels.__getitem__)
+    state = semi.make_balanced_sampler(transfer)
+    ours, ref = np.random.default_rng(41), np.random.default_rng(41)
+    for batch in (1, 7, 128):
+        pos = semi.balanced_sample_L(state, batch, ours)
+        assert pos.tolist() == reference_balanced_draws(transfer, batch, ref)
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert ours.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 def test_balanced_sampler_empty_L():
-    transfer = credibility.TransferredLabels([], [0, 1], 0.5, 0.5, 2)
+    transfer = small_transfer(0, 2, n_classes=2)
     with pytest.raises(ConfigError):
         semi.make_balanced_sampler(transfer)
 
@@ -148,7 +179,8 @@ def test_uniform_sampler_follows_imbalance():
     rng = np.random.default_rng(12)
     labels = []
     for _ in range(100):
-        labels.extend(e.label for e in semi.uniform_sample_L(transfer, 100, rng))
+        pos = semi.uniform_sample_L(transfer, 100, rng)
+        labels.extend(transfer.labeled.label[pos])
     assert abs(np.mean(np.array(labels) == 1) - 0.1) < 0.02
 
 
@@ -321,10 +353,11 @@ def test_train_stage3_improves_on_easy_data(tiny_blobs):
                              seed=5)
     probe = cred.train_frozen_classifier(enc.encoder, noisy, epochs=20,
                                          seed=23, test_dataset=tiny_blobs)
-    entries = [credibility.TransferEntry(i, int(tiny_blobs.y_clean[i]), "kept")
-               for i in range(0, 120, 2)]
+    rows = np.arange(0, 120, 2)
+    labeled = credibility.labeled_records(rows, tiny_blobs.y_clean[rows],
+                                          ["kept"] * rows.size)
     transfer = credibility.TransferredLabels(
-        entries, [i for i in range(1, 120, 2)], 0.5, 0.5, 3)
+        labeled, np.arange(1, 120, 2), 0.5, 0.5, 3)
     config = semi.MixMatchConfig(batch_size=16, epochs=10)
     result = semi.train_stage3(enc.encoder, probe.classifier, transfer, noisy,
                                config, seed=29, test_dataset=tiny_blobs)
