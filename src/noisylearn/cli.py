@@ -47,7 +47,8 @@ def _cmd_gen_data(args) -> int:
 def _stage1_config(args) -> ContrastiveConfig:
     return ContrastiveConfig(temperature=args.temperature,
                              batch_size=args.batch_size,
-                             epochs=args.epochs, learning_rate=args.lr)
+                             epochs=args.epochs, learning_rate=args.lr,
+                             eta_min=min(ContrastiveConfig.eta_min, args.lr))
 
 
 def _cmd_stage1(args) -> int:

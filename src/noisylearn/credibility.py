@@ -104,6 +104,7 @@ class Gmm1D:
     variances: Array
     weights: Array
     log_likelihood_trace: list[float] = field(default_factory=list, repr=False)
+    converged: bool = True       # False when EM ran out of iterations
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
@@ -127,7 +128,8 @@ def fit_gmm_em(values: Array, tol: float = 1e-6, max_iter: int = 200) -> Gmm1D:
     percentiles, equal weights, both variances set to the pooled variance.
     Responsibilities are computed in log space; variances are floored at
     1e-6. Iteration stops when the mean log-likelihood improves by less
-    than `tol`. The returned components are sorted by mean.
+    than `tol`; a fit that uses all `max_iter` iterations without that is
+    marked `converged=False`. The returned components are sorted by mean.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size < 4:
@@ -146,6 +148,7 @@ def fit_gmm_em(values: Array, tol: float = 1e-6, max_iter: int = 200) -> Gmm1D:
     weights = np.array([0.5, 0.5])
 
     trace: list[float] = []
+    converged = False
     for _ in range(max_iter):
         # E-step in log space
         log_joint = np.stack([
@@ -168,11 +171,13 @@ def fit_gmm_em(values: Array, tol: float = 1e-6, max_iter: int = 200) -> Gmm1D:
         variances = np.maximum(variances, VAR_FLOOR)
 
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+            converged = True
             break
 
     order = np.argsort(means, kind="stable")
     return Gmm1D(means=means[order], variances=variances[order],
-                 weights=weights[order], log_likelihood_trace=trace)
+                 weights=weights[order], log_likelihood_trace=trace,
+                 converged=converged)
 
 
 def gmm_posterior(gmm: Gmm1D, values, component: str):

@@ -61,6 +61,19 @@ class LabeledDataset:
                               self.y_noisy[indices].copy(), self.n_classes)
 
 
+def check_blob_spec(n_classes: int, n_per_class: int, n_features: int,
+                    separation: float, sigma: float) -> None:
+    """The ranges `make_blobs` accepts; a ConfigError names the field."""
+    if n_classes < 2:
+        raise ConfigError("n_classes must be >= 2")
+    if n_per_class < 1:
+        raise ConfigError("n_per_class must be >= 1")
+    if n_features < 2:
+        raise ConfigError("n_features must be >= 2")
+    if separation <= 0 or sigma <= 0:
+        raise ConfigError("separation and sigma must be positive")
+
+
 def make_blobs(n_classes: int = 10, n_per_class: int = 500, n_features: int = 16,
                separation: float = 4.0, sigma: float = 1.0,
                seed: int = 0) -> LabeledDataset:
@@ -72,14 +85,7 @@ def make_blobs(n_classes: int = 10, n_per_class: int = 500, n_features: int = 16
     Gaussian direction, scaled the same way. Observed labels start equal to
     the clean ones.
     """
-    if n_classes < 2:
-        raise ConfigError("make_blobs: need at least 2 classes")
-    if n_per_class < 1:
-        raise ConfigError("make_blobs: n_per_class must be >= 1")
-    if n_features < 2:
-        raise ConfigError("make_blobs: n_features must be >= 2")
-    if separation <= 0 or sigma <= 0:
-        raise ConfigError("make_blobs: separation and sigma must be positive")
+    check_blob_spec(n_classes, n_per_class, n_features, separation, sigma)
     rng = np.random.default_rng(seed)
     if n_classes <= n_features:
         q, _ = np.linalg.qr(rng.normal(size=(n_features, n_classes)))

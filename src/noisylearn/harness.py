@@ -26,8 +26,8 @@ from . import numnet
 from .credibility import (Stage2Result, TransferredLabels, assess_credibility,
                           per_sample_stats, train_frozen_classifier,
                           transfer_labels)
-from .data import (LabeledDataset, NoiseSpec, apply_noise, make_blobs,
-                   train_test_split)
+from .data import (LabeledDataset, NoiseSpec, apply_noise, check_blob_spec,
+                   make_blobs, train_test_split)
 from .errors import ConfigError
 from .numnet import MlpParams
 from .semi import MixMatchConfig, Stage3Result, train_stage3
@@ -126,6 +126,9 @@ class DatasetSpec:
     n_features: int = 16
     separation: float = 4.0
     sigma: float = 1.0
+
+    def __post_init__(self):
+        check_blob_spec(**dataclasses.asdict(self))
 
 
 @dataclass
@@ -389,6 +392,12 @@ def run_stage2(encoder: MlpParams, train: LabeledDataset,
                                tau_clean=config.tau_clean,
                                tau_right=config.tau_right,
                                n_classes=train.n_classes)
+    for name, gmm in (("loss", scores.loss_gmm),
+                      ("confidence", scores.confidence_gmm)):
+        if gmm is not None and not gmm.converged:
+            print(f"warning: {name} GMM EM hit max_iter="
+                  f"{len(gmm.log_likelihood_trace)} without converging",
+                  file=sys.stderr)
     n_l, n_u = len(transfer.labeled), len(transfer.unlabeled)
     if n_l == 0 or n_u == 0:
         print(f"warning: stage 2 left L or U empty: |L|={n_l}, |U|={n_u}",

@@ -4,8 +4,8 @@ A small reverse-mode tape over float64 numpy arrays, MLP parameter
 containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
 parameter EMA, and the one training loop (`fit`) every stage runs. The
 tape supports exactly the compositions the training stages need (dense
-layers, ReLU, softmax/log-sum-exp, elementwise algebra, slicing); it is
-not a general autodiff system.
+layers, ReLU, softmax, elementwise algebra, reductions, reshaping) plus
+the fused NT-Xent node in `ssrl`; it is not a general autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -55,19 +55,9 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def T(self) -> "Tensor":
-        out = _make(self.data.T, (self,))
-        if out._parents:
-            def backward():
-                _accum(self, out.grad.T)
-            out._backward = backward
-        return out
-
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Not in place: __add__/__sub__ hand one array to both parents.
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- elementwise algebra -------------------------------------------------
 
@@ -209,16 +199,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __getitem__(self, idx) -> "Tensor":
-        out = _make(self.data[idx], (self,))
-        if out._parents:
-            def backward():
-                buf = np.zeros_like(self.data)
-                np.add.at(buf, idx, out.grad)
-                _accum(self, buf)
-            out._backward = backward
-        return out
-
     # -- backward pass ---------------------------------------------------------
 
     def backward(self) -> None:
@@ -276,12 +256,6 @@ def softmax_rows(logits: Tensor) -> Tensor:
     shift = logits.data.max(axis=-1, keepdims=True)
     e = (logits - shift).exp()
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def logsumexp_rows(scores: Tensor) -> Tensor:
-    """Row-wise log-sum-exp with the same constant-max trick."""
-    shift = scores.data.max(axis=-1, keepdims=True)
-    return (scores - shift).exp().sum(axis=-1, keepdims=True).log() + shift
 
 
 def cross_entropy_rows(p: Tensor, targets: Array) -> Tensor:

@@ -21,7 +21,7 @@ from .numnet import MlpParams, Tensor
 
 Array = np.ndarray
 
-NEG_MASK = -1e12  # additive mask for self-similarity terms
+NEG_MASK = -1e12  # self-similarity score; its exp underflows to 0
 
 
 def nt_xent_loss(Z, temperature: float) -> Tensor:
@@ -31,7 +31,9 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     tape Tensor or an array; the result is a scalar Tensor. Each row is
     L2-normalized, all pairwise cosine similarities are scaled by
     `temperature`, the self term is masked out, and the loss is the mean
-    cross-entropy of picking the partner row.
+    cross-entropy of picking the partner row. It is one tape node whose
+    backward pass is the closed form: softmax minus the partner one-hot,
+    taken back through the similarity product and the row normalization.
     """
     Z = numnet.as_tensor(Z)
     n = Z.shape[0]
@@ -41,11 +43,25 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
         raise ConfigError("nt_xent_loss: temperature must be positive")
     idx = np.arange(n)
     partner = idx ^ 1  # 2k <-> 2k+1
-    norms = (Z * Z).sum(axis=1, keepdims=True) ** 0.5
-    Zn = Z / norms
-    S = (Zn @ Zn.T) * (1.0 / temperature) + np.eye(n) * NEG_MASK
-    lse = numnet.logsumexp_rows(S).reshape(n)
-    return (lse - S[idx, partner]).mean()
+    norms = (Z.data * Z.data).sum(axis=1, keepdims=True) ** 0.5
+    Zn = Z.data / norms
+    S = (Zn @ Zn.T) * (1.0 / temperature)
+    S[idx, idx] = NEG_MASK
+    shift = S.max(axis=1, keepdims=True)
+    E = np.exp(S - shift)
+    total = E.sum(axis=1, keepdims=True)
+    lse = np.log(total) + shift
+    out = numnet._make((lse[:, 0] - S[idx, partner]).sum() * (1.0 / n), (Z,))
+    if out._parents:
+        def backward():
+            G = E / total
+            G[idx, partner] -= 1.0
+            G *= out.grad / n
+            dZn = (G + G.T) @ Zn * (1.0 / temperature)
+            numnet._accum(Z, (dZn - Zn * (dZn * Zn).sum(axis=1, keepdims=True))
+                          / norms)
+        out._backward = backward
+    return out
 
 
 @dataclass

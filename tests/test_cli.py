@@ -124,6 +124,19 @@ def test_ablate_multi_seed_suffixes(tmp_path):
     assert "cbs_on_gsr_on_s1" in run_ids
 
 
+def test_stage1_learning_rate_below_default_floor(tmp_path):
+    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
+                  "--per-class", "20", "--features", "6", "--seed", "5",
+                  cwd=tmp_path)
+    assert gen.returncode == 0, gen.stderr
+    # 1e-4 is below the schedule's default floor of 2e-4
+    out = run_cli("stage1", "--data", "train.csv", "--out", "encoder.json",
+                  "--epochs", "2", "--batch-size", "16", "--lr", "0.0001",
+                  "--seed", "6", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "encoder.json").exists()
+
+
 def test_missing_file_exits_two(tmp_path):
     out = run_cli("stage1", "--data", "nope.csv", "--out", "x.json",
                   "--seed", "1", cwd=tmp_path)
@@ -144,7 +157,8 @@ def test_bad_config_exits_two(tmp_path):
             ("stage2", {"lr": 0}, "lr"),
             ("stage3", {"lr": 0}, "lr"),
             ("stage1", {"learning_rate": 0}, "learning_rate"),
-            ("stage3", {"lr": 0.001, "eta_min": 0.002}, "eta_min")):
+            ("stage3", {"lr": 0.001, "eta_min": 0.002}, "eta_min"),
+            ("dataset", {"n_classes": 1}, "n_classes")):
         config = write_tiny_config(tmp_path / "range.json",
                                    **{section: values})
         out = run_cli("pipeline", "--config", str(config), "--out-dir", "run",

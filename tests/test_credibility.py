@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from noisylearn import credibility, data, numnet
 from noisylearn.errors import ConfigError, DegenerateMixtureError
@@ -106,6 +107,20 @@ def test_em_components_ordered_by_mean():
     values = bimodal_sample(seed=46)
     gmm = credibility.fit_gmm_em(values)
     assert gmm.means[0] <= gmm.means[1]
+
+
+def test_em_flags_nested_components_as_unconverged():
+    # a wide low-mean component around a narrow high-mean one, as the
+    # normalized stage-2 losses at 90 % noise look; quantiles, not draws
+    def quantiles(mean, var, k):
+        return stats.norm.ppf((np.arange(k) + 0.5) / k, mean, math.sqrt(var))
+
+    nested = np.concatenate([quantiles(0.43, 0.022, 3600),
+                             quantiles(0.478, 0.005, 900)])
+    gmm = credibility.fit_gmm_em(nested)
+    assert not gmm.converged
+    assert len(gmm.log_likelihood_trace) == 200
+    assert credibility.fit_gmm_em(bimodal_sample()).converged
 
 
 def test_em_degenerate_input_raises():

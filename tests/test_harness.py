@@ -139,6 +139,11 @@ def test_config_rejects_unknown_keys():
     ("stage1", {"learning_rate": 0}, "learning_rate"),
     ("stage1", {"learning_rate": 1e-4}, "eta_min"),
     ("supervised", {"lr": 0, "eta_min": 0}, "lr"),
+    ("dataset", {"n_classes": 1}, "n_classes"),
+    ("dataset", {"n_per_class": 0}, "n_per_class"),
+    ("dataset", {"n_features": 1}, "n_features"),
+    ("dataset", {"separation": 0.0}, "separation"),
+    ("dataset", {"sigma": -1.0}, "sigma"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:
@@ -259,6 +264,19 @@ def test_run_stage2_warns_when_a_set_is_empty(capsys):
     assert len(result.transfer.unlabeled) == 0
     assert capsys.readouterr().err == (
         f"warning: stage 2 left L or U empty: |L|={len(train)}, |U|=0\n")
+
+
+def test_run_stage2_warns_when_em_hits_max_iter(capsys, monkeypatch):
+    config = tiny_config()
+    train, _ = harness.generate_data(config)
+    encoder = numnet.init_mlp([6, 8], [8, 3], seed=3)
+    fit = credibility.fit_gmm_em
+    monkeypatch.setattr(credibility, "fit_gmm_em",
+                        lambda values: fit(values, max_iter=2))
+    harness.run_stage2(encoder, train, config.stage2, seed=4)
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        "warning: loss GMM EM hit max_iter=2 without converging",
+        "warning: confidence GMM EM hit max_iter=2 without converging"]
 
 
 def test_ablation_grid_runs_all_cells():

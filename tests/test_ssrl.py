@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from noisylearn import data, numnet, ssrl
 from noisylearn.errors import ConfigError
@@ -27,6 +29,73 @@ def reference_nt_xent(Z, temperature):
 
 def nt_xent(Z, temperature):
     return float(ssrl.nt_xent_loss(Z, temperature).data)
+
+
+def composed_nt_xent(Z, temperature):
+    """NT-Xent as the tape composition it was before it became one node.
+
+    The same steps in the same order, on the ops the tape still has:
+    `Zn @ Zn.T` is the broadcast product summed over features and
+    `S[idx, partner]` a one-hot mask summed over columns.
+    """
+    Z = numnet.as_tensor(Z)
+    n, d = Z.shape
+    norms = (Z * Z).sum(axis=1, keepdims=True) ** 0.5
+    Zn = Z / norms
+    gram = (Zn.reshape(n, 1, d) * Zn.reshape(1, n, d)).sum(axis=2)
+    S = gram * (1.0 / temperature) + np.eye(n) * ssrl.NEG_MASK
+    shift = S.data.max(axis=-1, keepdims=True)
+    lse = (S - shift).exp().sum(axis=-1, keepdims=True).log() + shift
+    lse = lse.reshape(n)
+    partner = numnet.one_hot(np.arange(n) ^ 1, n)
+    return (lse - (S * partner).sum(axis=1)).mean()
+
+
+def value_and_grad(loss_fn, Z, temperature):
+    t = numnet.Tensor(Z.copy(), requires_grad=True)
+    out = loss_fn(t, temperature)
+    out.backward()
+    return float(out.data), t.grad
+
+
+def test_nt_xent_gradient_matches_finite_differences():
+    Z = np.random.default_rng(3).normal(size=(8, 5)) + 0.3
+    _, analytic = value_and_grad(ssrl.nt_xent_loss, Z, 0.5)
+    numeric = np.zeros_like(Z)
+    h = 1e-6
+    for i, j in np.ndindex(*Z.shape):
+        up, down = Z.copy(), Z.copy()
+        up[i, j] += h
+        down[i, j] -= h
+        numeric[i, j] = (nt_xent(up, 0.5) - nt_xent(down, 0.5)) / (2 * h)
+    scale = max(1.0, np.abs(numeric).max())
+    assert np.max(np.abs(analytic - numeric)) < 1e-7 * scale
+
+
+@given(pairs=st.integers(2, 12), d=st.integers(1, 9),
+       temperature=st.floats(0.05, 2.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
+                                            seed):
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(2 * pairs, d)) * 10.0 ** rng.uniform(
+        -1.0, 1.0, size=(2 * pairs, 1)) * 10.0 ** log_scale
+    fused, g_fused = value_and_grad(ssrl.nt_xent_loss, Z, temperature)
+    composed, g_composed = value_and_grad(composed_nt_xent, Z, temperature)
+    assert abs(fused - composed) <= 1e-12 * max(1.0, abs(composed))
+    assert np.max(np.abs(g_fused - g_composed)) <= 1e-12 * max(
+        1.0, np.abs(g_composed).max())
+
+
+def test_nt_xent_logsumexp_matches_scipy():
+    Z = np.random.default_rng(4).normal(size=(10, 6)) * 3.0
+    Zn = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    S = Zn @ Zn.T / 0.1
+    np.fill_diagonal(S, -np.inf)
+    partner = S[np.arange(10), np.arange(10) ^ 1]
+    expected = np.mean(special.logsumexp(S, axis=1) - partner)
+    assert nt_xent(Z, 0.1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_nt_xent_matches_reference_on_random_rows():
