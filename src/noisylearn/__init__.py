@@ -25,9 +25,8 @@ from .harness import (ExperimentConfig, MetricsLog, best_last, evaluate,
                       load_config, run_ablation, run_decoupling_experiment,
                       run_pipeline, run_stage2)
 from .numnet import (EmaState, Layer, MlpParams, OptState, cosine_lr,
-                     cross_entropy, ema_init, ema_params, ema_update, fit,
-                     grad, init_mlp, mlp_forward, one_hot, optimizer_step,
-                     predict, softmax)
+                     ema_init, ema_params, ema_update, fit, grad, init_mlp,
+                     mlp_forward, one_hot, optimizer_step, predict, softmax)
 from .semi import (BalancedSamplerState, MixMatchConfig, Stage3Result,
                    balanced_sample_L, make_balanced_sampler, mixup,
                    sample_U_candidates, stage3_loss, train_stage3)
@@ -44,7 +43,7 @@ __all__ = [
     "NumericError", "OptState", "PipelineError", "Stage2Result",
     "Stage3Result", "TransferredLabels", "apply_noise", "assess_credibility",
     "augment", "augment_batch", "balanced_sample_L", "best_last",
-    "build_neighbor_graph", "cosine_lr", "cross_entropy", "default_pair_map",
+    "build_neighbor_graph", "cosine_lr", "default_pair_map",
     "ema_init", "ema_params", "ema_update", "embed", "evaluate", "fit",
     "fit_gmm_em", "gmm_posterior", "grad", "graph_regularizer", "init_mlp",
     "inject_asymmetric_noise", "inject_symmetric_noise", "labeled_records",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numnet
 from .errors import ConfigError, NumericError
 from .numnet import Tensor, as_tensor
 
@@ -102,7 +103,10 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     with the unlabeled-unlabeled sum running over ordered pairs; pass
     count_ordered_pairs=False to count each unordered pair once.
     p_unlabeled is a tape Tensor or an array; the result is a scalar
-    Tensor. It is zero exactly when all connected pairs agree.
+    Tensor. It is one tape node: the value comes from the Gram form of the
+    squared distances and the gradient from the graph-Laplacian form. It is
+    exactly zero when all rows agree, and zero up to rounding when only
+    the connected pairs do.
     """
     if lam_lu < 0 or lam_uu < 0:
         raise ConfigError("graph penalty weights must be non-negative")
@@ -117,22 +121,30 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
         raise ConfigError(
             f"graph_regularizer: {n_l} labeled nodes but "
             f"{labels_labeled.shape[0]} label rows")
-    if n_u == 0:
-        return as_tensor(0.0)
+    if n_u == 0 or not (n_l and lam_lu > 0 or n_u > 1 and lam_uu > 0):
+        return as_tensor(0.0)  # no pair carries weight
 
-    uu_scale = 2.0 if count_ordered_pairs else 1.0
-    # (u, l, C) and (u, u, C) difference stacks; exact zeros when rows agree
-    if n_l and lam_lu > 0:
-        diff_ul = p.reshape(n_u, 1, -1) - labels_labeled[None, :, :]
-        lu_term = (as_tensor(graph.affinity[n_l:, :n_l])
-                   * (diff_ul * diff_ul).sum(axis=2)).sum()
-    else:
-        lu_term = as_tensor(0.0)
-    if n_u > 1 and lam_uu > 0:
-        diff_uu = p.reshape(n_u, 1, -1) - p.reshape(1, n_u, -1)
-        # upper triangle only; halves the work and the diagonal is zero anyway
-        W = np.triu(graph.affinity[n_l:, n_l:], 1) * uu_scale
-        uu_term = (as_tensor(W) * (diff_uu * diff_uu).sum(axis=2)).sum()
-    else:
-        uu_term = as_tensor(0.0)
-    return lu_term * lam_lu + uu_term * lam_uu
+    # Gram form of K_ij = ||q_i - q_j||^2 over the rows Q = [P; Y] shifted by
+    # P[0]: the shift keeps every distance and makes all rows exactly zero
+    # when they agree, so R is then 0 in whatever order BLAS sums products.
+    P = p.data
+    Q = np.concatenate([P, labels_labeled.reshape(n_l, P.shape[1])])
+    Q -= P[0]
+    sq = (Q * Q).sum(axis=1)
+    K = sq[:n_u, None] + sq[None, :] - 2.0 * (Q[:n_u] @ Q.T)
+    # upper triangle only; each unordered pair is weighted once here
+    W = np.triu(graph.affinity[n_l:, n_l:], 1) * (
+        2.0 if count_ordered_pairs else 1.0)
+    A_ul = graph.affinity[n_l:, :n_l]
+    value = (lam_lu * (A_ul * K[:, n_u:]).sum()
+             + lam_uu * (W * K[:, :n_u]).sum())
+    out = numnet._make(value, (p,))
+    if out._parents:
+        def backward():
+            # Laplacian form 2 (rowsum(B) * P - B [P; Y]), with B the weights
+            # of each unlabeled row against every row; the shift cancels
+            B = np.concatenate([lam_uu * (W + W.T), lam_lu * A_ul], axis=1)
+            numnet._accum(p, (2.0 * out.grad) * (
+                B.sum(axis=1, keepdims=True) * Q[:n_u] - B @ Q))
+        out._backward = backward
+    return out

@@ -192,16 +192,30 @@ def save_gmm(path, gmm: Gmm1D) -> None:
         "means": gmm.means.tolist(),
         "variances": gmm.variances.tolist(),
         "weights": gmm.weights.tolist(),
+        "converged": bool(gmm.converged),
+        "log_likelihood_trace": [float(v) for v in gmm.log_likelihood_trace],
     }
     _write_text(path, canonical_json(doc))
 
 
 def load_gmm(path) -> Gmm1D:
+    """Read a mixture; files without the EM fields load as converged."""
     doc = _load_document(path, "gmm")
+    converged = doc.get("converged", True)
+    trace = doc.get("log_likelihood_trace", [])
+    if not isinstance(converged, bool):
+        raise CheckpointError(f"gmm file {path}: converged must be a boolean")
+    if not (isinstance(trace, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in trace)):
+        raise CheckpointError(
+            f"gmm file {path}: log_likelihood_trace must be a list of numbers")
     try:
         return Gmm1D(means=np.asarray(doc["means"], dtype=np.float64),
                      variances=np.asarray(doc["variances"], dtype=np.float64),
-                     weights=np.asarray(doc["weights"], dtype=np.float64))
+                     weights=np.asarray(doc["weights"], dtype=np.float64),
+                     log_likelihood_trace=[float(v) for v in trace],
+                     converged=converged)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"gmm file {path}: {e}") from e
 

@@ -4,8 +4,9 @@ A small reverse-mode tape over float64 numpy arrays, MLP parameter
 containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
 parameter EMA, and the one training loop (`fit`) every stage runs. The
 tape supports exactly the compositions the training stages need (dense
-layers, ReLU, softmax, elementwise algebra, reductions, reshaping) plus
-the fused NT-Xent node in `ssrl`; it is not a general autodiff system.
+layers, ReLU, softmax, elementwise algebra, reductions) plus the fused
+NT-Xent node in `ssrl` and the graph-penalty node in `graphreg`; it is
+not a general autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -82,9 +83,6 @@ class Tensor:
                 _accum(other, _unbroadcast(-out.grad, other.data.shape))
             out._backward = backward
         return out
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
 
     def __neg__(self) -> "Tensor":
         out = _make(-self.data, (self,))
@@ -279,19 +277,6 @@ def softmax(logits: Array) -> Array:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(p: Array, y: Array) -> float:
-    """Cross-entropy -sum(y * log p) for a single probability/target pair.
-
-    `p` is clamped below at 1e-12 before the log so saturated predictions
-    stay finite. Equals -log p[t] for a one-hot target at class t.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"cross_entropy: shape mismatch {p.shape} vs {y.shape}")
-    return float(-(y * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
 def predict(p: Array) -> Array:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisylearn import graphreg, numnet
 from noisylearn.errors import ConfigError, NumericError
@@ -210,3 +210,100 @@ def test_regularizer_gradient_matches_finite_differences():
         down = float(graphreg.graph_regularizer(g, bump, y, 0.01, 0.005).data)
         fd[i] = (up - down) / (2 * h)
     assert np.max(np.abs(t.grad - fd)) < 1e-6
+
+
+def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
+                                 lam_uu, count_ordered_pairs=True):
+    """The penalty as (u, l, C) and (u, u, C) difference stacks on the tape.
+
+    This is the form the fused node replaced, kept as its reference: it
+    builds every pairwise difference explicitly, so it is slow but plainly
+    the sum the docstring states.
+    """
+    as_tensor = numnet.as_tensor
+    n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
+    p = as_tensor(p_unlabeled)
+    labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
+    if n_l and lam_lu > 0:
+        diff_ul = p.reshape(n_u, 1, -1) - labels_labeled[None, :, :]
+        lu_term = (as_tensor(graph.affinity[n_l:, :n_l])
+                   * (diff_ul * diff_ul).sum(axis=2)).sum()
+    else:
+        lu_term = as_tensor(0.0)
+    if n_u > 1 and lam_uu > 0:
+        diff_uu = p.reshape(n_u, 1, -1) - p.reshape(1, n_u, -1)
+        W = np.triu(graph.affinity[n_l:, n_l:], 1) * (
+            2.0 if count_ordered_pairs else 1.0)
+        uu_term = (as_tensor(W) * (diff_uu * diff_uu).sum(axis=2)).sum()
+    else:
+        uu_term = as_tensor(0.0)
+    return lu_term * lam_lu + uu_term * lam_uu
+
+
+def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu, ordered):
+    t = numnet.Tensor(p.copy(), requires_grad=True)
+    out = penalty(graph, t, y, lam_lu, lam_uu, count_ordered_pairs=ordered)
+    out.backward()
+    return float(out.data), (t.grad if t.grad is not None
+                             else np.zeros_like(p))
+
+
+@given(n_l=st.integers(0, 6), n_u=st.integers(1, 7), c=st.integers(1, 5),
+       tau=st.sampled_from([0.0, 0.3, 0.8]),
+       lam_lu=st.sampled_from([0.0, 0.01, 1.0]),
+       lam_uu=st.sampled_from([0.0, 0.005, 2.0]),
+       ordered=st.booleans(), soft_labels=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(n_l=0, n_u=1, c=3, tau=0.0, lam_lu=0.01, lam_uu=0.005, ordered=True,
+         soft_labels=False, seed=0)
+@example(n_l=0, n_u=5, c=4, tau=0.0, lam_lu=0.01, lam_uu=0.005,
+         ordered=False, soft_labels=False, seed=1)
+@example(n_l=4, n_u=5, c=4, tau=0.3, lam_lu=0.0, lam_uu=0.005, ordered=True,
+         soft_labels=True, seed=2)
+@example(n_l=4, n_u=5, c=4, tau=0.3, lam_lu=0.01, lam_uu=0.0, ordered=True,
+         soft_labels=True, seed=3)
+@settings(max_examples=150, deadline=None)
+def test_regularizer_node_matches_difference_stacks(
+        n_l, n_u, c, tau, lam_lu, lam_uu, ordered, soft_labels, seed):
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(n_l + n_u, 3)) + 0.5
+    g = graphreg.build_neighbor_graph(Z, tau=tau, n_labeled=n_l)
+    p = rng.dirichlet(np.ones(c), size=n_u)
+    y = (rng.dirichlet(np.ones(c), size=n_l) if soft_labels
+         else np.eye(c)[rng.integers(0, c, size=n_l)])
+    got, got_grad = value_and_grad(graphreg.graph_regularizer, g, p, y,
+                                   lam_lu, lam_uu, ordered)
+    ref, ref_grad = value_and_grad(difference_stack_regularizer, g, p, y,
+                                   lam_lu, lam_uu, ordered)
+    # The Gram form cancels ||p||^2 + ||q||^2 against 2 p.q, so its rounding
+    # error is relative to those squared norms, not to the (possibly tiny)
+    # distances. Scale both bounds by the weighted sums of norms.
+    A = g.affinity
+    sq_p, sq_y = (p * p).sum(axis=1), (y * y).sum(axis=1)
+    W = np.triu(A[n_l:, n_l:], 1) * (2.0 if ordered else 1.0)
+    scale = (lam_lu * (A[n_l:, :n_l] * (sq_p[:, None] + sq_y[None, :])).sum()
+             + lam_uu * (W * (sq_p[:, None] + sq_p[None, :])).sum())
+    assert abs(got - ref) <= 1e-12 * scale
+    grad_scale = 2.0 * (lam_lu * A[n_l:, :n_l].sum()
+                        + lam_uu * (W + W.T).sum())
+    assert np.max(np.abs(got_grad - ref_grad)) <= 1e-12 * grad_scale
+
+
+@pytest.mark.parametrize("rows", ["one_hot", "soft"])
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("n_l,n_u,c", [(17, 23, 10), (128, 128, 10),
+                                       (0, 26, 20), (9, 9, 20), (3, 1, 4)])
+def test_regularizer_exactly_zero_when_all_rows_agree(rows, ordered, n_l, n_u,
+                                                      c):
+    # The shapes include ones where a BLAS product of identical rows differs
+    # in its last bit from entry to entry.
+    rng = np.random.default_rng(7)
+    Z = rng.normal(size=(n_l + n_u, 6)) + 0.5
+    g = graphreg.build_neighbor_graph(Z, tau=0.0, n_labeled=n_l)
+    q = np.eye(c)[3] if rows == "one_hot" else rng.dirichlet(np.ones(c))
+    t = numnet.Tensor(np.tile(q, (n_u, 1)), requires_grad=True)
+    out = graphreg.graph_regularizer(g, t, np.tile(q, (n_l, 1)), 0.01, 0.005,
+                                     count_ordered_pairs=ordered)
+    assert out.requires_grad and float(out.data) == 0.0
+    out.backward()
+    assert not np.any(t.grad)

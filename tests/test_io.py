@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from noisylearn import credibility, data, io, numnet
 from noisylearn.errors import CheckpointError
@@ -125,8 +127,52 @@ def test_gmm_round_trip(tmp_path):
     assert np.array_equal(loaded.means, gmm.means)
     assert np.array_equal(loaded.variances, gmm.variances)
     assert np.array_equal(loaded.weights, gmm.weights)
-    # the optimization trace is run diagnostics, not part of the model
-    assert loaded.log_likelihood_trace == []
+    assert loaded.log_likelihood_trace == gmm.log_likelihood_trace
+    assert loaded.converged
+    first = path.read_bytes()
+    io.save_gmm(path, loaded)
+    assert path.read_bytes() == first
+
+
+def test_gmm_round_trip_keeps_non_convergence(tmp_path):
+    # the nested-component sample of test_em_flags_nested_components_as_
+    # unconverged: EM runs out of iterations, and the file must say so
+    def quantiles(mean, var, k):
+        return stats.norm.ppf((np.arange(k) + 0.5) / k, mean, math.sqrt(var))
+
+    nested = np.concatenate([quantiles(0.43, 0.022, 3600),
+                             quantiles(0.478, 0.005, 900)])
+    gmm = credibility.fit_gmm_em(nested)
+    assert not gmm.converged
+    path = tmp_path / "gmm.json"
+    io.save_gmm(path, gmm)
+    loaded = io.load_gmm(path)
+    assert loaded.converged is False
+    assert loaded.log_likelihood_trace == gmm.log_likelihood_trace
+    assert len(loaded.log_likelihood_trace) == 200
+    assert np.array_equal(loaded.means, gmm.means)
+
+
+def test_gmm_without_em_fields_loads_as_converged(tmp_path):
+    path = tmp_path / "gmm.json"
+    path.write_text(json.dumps({"format_version": 1, "means": [0.1, 1.9],
+                                "variances": [0.004, 0.09],
+                                "weights": [0.44, 0.56]}))
+    loaded = io.load_gmm(path)
+    assert loaded.converged and loaded.log_likelihood_trace == []
+
+
+@pytest.mark.parametrize("field,value", [("converged", "no"),
+                                         ("converged", 0),
+                                         ("log_likelihood_trace", [1.0, "x"]),
+                                         ("log_likelihood_trace", 3.0)])
+def test_gmm_rejects_bad_em_fields(tmp_path, field, value):
+    path = tmp_path / "gmm.json"
+    path.write_text(json.dumps({"format_version": 1, "means": [0.1, 1.9],
+                                "variances": [0.004, 0.09],
+                                "weights": [0.44, 0.56], field: value}))
+    with pytest.raises(CheckpointError, match=field):
+        io.load_gmm(path)
 
 
 def test_dataset_csv_round_trip_exact(tmp_path):

@@ -166,24 +166,35 @@ def test_softmax_simplex_closure(c, n, seed):
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+def cross_entropy(p, y) -> float:
+    """Mean row cross-entropy of plain arrays, through the tape op."""
+    return float(numnet.cross_entropy_rows(numnet.Tensor(np.atleast_2d(p)),
+                                           np.atleast_2d(y)).data)
+
+
 def test_cross_entropy_uniform_predictor():
     p = np.full(10, 0.1)
     y = numnet.one_hot(np.array([4]), 10)[0]
-    assert math.isclose(numnet.cross_entropy(p, y), math.log(10), rel_tol=1e-12)
+    assert math.isclose(cross_entropy(p, y), math.log(10), rel_tol=1e-12)
 
 
 def test_cross_entropy_hand_values():
-    assert math.isclose(numnet.cross_entropy(np.array([0.5, 0.5]),
-                                             np.array([1.0, 0.0])),
+    assert math.isclose(cross_entropy(np.array([0.5, 0.5]),
+                                      np.array([1.0, 0.0])),
                         math.log(2), rel_tol=1e-12)
-    assert math.isclose(numnet.cross_entropy(np.array([0.9, 0.1]),
-                                             np.array([0.0, 1.0])),
+    assert math.isclose(cross_entropy(np.array([0.9, 0.1]),
+                                      np.array([0.0, 1.0])),
                         -math.log(0.1), rel_tol=1e-12)
+    # rows are averaged, and a zero probability is floored, not -inf
+    assert math.isclose(cross_entropy(np.array([[0.5, 0.5], [1.0, 0.0]]),
+                                      np.array([[1.0, 0.0], [0.0, 1.0]])),
+                        (math.log(2) - math.log(numnet.LOG_FLOOR)) / 2,
+                        rel_tol=1e-12)
 
 
 def test_cross_entropy_shape_mismatch():
     with pytest.raises(ValueError):
-        numnet.cross_entropy(np.full((3, 2), 0.5), np.zeros(4))
+        cross_entropy(np.full((3, 2), 0.5), np.zeros(4))
 
 
 def test_predict_breaks_ties_low():
@@ -298,7 +309,7 @@ def test_mlp_gradient_matches_finite_differences():
 
     def scalar(p):
         _, _, probs = numnet.mlp_forward(p, X)
-        return numnet.cross_entropy(probs, targets) / len(y)
+        return cross_entropy(probs, targets)
 
     numeric = central_diff(params, scalar)
     assert max_rel_err(analytic, numeric) < 1e-5
