@@ -14,7 +14,7 @@ from .credibility import (CredibilityScores, Gmm1D, Stage2Result,
                           gmm_posterior, labeled_records, per_sample_stats,
                           train_frozen_classifier, transfer_labels)
 from .data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_noise,
-                   augment, augment_batch, default_pair_map,
+                   augment_batch, default_pair_map,
                    inject_asymmetric_noise, inject_symmetric_noise,
                    make_blobs, train_test_split)
 from .errors import (CheckpointError, ConfigError, DegenerateMixtureError,
@@ -42,7 +42,7 @@ __all__ = [
     "MixMatchConfig", "MlpParams", "NeighborGraph", "NoiseSpec",
     "NumericError", "OptState", "PipelineError", "Stage2Result",
     "Stage3Result", "TransferredLabels", "apply_noise", "assess_credibility",
-    "augment", "augment_batch", "balanced_sample_L", "best_last",
+    "augment_batch", "balanced_sample_L", "best_last",
     "build_neighbor_graph", "cosine_lr", "default_pair_map",
     "ema_init", "ema_params", "ema_update", "embed", "evaluate", "fit",
     "fit_gmm_em", "gmm_posterior", "grad", "graph_regularizer", "init_mlp",

@@ -222,11 +222,6 @@ def augment_batch(X: Array, spec: AugmentationSpec,
     return mask * (scales * X + jitter)
 
 
-def augment(x: Array, spec: AugmentationSpec, rng: np.random.Generator) -> Array:
-    """Single-vector convenience wrapper around augment_batch."""
-    return augment_batch(x[None, :], spec, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------

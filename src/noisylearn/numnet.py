@@ -3,10 +3,10 @@
 A small reverse-mode tape over float64 numpy arrays, MLP parameter
 containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
 parameter EMA, and the one training loop (`fit`) every stage runs. The
-tape supports exactly the compositions the training stages need (dense
-layers, ReLU, softmax, elementwise algebra, reductions) plus the fused
-NT-Xent node in `ssrl` and the graph-penalty node in `graphreg`; it is
-not a general autodiff system.
+tape supports exactly the compositions the training stages need: the
+fused `dense` and `softmax_cross_entropy` nodes, softmax, elementwise
+algebra and reductions, plus the fused NT-Xent node in `ssrl` and the
+graph-penalty node in `graphreg`. It is not a general autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -233,16 +233,42 @@ def as_tensor(value) -> Tensor:
 
 def _make(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
-    live = tuple(p for p in parents if p.requires_grad or p._parents)
+    live = tuple(p for p in parents if _live(p))
     if live:
         out._parents = live
         out.requires_grad = True
     return out
 
 
+def _live(node: Tensor) -> bool:
+    return node.requires_grad or bool(node._parents)
+
+
 def _accum(node: Tensor, g: Array) -> None:
-    if node.requires_grad or node._parents:
+    if _live(node):
         node._accumulate(g)
+
+
+def dense(X: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """One layer, `X @ w + b`, rectified when `relu` is set, as one node.
+
+    The same ops as `(X @ w + b).relu()`, so value and gradients match the
+    composition bit for bit; the backward forms a parent's product only
+    when that parent is live (frozen weights, constant inputs).
+    """
+    z = X.data @ w.data + b.data
+    out = _make(np.maximum(z, 0.0) if relu else z, (X, w, b))
+    if out._parents:
+        def backward():
+            g = out.grad * (out.data > 0.0) if relu else out.grad
+            if _live(X):
+                X._accumulate(g @ w.data.T)
+            if _live(w):
+                w._accumulate(X.data.T @ g)
+            if _live(b):
+                b._accumulate(g.sum(axis=0))
+        out._backward = backward
+    return out
 
 
 def softmax_rows(logits: Tensor) -> Tensor:
@@ -263,6 +289,31 @@ def cross_entropy_rows(p: Tensor, targets: Array) -> Tensor:
 
 
 LOG_FLOOR = 1e-12
+
+
+def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
+    """`cross_entropy_rows(softmax_rows(logits), targets)` as one node.
+
+    The value runs the composition's ops in order. The backward replays
+    its chain rule op for op on arrays rather than using the closed form
+    `(P * rowsum(T) - T) / n`, which is equal in exact arithmetic but not
+    in the last bits.
+    """
+    T = np.asarray(targets, dtype=np.float64)
+    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    s = e.sum(axis=-1, keepdims=True)
+    Pc = np.maximum(e / s, LOG_FLOOR)
+    rows = (T * np.log(Pc)).sum(axis=-1)
+    n = rows.size
+    out = _make(-(rows.sum() * (1.0 / n)), (logits,))
+    if out._parents:
+        def backward():
+            M = -out.grad * (1.0 / n)               # neg, then mean
+            dP = M * T / Pc * (Pc > LOG_FLOOR)       # times T, log, clip
+            ds = (-dP * e / (s * s)).sum(axis=-1, keepdims=True)
+            logits._accumulate((dP / s + ds) * e)    # divide, sum, exp
+        out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +376,8 @@ class MlpParams:
 
     encoder: list[Layer]
     classifier: list[Layer]
-    activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation}")
         widths = []
         for layer in list(self.encoder) + list(self.classifier):
             w, b = layer.weight, layer.bias
@@ -351,7 +399,6 @@ class MlpParams:
         return MlpParams(
             encoder=[Layer(l.weight.copy(), l.bias.copy()) for l in self.encoder],
             classifier=[Layer(l.weight.copy(), l.bias.copy()) for l in self.classifier],
-            activation=self.activation,
         )
 
 
@@ -391,18 +438,16 @@ def _check_input(params: MlpParams, X: Array) -> None:
 
 
 def mlp_forward(params: MlpParams, X: Array) -> tuple[Array, Array, Array]:
-    """Forward pass: returns (representation Z, logits F, probabilities P)."""
+    """Forward pass: returns (representation Z, logits F, probabilities P).
+
+    The tape forward on constants, so no node keeps parents or a backward.
+    """
     X = np.asarray(X, dtype=np.float64)
     _check_input(params, X)
-    Z = X
-    for layer in params.encoder:
-        Z = np.maximum(Z @ layer.weight + layer.bias, 0.0)
-    F = Z
-    for i, layer in enumerate(params.classifier):
-        F = F @ layer.weight + layer.bias
-        if i < len(params.classifier) - 1:
-            F = np.maximum(F, 0.0)
-    return Z, F, softmax(F)
+    tape = TapeMlp(params, frozen=("encoder", "classifier"))
+    Z = tape.embed(X)
+    F = tape.head(Z)
+    return Z.data, F.data, softmax(F.data)
 
 
 class TapeMlp:
@@ -429,16 +474,15 @@ class TapeMlp:
     def embed(self, X) -> Tensor:
         Z = as_tensor(np.asarray(X, dtype=np.float64))
         for w, b in self.encoder:
-            Z = (Z @ w + b).relu()
+            Z = dense(Z, w, b, relu=True)
         return Z
 
     def head(self, Z: Tensor) -> Tensor:
         """Head layers on a representation: ReLU between them, raw output."""
         F = Z
+        last = len(self.classifier) - 1
         for i, (w, b) in enumerate(self.classifier):
-            F = F @ w + b
-            if i < len(self.classifier) - 1:
-                F = F.relu()
+            F = dense(F, w, b, relu=i < last)
         return F
 
     def logits(self, X) -> Tensor:
@@ -513,6 +557,14 @@ def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                     beta1=beta1, beta2=beta2, eps=eps)
 
 
+def _buffer(store: dict[str, Array], name: str, like: Array) -> Array:
+    """The state array under `name`, zero-filled the first time only."""
+    buf = store.get(name)
+    if buf is None:
+        buf = store[name] = np.zeros_like(like)
+    return buf
+
+
 def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpParams:
     """Apply one update in place; parameters missing from `grads` are frozen."""
     for name, g in grads.items():
@@ -524,15 +576,15 @@ def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpPa
         p = arrays[name]
         if state.kind == "sgd":
             if state.momentum > 0.0:
-                v = state.buffers.setdefault(name, np.zeros_like(p))
+                v = _buffer(state.buffers, name, p)
                 v *= state.momentum
                 v += g
                 p -= state.learning_rate * v
             else:
                 p -= state.learning_rate * g
         else:
-            m = state.buffers.setdefault(name, np.zeros_like(p))
-            v = state.second_moments.setdefault(name, np.zeros_like(p))
+            m = _buffer(state.buffers, name, p)
+            v = _buffer(state.second_moments, name, p)
             m *= state.beta1
             m += (1.0 - state.beta1) * g
             v *= state.beta2
@@ -622,6 +674,6 @@ def ce_batches(X: Array, targets: Array, batch_size: int,
         for start in range(0, X.shape[0], batch_size):
             take = order[start:start + batch_size]
             yield lambda tape, xb=X[take], tb=targets[take]: (
-                cross_entropy_rows(tape.forward(xb)[2], tb))
+                softmax_cross_entropy(tape.logits(xb), tb))
 
     return batches

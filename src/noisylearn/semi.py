@@ -207,8 +207,7 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
 
 def mixmatch_losses_from(tape, batch: MixedBatch) -> tuple[Tensor, Tensor]:
     """Supervised CE and unsupervised squared-distance terms (0 without U)."""
-    _, _, P_sup = tape.forward(batch.X_sup)
-    l_sup = numnet.cross_entropy_rows(P_sup, batch.y_sup)
+    l_sup = numnet.softmax_cross_entropy(tape.logits(batch.X_sup), batch.y_sup)
     if not batch.X_unsup.shape[0]:
         return l_sup, numnet.as_tensor(0.0)
     _, _, P_unsup = tape.forward(batch.X_unsup)

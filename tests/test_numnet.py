@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisylearn import numnet
 from noisylearn.errors import NumericError
@@ -197,6 +197,171 @@ def test_cross_entropy_shape_mismatch():
         cross_entropy(np.full((3, 2), 0.5), np.zeros(4))
 
 
+# ---------------------------------------------------------------------------
+# fused nodes, bit for bit against the compositions they replace
+#
+# `Tensor.__matmul__`, `Tensor.relu` and `cross_entropy_rows` over
+# `softmax_rows` stay on the tape as the references for these checks.
+
+
+def composed_dense(X, w, b, relu):
+    out = X @ w + b
+    return out.relu() if relu else out
+
+
+def composed_softmax_cross_entropy(logits, targets):
+    return numnet.cross_entropy_rows(numnet.softmax_rows(logits), targets)
+
+
+def twin_leaves(arrays, live):
+    """Two independent sets of leaves over the same arrays."""
+    return [[numnet.Tensor(a.copy(), requires_grad=flag)
+             for a, flag in zip(arrays, live)] for _ in range(2)]
+
+
+def assert_same_bits(fused, composed, leaves_f, leaves_c):
+    assert np.array_equal(fused.data, composed.data)
+    for lf, lc in zip(leaves_f, leaves_c):
+        assert (lf.grad is None) == (lc.grad is None)
+        if lf.grad is not None:
+            assert np.array_equal(lf.grad, lc.grad)
+
+
+@given(n=st.integers(1, 6), d=st.integers(1, 5), h=st.integers(1, 5),
+       c=st.integers(1, 4), consumers=st.integers(1, 3), relu=st.booleans(),
+       x_live=st.booleans(), first_live=st.booleans(), w_live=st.booleans(),
+       b_live=st.booleans(), seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+@example(n=4, d=3, h=5, c=2, consumers=3, relu=True, x_live=False,
+         first_live=True, w_live=True, b_live=True, seed=0)
+@example(n=4, d=3, h=5, c=2, consumers=1, relu=False, x_live=True,
+         first_live=False, w_live=False, b_live=False, seed=1)
+def test_dense_equals_composed_layer_bit_for_bit(n, d, h, c, consumers, relu,
+                                                 x_live, first_live, w_live,
+                                                 b_live, seed):
+    """Two layers whose weights feed `consumers` inputs each, as in stage 3."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n, d)) for _ in range(consumers)] + [
+        rng.normal(size=(d, h)), rng.normal(size=h),
+        rng.normal(size=(h, c)), rng.normal(size=c)]
+    live = [x_live] * consumers + [first_live, first_live, w_live, b_live]
+    weights = [rng.normal(size=(n, c)) for _ in range(consumers)]
+    roots = []
+    leaves = twin_leaves(arrays, live)
+    for layer, ts in zip((numnet.dense, composed_dense), leaves):
+        *xs, w1, b1, w2, b2 = ts
+        outs = [layer(layer(x, w1, b1, True), w2, b2, relu) for x in xs]
+        root = sum((o * k).sum() for o, k in zip(outs, weights))
+        root.backward()
+        roots.append((root, outs))
+    (root_f, outs_f), (root_c, outs_c) = roots
+    for of, oc in zip(outs_f, outs_c):
+        assert np.array_equal(of.data, oc.data)
+    assert_same_bits(root_f, root_c, *leaves)
+
+
+@given(n=st.integers(1, 6), c=st.integers(1, 6),
+       spread=st.sampled_from([0.5, 5.0, 40.0, 200.0]), soft=st.booleans(),
+       upstream=st.floats(-4.0, 4.0), seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+@example(n=5, c=6, spread=200.0, soft=False, upstream=1.0, seed=0)
+@example(n=5, c=6, spread=200.0, soft=True, upstream=-2.5, seed=3)
+def test_softmax_cross_entropy_equals_composition_bit_for_bit(
+        n, c, spread, soft, upstream, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=spread, size=(n, c))
+    if soft:
+        targets = rng.random((n, c))
+        targets /= targets.sum(axis=1, keepdims=True)
+    else:
+        targets = numnet.one_hot(rng.integers(0, c, size=n), c)
+    leaves = twin_leaves([logits], [True])
+    fused = numnet.softmax_cross_entropy(leaves[0][0], targets)
+    composed = composed_softmax_cross_entropy(leaves[1][0], targets)
+    (fused * upstream).backward()
+    (composed * upstream).backward()
+    assert_same_bits(fused, composed, *leaves)
+
+
+def test_softmax_cross_entropy_floor_engages_and_matches():
+    """Spread logits floor most probabilities at LOG_FLOOR, gradient and all."""
+    logits = np.random.default_rng(7).normal(scale=200.0, size=(5, 6))
+    targets = np.full((5, 6), 1.0 / 6)
+    assert np.mean(numnet.softmax(logits) < numnet.LOG_FLOOR) > 0.5
+    leaves = twin_leaves([logits], [True])
+    fused = numnet.softmax_cross_entropy(leaves[0][0], targets)
+    composed = composed_softmax_cross_entropy(leaves[1][0], targets)
+    fused.backward()
+    composed.backward()
+    assert_same_bits(fused, composed, *leaves)
+
+
+def composed_mlp_ce(X, targets):
+    """The CE step as the per-op composition the fused nodes replace."""
+    def fn(tape):
+        Z = numnet.as_tensor(X)
+        for w, b in tape.encoder:
+            Z = composed_dense(Z, w, b, True)
+        last = len(tape.classifier) - 1
+        for i, (w, b) in enumerate(tape.classifier):
+            Z = composed_dense(Z, w, b, i < last)
+        return composed_softmax_cross_entropy(Z, targets)
+    return fn
+
+
+@pytest.mark.parametrize("frozen", [(), ("encoder",), ("classifier",)])
+def test_ce_step_equals_composed_step_bit_for_bit(frozen):
+    params = numnet.init_mlp([5, 8, 6], [6, 4, 3], seed=30)
+    X = finite_rows(16, 5, 31)
+    targets = numnet.one_hot(np.arange(16) % 3, 3)
+    fused_fn = next(iter(numnet.ce_batches(
+        X, targets, 16, np.random.default_rng(0))()))
+    # ce_batches shuffles; the same rng order keeps the composed batch equal
+    order = np.random.default_rng(0).permutation(16)
+    v_f, g_f = numnet.grad(params, fused_fn, frozen=frozen)
+    v_c, g_c = numnet.grad(params, composed_mlp_ce(X[order], targets[order]),
+                           frozen=frozen)
+    assert v_f == v_c
+    assert g_f.keys() == g_c.keys() and g_f
+    for name in g_f:
+        assert np.array_equal(g_f[name], g_c[name]), name
+
+
+def tape_nodes(root):
+    """Recorded nodes under `root`: leaves and constants are not counted."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_ce_step_records_one_node_per_layer_plus_loss():
+    params = numnet.init_mlp([5, 8, 6], [6, 3], seed=32)
+    X = finite_rows(8, 5, 33)
+    targets = numnet.one_hot(np.arange(8) % 3, 3)
+    loss_fn = next(iter(numnet.ce_batches(X, targets, 8,
+                                          np.random.default_rng(0))()))
+    assert tape_nodes(loss_fn(numnet.TapeMlp(params))) == 4
+    assert tape_nodes(composed_mlp_ce(X, targets)(numnet.TapeMlp(params))) == 19
+
+
+def test_mlp_forward_is_the_tape_forward_on_constants():
+    params = numnet.init_mlp([4, 8, 6], [6, 5, 3], seed=34)
+    X = finite_rows(10, 4, 35)
+    plain = numnet.mlp_forward(params, X)
+    taped = numnet.TapeMlp(params).forward(X)
+    for a, t in zip(plain, taped):
+        assert np.array_equal(a, t.data)
+    with pytest.raises(ValueError):
+        numnet.mlp_forward(params, finite_rows(10, 3, 35))
+    params.classifier[-1].weight[0, 0] = np.nan
+    with pytest.raises(NumericError):
+        numnet.mlp_forward(params, X)
+
+
 def test_predict_breaks_ties_low():
     logits = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
     assert numnet.predict(logits).tolist() == [0, 1]
@@ -352,6 +517,26 @@ def test_adam_first_step_is_learning_rate_sized():
     numnet.optimizer_step(opt, params, grads)
     # bias-corrected first step moves by ~lr regardless of gradient scale
     assert params.classifier[0].weight[0, 0] == pytest.approx(0.5 - 0.01, abs=1e-6)
+
+
+def test_adam_second_step_matches_hand_arithmetic():
+    params = numnet.MlpParams(
+        encoder=[],
+        classifier=[numnet.Layer(np.array([[0.5]]), np.array([0.0]))])
+    opt = numnet.adam(learning_rate=0.01)
+    g1, g2 = np.array([[3.0]]), np.array([[-1.25]])
+    numnet.optimizer_step(opt, params, {"classifier.0.weight": g1})
+    m = opt.buffers["classifier.0.weight"]
+    numnet.optimizer_step(opt, params, {"classifier.0.weight": g2})
+    assert opt.buffers["classifier.0.weight"] is m  # state kept, not re-made
+    m1, v1 = 0.1 * g1, 0.001 * g1 * g1
+    m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 * g2
+    p1 = 0.5 - 0.01 * (m1 / (1 - 0.9)) / (np.sqrt(v1 / (1 - 0.999)) + 1e-8)
+    p2 = p1 - 0.01 * (m2 / (1 - 0.9 ** 2)) / (np.sqrt(v2 / (1 - 0.999 ** 2))
+                                             + 1e-8)
+    assert params.classifier[0].weight[0, 0] == pytest.approx(p2[0, 0],
+                                                              rel=1e-14)
+    assert "classifier.0.bias" not in opt.buffers
 
 
 def test_optimizer_rejects_nonfinite_gradients():
