@@ -67,8 +67,10 @@ class Tensor:
         out = _make(self.data + other.data, (self, other))
         if out._parents:
             def backward():
-                _accum(self, _unbroadcast(out.grad, self.data.shape))
-                _accum(other, _unbroadcast(out.grad, other.data.shape))
+                if _live(self):
+                    self._accumulate(_unbroadcast(out.grad, self.data.shape))
+                if _live(other):
+                    other._accumulate(_unbroadcast(out.grad, other.data.shape))
             out._backward = backward
         return out
 
@@ -79,8 +81,10 @@ class Tensor:
         out = _make(self.data - other.data, (self, other))
         if out._parents:
             def backward():
-                _accum(self, _unbroadcast(out.grad, self.data.shape))
-                _accum(other, _unbroadcast(-out.grad, other.data.shape))
+                if _live(self):
+                    self._accumulate(_unbroadcast(out.grad, self.data.shape))
+                if _live(other):
+                    other._accumulate(_unbroadcast(-out.grad, other.data.shape))
             out._backward = backward
         return out
 
@@ -97,8 +101,12 @@ class Tensor:
         out = _make(self.data * other.data, (self, other))
         if out._parents:
             def backward():
-                _accum(self, _unbroadcast(out.grad * other.data, self.data.shape))
-                _accum(other, _unbroadcast(out.grad * self.data, other.data.shape))
+                if _live(self):
+                    self._accumulate(_unbroadcast(out.grad * other.data,
+                                                  self.data.shape))
+                if _live(other):
+                    other._accumulate(_unbroadcast(out.grad * self.data,
+                                                   other.data.shape))
             out._backward = backward
         return out
 
@@ -109,10 +117,13 @@ class Tensor:
         out = _make(self.data / other.data, (self, other))
         if out._parents:
             def backward():
-                _accum(self, _unbroadcast(out.grad / other.data, self.data.shape))
-                _accum(other, _unbroadcast(
-                    -out.grad * self.data / (other.data * other.data),
-                    other.data.shape))
+                if _live(self):
+                    self._accumulate(_unbroadcast(out.grad / other.data,
+                                                  self.data.shape))
+                if _live(other):
+                    other._accumulate(_unbroadcast(
+                        -out.grad * self.data / (other.data * other.data),
+                        other.data.shape))
             out._backward = backward
         return out
 

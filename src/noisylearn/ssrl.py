@@ -23,6 +23,10 @@ Array = np.ndarray
 
 NEG_MASK = -1e12  # self-similarity score; its exp underflows to 0
 
+# Lowest temperature that gets the fixed shift 1/t: exp(-2/t) = exp(-200) is
+# still a normal double, while below t ~ 0.0028 whole rows would underflow.
+FIXED_SHIFT_MIN_TEMPERATURE = 0.01
+
 
 def nt_xent_loss(Z, temperature: float) -> Tensor:
     """Contrastive loss over an interleaved batch of paired rows.
@@ -34,6 +38,14 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     cross-entropy of picking the partner row. It is one tape node whose
     backward pass is the closed form: softmax minus the partner one-hot,
     taken back through the similarity product and the row normalization.
+
+    Cosine similarities are at most 1, so the log-sum-exp subtracts the
+    fixed shift `1/t` instead of each row's maximum, and one n-by-n buffer
+    holds the scores and then their exponentials. Below
+    `FIXED_SHIFT_MIN_TEMPERATURE` (0.01), where `exp(-2/t)` is no longer a
+    normal double, the row maximum is the shift. The backward is two
+    products that hold for either shift, `(E Zn)/total + Eᵀ (Zn/total)`,
+    and never assumes `E` is bitwise symmetric.
     """
     Z = numnet.as_tensor(Z)
     n = Z.shape[0]
@@ -43,21 +55,26 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
         raise ConfigError("nt_xent_loss: temperature must be positive")
     idx = np.arange(n)
     partner = idx ^ 1  # 2k <-> 2k+1
+    inv_t = 1.0 / temperature
     norms = (Z.data * Z.data).sum(axis=1, keepdims=True) ** 0.5
     Zn = Z.data / norms
-    S = (Zn @ Zn.T) * (1.0 / temperature)
-    S[idx, idx] = NEG_MASK
-    shift = S.max(axis=1, keepdims=True)
-    E = np.exp(S - shift)
+    # A plain gemm: numpy sends `Zn @ Zn.T` through syrk and then mirrors
+    # the triangle element by element, which costs more than the product.
+    E = Zn @ np.ascontiguousarray(Zn.T)
+    E *= inv_t
+    E[idx, idx] = NEG_MASK
+    positive = E[idx, partner]
+    shift = (inv_t if temperature >= FIXED_SHIFT_MIN_TEMPERATURE
+             else E.max(axis=1, keepdims=True))
+    E -= shift
+    np.exp(E, out=E)
     total = E.sum(axis=1, keepdims=True)
     lse = np.log(total) + shift
-    out = numnet._make((lse[:, 0] - S[idx, partner]).sum() * (1.0 / n), (Z,))
+    out = numnet._make((lse[:, 0] - positive).sum() * (1.0 / n), (Z,))
     if out._parents:
         def backward():
-            G = E / total
-            G[idx, partner] -= 1.0
-            G *= out.grad / n
-            dZn = (G + G.T) @ Zn * (1.0 / temperature)
+            dZn = (E @ Zn) / total + E.T @ (Zn / total) - 2.0 * Zn[partner]
+            dZn *= out.grad * (1.0 / n) * inv_t
             numnet._accum(Z, (dZn - Zn * (dZn * Zn).sum(axis=1, keepdims=True))
                           / norms)
         out._backward = backward

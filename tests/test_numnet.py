@@ -114,6 +114,15 @@ def test_later_accumulation_leaves_other_leaves_untouched():
     assert b.grad is b_grad and np.array_equal(b_grad, b_before)
 
 
+def test_constant_operand_gets_no_gradient_work():
+    # The gradient for a constant divisor would be -g * a / 1e400: it
+    # overflows, so computing it at all raises under errstate(all="raise").
+    a = numnet.Tensor(finite_rows(2, 3, 20), requires_grad=True)
+    with np.errstate(all="raise"):
+        (a / np.full((2, 3), 1e200)).sum().backward()
+    assert np.array_equal(a.grad, 1.0 / np.full((2, 3), 1e200))
+
+
 def test_broadcast_gradients_reduce_correctly():
     a = finite_rows(3, 4, 7)
     bias = finite_rows(1, 4, 8)[0]

@@ -93,6 +93,29 @@ def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
     assert np.max(np.abs(g_fused - g_composed) / unit) <= 1e-12
 
 
+def test_nt_xent_fused_equals_composed_tape_where_gemm_is_not_symmetric():
+    # At 500 rows OpenBLAS's gemm gives Zn @ Zn.T entries that differ from
+    # their mirror images in the last bit, so the backward may not rely on
+    # the score matrix being symmetric.
+    Z = np.random.default_rng(11).normal(size=(500, 32))
+    fused, g_fused = value_and_grad(ssrl.nt_xent_loss, Z, 0.5)
+    composed, g_composed = value_and_grad(composed_nt_xent, Z, 0.5)
+    assert abs(fused - composed) <= 1e-12 * max(1.0, abs(composed))
+    unit = 1.0 / (0.5 * np.linalg.norm(Z, axis=1, keepdims=True))
+    assert np.max(np.abs(g_fused - g_composed) / unit) <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [
+    1e-3, np.nextafter(ssrl.FIXED_SHIFT_MIN_TEMPERATURE, 1.0)])
+def test_nt_xent_both_sides_of_fixed_shift_threshold(temperature):
+    # Orthonormal rows: every anchor sees three candidates at similarity 0,
+    # its partner among them. Below the threshold the fixed shift 1/t would
+    # underflow each row's sum to 0; the row-max fallback keeps it exact.
+    value, grad = value_and_grad(ssrl.nt_xent_loss, np.eye(4), temperature)
+    assert abs(value - math.log(3)) <= 1e-12
+    assert np.all(np.isfinite(grad))
+
+
 def test_nt_xent_logsumexp_matches_scipy():
     Z = np.random.default_rng(4).normal(size=(10, 6)) * 3.0
     Zn = Z / np.linalg.norm(Z, axis=1, keepdims=True)
