@@ -23,10 +23,6 @@ Array = np.ndarray
 
 NEG_MASK = -1e12  # self-similarity score; its exp underflows to 0
 
-# Lowest temperature that gets the fixed shift 1/t: exp(-2/t) = exp(-200) is
-# still a normal double, while below t ~ 0.0028 whole rows would underflow.
-FIXED_SHIFT_MIN_TEMPERATURE = 0.01
-
 
 def nt_xent_loss(Z, temperature: float) -> Tensor:
     """Contrastive loss over an interleaved batch of paired rows.
@@ -39,13 +35,10 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     backward pass is the closed form: softmax minus the partner one-hot,
     taken back through the similarity product and the row normalization.
 
-    Cosine similarities are at most 1, so the log-sum-exp subtracts the
-    fixed shift `1/t` instead of each row's maximum, and one n-by-n buffer
-    holds the scores and then their exponentials. Below
-    `FIXED_SHIFT_MIN_TEMPERATURE` (0.01), where `exp(-2/t)` is no longer a
-    normal double, the row maximum is the shift. The backward is two
-    products that hold for either shift, `(E Zn)/total + Eᵀ (Zn/total)`,
-    and never assumes `E` is bitwise symmetric.
+    One n-by-n buffer holds the scores, shifted by each row's maximum,
+    and then their exponentials `E`. The backward is two products,
+    `(E Zn)/total + Eᵀ (Zn/total)`, which never assume `E` is bitwise
+    symmetric.
     """
     Z = numnet.as_tensor(Z)
     n = Z.shape[0]
@@ -64,8 +57,7 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     E *= inv_t
     E[idx, idx] = NEG_MASK
     positive = E[idx, partner]
-    shift = (inv_t if temperature >= FIXED_SHIFT_MIN_TEMPERATURE
-             else E.max(axis=1, keepdims=True))
+    shift = E.max(axis=1, keepdims=True)
     E -= shift
     np.exp(E, out=E)
     total = E.sum(axis=1, keepdims=True)

@@ -76,6 +76,10 @@ def test_nt_xent_gradient_matches_finite_differences():
        temperature=st.floats(0.05, 2.0), log_scale=st.floats(-3.0, 3.0),
        seed=st.integers(0, 10_000))
 @example(pairs=2, d=1, temperature=0.0625, log_scale=-2.75, seed=0)
+# At 500 rows OpenBLAS's gemm gives Zn @ Zn.T entries that differ from their
+# mirror images in the last bit, so the backward may not rely on the score
+# matrix being symmetric.
+@example(pairs=250, d=32, temperature=0.5, log_scale=0.0, seed=11)
 @settings(max_examples=60, deadline=None)
 def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
                                             seed):
@@ -93,27 +97,16 @@ def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
     assert np.max(np.abs(g_fused - g_composed) / unit) <= 1e-12
 
 
-def test_nt_xent_fused_equals_composed_tape_where_gemm_is_not_symmetric():
-    # At 500 rows OpenBLAS's gemm gives Zn @ Zn.T entries that differ from
-    # their mirror images in the last bit, so the backward may not rely on
-    # the score matrix being symmetric.
-    Z = np.random.default_rng(11).normal(size=(500, 32))
-    fused, g_fused = value_and_grad(ssrl.nt_xent_loss, Z, 0.5)
-    composed, g_composed = value_and_grad(composed_nt_xent, Z, 0.5)
-    assert abs(fused - composed) <= 1e-12 * max(1.0, abs(composed))
-    unit = 1.0 / (0.5 * np.linalg.norm(Z, axis=1, keepdims=True))
-    assert np.max(np.abs(g_fused - g_composed) / unit) <= 1e-12
-
-
-@pytest.mark.parametrize("temperature", [
-    1e-3, np.nextafter(ssrl.FIXED_SHIFT_MIN_TEMPERATURE, 1.0)])
-def test_nt_xent_both_sides_of_fixed_shift_threshold(temperature):
+def test_nt_xent_low_temperature_keeps_row_sums_finite():
     # Orthonormal rows: every anchor sees three candidates at similarity 0,
-    # its partner among them. Below the threshold the fixed shift 1/t would
-    # underflow each row's sum to 0; the row-max fallback keeps it exact.
-    value, grad = value_and_grad(ssrl.nt_xent_loss, np.eye(4), temperature)
+    # its partner among them. A shift of 1/t would underflow each row's sum
+    # to 0 at this temperature; the row-max shift keeps the loss exact.
+    Z = np.eye(4)
+    value, grad = value_and_grad(ssrl.nt_xent_loss, Z, 1e-3)
     assert abs(value - math.log(3)) <= 1e-12
-    assert np.all(np.isfinite(grad))
+    _, g_composed = value_and_grad(composed_nt_xent, Z, 1e-3)
+    unit = 1.0 / (1e-3 * np.linalg.norm(Z, axis=1, keepdims=True))
+    assert np.max(np.abs(grad - g_composed) / unit) <= 1e-12
 
 
 def test_nt_xent_logsumexp_matches_scipy():
