@@ -106,6 +106,12 @@ def make_blobs(n_classes: int = 10, n_per_class: int = 500, n_features: int = 16
 # Label noise
 # ---------------------------------------------------------------------------
 
+def check_noise_ratio(ratio: float) -> None:
+    """The range every corruption accepts; a ConfigError names the field."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ConfigError(f"noise ratio must be in [0, 1], got {ratio}")
+
+
 def inject_symmetric_noise(dataset: LabeledDataset, ratio: float,
                            rng: np.random.Generator,
                            exclude_true_class: bool = False) -> LabeledDataset:
@@ -116,8 +122,7 @@ def inject_symmetric_noise(dataset: LabeledDataset, ratio: float,
     ratio * (C - 1) / C. With `exclude_true_class` the replacement is
     uniform over the other C - 1 classes and every selected label changes.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"noise ratio must be in [0, 1], got {ratio}")
+    check_noise_ratio(ratio)
     C = dataset.n_classes
     y = dataset.y_clean.copy()
     flip = rng.random(len(dataset)) < ratio
@@ -144,8 +149,7 @@ def inject_asymmetric_noise(dataset: LabeledDataset, ratio: float,
     target equals its source is rejected. The default map sends each even
     class to the next class.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"noise ratio must be in [0, 1], got {ratio}")
+    check_noise_ratio(ratio)
     C = dataset.n_classes
     if pair_map is None:
         pair_map = default_pair_map(C)
@@ -175,6 +179,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric", "none"):
             raise ConfigError(f"unknown noise kind: {self.kind!r}")
+        check_noise_ratio(self.ratio)
 
 
 def apply_noise(dataset: LabeledDataset, spec: NoiseSpec,

@@ -211,7 +211,10 @@ class Tensor:
     # -- backward pass ---------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar root; only leaves keep `.grad`."""
+        """Reverse-mode sweep from a scalar root; only leaves keep `.grad`.
+
+        The sweep spends the tape, so a second sweep over any of it raises.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar root")
         if not np.isfinite(self.data):
@@ -226,6 +229,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents and node._backward is None:
+                raise RuntimeError("backward() already ran on this tape")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -235,7 +240,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
-                node.grad = None  # passed on; spent tapes wait for the GC
+                # Passed on. The closure refers to its node: dropping it
+                # breaks that cycle, so reference counts free the tape.
+                node.grad = node._backward = None
 
 
 def as_tensor(value) -> Tensor:
@@ -539,7 +546,12 @@ def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
 
 @dataclass
 class OptState:
-    """SGD (optionally with momentum) or Adam state for an MlpParams."""
+    """SGD (optionally with momentum) or Adam state for an MlpParams.
+
+    The state lives in flat float64 buffers laid out at the first step in
+    the key order of its `grads`; `buffers` (momentum or Adam's first
+    moment) and `second_moments` map each name to a view into them.
+    """
 
     kind: str
     learning_rate: float
@@ -550,6 +562,9 @@ class OptState:
     step_count: int = 0
     buffers: dict[str, Array] = field(default_factory=dict, repr=False)
     second_moments: dict[str, Array] = field(default_factory=dict, repr=False)
+    _flat: list[Array] = field(default_factory=list, init=False, repr=False)
+    _updates: dict[str, Array] = field(default_factory=dict, init=False,
+                                       repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -568,41 +583,77 @@ def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                     beta1=beta1, beta2=beta2, eps=eps)
 
 
-def _buffer(store: dict[str, Array], name: str, like: Array) -> Array:
-    """The state array under `name`, zero-filled the first time only."""
-    buf = store.get(name)
-    if buf is None:
-        buf = store[name] = np.zeros_like(like)
-    return buf
+def _lay_out(state: OptState, grads: GradDict) -> list[Array]:
+    """The flat buffers: gradient, update, then any kept state.
+
+    The first call fixes the layout from `grads`; later calls must pass
+    the same names in the same order.
+    """
+    if state._flat:
+        if list(grads) != list(state._updates):
+            raise ValueError(f"optimizer_step: gradient names {list(grads)} "
+                             f"differ from the first step's "
+                             f"{list(state._updates)}")
+        return state._flat
+    size = sum(g.size for g in grads.values())
+    kept = ([state.buffers, state.second_moments] if state.kind == "adam"
+            else [state.buffers] if state.momentum > 0.0 else [])
+    flat = [np.empty(size), np.empty(size)] + [np.zeros(size) for _ in kept]
+    for store, buf in zip(kept, flat[2:]):
+        store.update(_views(buf, grads))
+    state._flat, state._updates = flat, _views(flat[1], grads)
+    return flat
+
+
+def _views(buf: Array, grads: GradDict) -> dict[str, Array]:
+    """`buf` split into one view per gradient, each shaped like it."""
+    views, start = {}, 0
+    for name, g in grads.items():
+        views[name] = buf[start:start + g.size].reshape(g.shape)
+        start += g.size
+    return views
 
 
 def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpParams:
-    """Apply one update in place; parameters missing from `grads` are frozen."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-    arrays = dict(params.walk())
+    """Apply one update in place; parameters missing from `grads` are frozen.
+
+    The arithmetic runs once over the flat buffers, in the same operation
+    order as the per-parameter update it replaces, so every bit matches.
+    """
+    if not grads:
+        state.step_count += 1
+        return params
+    g, a, *kept = _lay_out(state, grads)
+    np.concatenate([x.reshape(-1) for x in grads.values()], out=g)
+    if not np.isfinite(g).all():
+        bad = next(n for n, x in grads.items() if not np.all(np.isfinite(x)))
+        raise NumericError(f"non-finite gradient for {bad}")
     state.step_count += 1
-    for name, g in grads.items():
-        p = arrays[name]
-        if state.kind == "sgd":
-            if state.momentum > 0.0:
-                v = _buffer(state.buffers, name, p)
-                v *= state.momentum
-                v += g
-                p -= state.learning_rate * v
-            else:
-                p -= state.learning_rate * g
-        else:
-            m = _buffer(state.buffers, name, p)
-            v = _buffer(state.second_moments, name, p)
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            m_hat = m / (1.0 - state.beta1 ** state.step_count)
-            v_hat = v / (1.0 - state.beta2 ** state.step_count)
-            p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    if state.kind == "adam":
+        m, v = kept
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=a)
+        m += a
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - state.beta1 ** state.step_count, out=a)
+        a *= state.learning_rate
+        np.divide(v, 1.0 - state.beta2 ** state.step_count, out=g)  # g spent
+        np.sqrt(g, out=g)
+        g += state.eps
+        a /= g
+    elif kept:
+        v, = kept
+        v *= state.momentum
+        v += g
+        np.multiply(v, state.learning_rate, out=a)
+    else:
+        np.multiply(g, state.learning_rate, out=a)
+    arrays = dict(params.walk())
+    for name, step in state._updates.items():
+        arrays[name] -= step
     return params
 
 

@@ -144,6 +144,8 @@ def test_config_rejects_unknown_keys():
     ("dataset", {"n_features": 1}, "n_features"),
     ("dataset", {"separation": 0.0}, "separation"),
     ("dataset", {"sigma": -1.0}, "sigma"),
+    ("noise", {"ratio": 1.5}, "ratio"),
+    ("noise", {"ratio": -0.1}, "ratio"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:

@@ -1,10 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisylearn import numnet
+from noisylearn import graphreg, numnet, semi, ssrl
 from noisylearn.errors import NumericError
 
 from util import central_diff, max_rel_err
@@ -112,6 +113,19 @@ def test_later_accumulation_leaves_other_leaves_untouched():
     (a * 3.0).sum().backward()          # a second sweep lands on a only
     assert np.array_equal(a.grad, np.full((2, 3), 5.0))
     assert b.grad is b_grad and np.array_equal(b_grad, b_before)
+
+
+def test_second_backward_on_a_spent_tape_raises():
+    a = numnet.Tensor(finite_rows(2, 3, 21), requires_grad=True)
+    h = a * 2.0
+    root = h.sum()
+    root.backward()
+    spent = a.grad
+    with pytest.raises(RuntimeError, match="already ran on this tape"):
+        root.backward()
+    with pytest.raises(RuntimeError, match="already ran on this tape"):
+        (h * 3.0).sum().backward()      # a new root over a spent node
+    assert a.grad is spent and np.array_equal(spent, np.full((2, 3), 2.0))
 
 
 def test_constant_operand_gets_no_gradient_work():
@@ -565,6 +579,153 @@ def test_optimizer_skips_missing_keys():
     assert np.array_equal(params.encoder[0].weight, before["encoder.0.weight"])
     assert not np.array_equal(params.classifier[0].weight,
                               before["classifier.0.weight"])
+
+
+def reference_step(state, params, grads):
+    """The per-parameter update the flat buffers replace, state in dicts."""
+    arrays = dict(params.walk())
+    state["t"] += 1
+    for name, g in grads.items():
+        p = arrays[name]
+        if state["kind"] == "sgd":
+            if state["momentum"] > 0.0:
+                v = state["m"].setdefault(name, np.zeros_like(p))
+                v *= state["momentum"]
+                v += g
+                p -= state["lr"] * v
+            else:
+                p -= state["lr"] * g
+        else:
+            m = state["m"].setdefault(name, np.zeros_like(p))
+            v = state["v"].setdefault(name, np.zeros_like(p))
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** state["t"])
+            v_hat = v / (1.0 - 0.999 ** state["t"])
+            p -= state["lr"] * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@given(kind=st.sampled_from(["adam", "sgd", "sgd_momentum"]),
+       frozen=st.sampled_from([(), ("encoder",), ("classifier",)]),
+       steps=st.integers(1, 5), log_scale=st.floats(-8.0, 4.0),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_flat_optimizer_equals_per_parameter_reference(kind, frozen, steps,
+                                                       log_scale, seed):
+    rng = np.random.default_rng(seed)
+    flat_params = numnet.init_mlp([3, 5, 4], [4, 2], seed=seed)
+    ref_params = flat_params.clone()
+    opt = (numnet.adam(1e-3) if kind == "adam" else
+           numnet.sgd(0.05, momentum=0.9 if kind == "sgd_momentum" else 0.0))
+    ref = {"kind": opt.kind, "momentum": opt.momentum, "t": 0, "m": {}, "v": {}}
+    names = [n for n, _ in flat_params.walk() if n.split(".")[0] not in frozen]
+    for _ in range(steps):
+        opt.learning_rate = ref["lr"] = float(rng.uniform(1e-4, 0.1))
+        grads = {n: rng.normal(scale=10.0 ** log_scale, size=a.shape)
+                 for n, a in flat_params.walk() if n in names}
+        numnet.optimizer_step(opt, flat_params, grads)
+        reference_step(ref, ref_params, grads)
+    for (name, a), (_, b) in zip(flat_params.walk(), ref_params.walk()):
+        assert np.array_equal(a, b), name
+    assert opt.step_count == ref["t"]
+    assert sorted(opt.buffers) == sorted(ref["m"])
+    assert sorted(opt.second_moments) == sorted(ref["v"])
+    for name in ref["m"]:
+        assert np.array_equal(opt.buffers[name], ref["m"][name]), name
+    for name in ref["v"]:
+        assert np.array_equal(opt.second_moments[name], ref["v"][name]), name
+
+
+def test_optimizer_step_on_empty_grads_only_counts():
+    params = numnet.init_mlp([2, 3], [3, 2], seed=8)
+    before = {n: a.copy() for n, a in params.walk()}
+    opt = numnet.adam(0.01)
+    numnet.optimizer_step(opt, params, {})
+    assert opt.step_count == 1 and not opt.buffers and not opt.second_moments
+    for name, arr in params.walk():
+        assert np.array_equal(arr, before[name])
+    numnet.optimizer_step(opt, params, {"classifier.0.bias": np.ones(2)})
+    assert list(opt.buffers) == ["classifier.0.bias"]
+
+
+def test_optimizer_rejects_gradient_names_that_change():
+    params = numnet.init_mlp([2, 3], [3, 2], seed=9)
+    grads = {name: np.ones_like(arr) for name, arr in params.walk()}
+    opt = numnet.adam(0.01)
+    numnet.optimizer_step(opt, params, grads)
+    fewer = dict(list(grads.items())[1:])
+    reordered = dict(reversed(list(grads.items())))
+    for changed in (fewer, reordered):
+        with pytest.raises(ValueError, match="differ from the first step"):
+            numnet.optimizer_step(opt, params, changed)
+    assert opt.step_count == 1
+
+
+def test_nonfinite_gradient_message_names_the_first_bad_parameter():
+    params = numnet.init_mlp([2, 3], [3, 2], seed=10)
+    before = {n: a.copy() for n, a in params.walk()}
+    grads = {name: np.ones_like(arr) for name, arr in params.walk()}
+    grads["encoder.0.bias"][1] = np.inf
+    grads["classifier.0.weight"][0, 0] = np.nan
+    opt = numnet.adam(0.01)
+    with pytest.raises(NumericError, match=r"for encoder\.0\.bias$"):
+        numnet.optimizer_step(opt, params, grads)
+    assert opt.step_count == 0
+    for name, arr in params.walk():
+        assert np.array_equal(arr, before[name])
+
+
+# ---------------------------------------------------------------------------
+# a training step leaves no cyclic garbage
+
+
+def ce_case(frozen):
+    rng = np.random.default_rng(30)
+    params = numnet.init_mlp([6, 16, 8], [8, 3], seed=30)
+    X = rng.normal(size=(12, 6))
+    T = numnet.one_hot(rng.integers(0, 3, size=12), 3)
+    return params, lambda tape: numnet.softmax_cross_entropy(
+        tape.logits(X), T), frozen
+
+
+def nt_xent_case():
+    Z = np.random.default_rng(31).normal(size=(16, 6))
+    params = numnet.init_mlp([6, 16, 8], [8, 4], seed=31)
+    return params, lambda tape: ssrl.nt_xent_loss(tape.logits(Z), 0.5), ()
+
+
+def stage3_case():
+    rng = np.random.default_rng(32)
+    cfg = semi.MixMatchConfig(batch_size=4)
+    params = numnet.init_mlp([6, 16, 8], [8, 3], seed=32)
+    X_l = rng.normal(size=(4, 6))
+    y_l = numnet.one_hot(rng.integers(0, 3, size=4), 3)
+    batch = semi.prepare_mixmatch_batch(params, X_l, y_l,
+                                        rng.normal(size=(5, 6)), cfg, rng)
+    graph = graphreg.build_neighbor_graph(rng.normal(size=(9, 16)),
+                                          tau=cfg.tau_c, n_labeled=4)
+    assert graph.affinity.any()
+    return params, lambda tape: semi.stage3_loss(tape, batch, graph,
+                                                 cfg)[0], ()
+
+
+@pytest.mark.parametrize("case", [
+    lambda: ce_case(()), lambda: ce_case(("encoder",)), nt_xent_case,
+    stage3_case], ids=["ce", "frozen_ce", "nt_xent", "stage3_graph"])
+def test_training_step_leaves_no_cyclic_garbage(case):
+    params, loss_fn, frozen = case()
+    opt = numnet.adam(1e-3)
+    gc.collect()
+    gc.disable()
+    try:
+        _, grads = numnet.grad(params, loss_fn, frozen=frozen)
+        numnet.optimizer_step(opt, params, grads)
+        del grads
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
