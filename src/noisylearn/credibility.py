@@ -121,7 +121,10 @@ def _log_gauss(values: Array, mean: float, var: float) -> Array:
     return -0.5 * (np.log(2.0 * np.pi * var) + (values - mean) ** 2 / var)
 
 
-def fit_gmm_em(values: Array, tol: float = 1e-6, max_iter: int = 200) -> Gmm1D:
+EM_TOL = 1e-6  # the default stopping step of `fit_gmm_em`
+
+
+def fit_gmm_em(values: Array, tol: float = EM_TOL, max_iter: int = 200) -> Gmm1D:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initialization is deterministic: component means at the 10th and 90th

@@ -39,8 +39,11 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5,
 
     Entries are max(cos - tau, 0) for every pair including i = j, so they
     lie in [0, 1 - tau]. Self-edges are kept (they contribute nothing to
-    the penalty, where same-node distances vanish). The off-diagonal part
-    is mirrored from the upper triangle so symmetry holds bitwise.
+    the penalty, where same-node distances vanish). The matrix is built in
+    place in the buffer of `Zn @ Zn.T`, which is bitwise symmetric: numpy
+    computes a product with its own transpose as one triangle (BLAS syrk,
+    or its symmetric fallback loop) mirrored into the other, and the
+    elementwise shift and clamp keep that.
 
     The first `n_labeled` rows are the labeled nodes of the penalty and
     the rest unlabeled; by default every row counts as unlabeled.
@@ -57,10 +60,9 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5,
     if np.any(norms == 0.0):
         raise NumericError("build_neighbor_graph: zero-norm embedding row")
     Zn = Z / norms[:, None]
-    cos = Zn @ Zn.T
-    R = np.maximum(cos - tau, 0.0)
-    upper = np.triu(R, 1)
-    A = upper + upper.T + np.diag(np.diag(R))
+    A = Zn @ Zn.T
+    A -= tau
+    np.maximum(A, 0.0, out=A)
     return NeighborGraph(affinity=A, n_labeled=n_labeled, tau=tau)
 
 
@@ -80,12 +82,31 @@ def sharpen(p: Array, temperature: float) -> Array:
     return powered / total
 
 
+SHARPEN_FLOOR = 1e-12
+
+
 def sharpen_t(p: Tensor, temperature: float) -> Tensor:
-    """Tape version of `sharpen`; rows are clamped at 1e-12 before powering."""
+    """Tape version of `sharpen`; rows are clamped at 1e-12 before powering.
+
+    One tape node. The backward replays the chain rule of the composition
+    clamp, power, row sum, divide op for op, so value and gradient match
+    it bit for bit.
+    """
     if temperature <= 0:
         raise ConfigError("sharpen: temperature must be positive")
-    powered = p.clip_min(1e-12) ** (1.0 / temperature)
-    return powered / powered.sum(axis=-1, keepdims=True)
+    e = 1.0 / temperature
+    clamped = np.maximum(p.data, SHARPEN_FLOOR)
+    powered = clamped ** e
+    s = powered.sum(axis=-1, keepdims=True)
+    out = numnet._make(powered / s, (p,))
+    if out._parents:
+        def backward():
+            g = out.grad
+            ds = (-g * powered / (s * s)).sum(axis=-1, keepdims=True)
+            dpow = (g / s + ds) * e * clamped ** (e - 1.0)   # divide, sum, pow
+            p._accumulate(dpow * (p.data > SHARPEN_FLOOR))    # clamp
+        out._backward = backward
+    return out
 
 
 def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
@@ -133,17 +154,22 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     sq = (Q * Q).sum(axis=1)
     K = sq[:n_u, None] + sq[None, :] - 2.0 * (Q[:n_u] @ Q.T)
     # upper triangle only; each unordered pair is weighted once here
-    W = np.triu(graph.affinity[n_l:, n_l:], 1) * (
-        2.0 if count_ordered_pairs else 1.0)
+    W = np.triu(graph.affinity[n_l:, n_l:], 1)
+    W *= 2.0 if count_ordered_pairs else 1.0
     A_ul = graph.affinity[n_l:, :n_l]
     value = (lam_lu * (A_ul * K[:, n_u:]).sum()
              + lam_uu * (W * K[:, :n_u]).sum())
     out = numnet._make(value, (p,))
     if out._parents:
+        # B = [lam_uu (W + W^T) | lam_lu A_UL]: the weights of each
+        # unlabeled row against every row of Q, in one buffer
+        B = np.empty((n_u, Q.shape[0]))
+        np.add(W, W.T, out=B[:, :n_u])
+        B[:, :n_u] *= lam_uu
+        np.multiply(A_ul, lam_lu, out=B[:, n_u:])
+
         def backward():
-            # Laplacian form 2 (rowsum(B) * P - B [P; Y]), with B the weights
-            # of each unlabeled row against every row; the shift cancels
-            B = np.concatenate([lam_uu * (W + W.T), lam_lu * A_ul], axis=1)
+            # Laplacian form 2 (rowsum(B) * P - B Q); the shift cancels
             numnet._accum(p, (2.0 * out.grad) * (
                 B.sum(axis=1, keepdims=True) * Q[:n_u] - B @ Q))
         out._backward = backward

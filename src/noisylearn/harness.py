@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import numnet
-from .credibility import (Stage2Result, TransferredLabels, assess_credibility,
-                          per_sample_stats, train_frozen_classifier,
-                          transfer_labels)
+from .credibility import (EM_TOL, Stage2Result, TransferredLabels,
+                          assess_credibility, per_sample_stats,
+                          train_frozen_classifier, transfer_labels)
 from .data import (LabeledDataset, NoiseSpec, apply_noise, check_blob_spec,
                    make_blobs, train_test_split)
 from .errors import ConfigError
@@ -395,9 +395,11 @@ def run_stage2(encoder: MlpParams, train: LabeledDataset,
     for name, gmm in (("loss", scores.loss_gmm),
                       ("confidence", scores.confidence_gmm)):
         if gmm is not None and not gmm.converged:
-            print(f"warning: {name} GMM EM hit max_iter="
-                  f"{len(gmm.log_likelihood_trace)} without converging",
-                  file=sys.stderr)
+            # the last log-likelihood step tells a slow fit from a stuck one
+            trace = gmm.log_likelihood_trace
+            print(f"warning: {name} GMM EM hit max_iter={len(trace)} without "
+                  f"converging (last step {trace[-1] - trace[-2]:+.1e}, "
+                  f"tol {EM_TOL:g})", file=sys.stderr)
     n_l, n_u = len(transfer.labeled), len(transfer.unlabeled)
     if n_l == 0 or n_u == 0:
         print(f"warning: stage 2 left L or U empty: |L|={n_l}, |U|={n_u}",

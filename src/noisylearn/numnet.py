@@ -4,9 +4,12 @@ A small reverse-mode tape over float64 numpy arrays, MLP parameter
 containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
 parameter EMA, and the one training loop (`fit`) every stage runs. The
 tape supports exactly the compositions the training stages need: the
-fused `dense` and `softmax_cross_entropy` nodes, softmax, elementwise
-algebra and reductions, plus the fused NT-Xent node in `ssrl` and the
-graph-penalty node in `graphreg`. It is not a general autodiff system.
+fused `dense`, `softmax_rows` and `softmax_cross_entropy` nodes,
+elementwise algebra and reductions, plus the fused NT-Xent node in `ssrl`
+and the sharpening and graph-penalty nodes in `graphreg`. `matmul`,
+`relu`, `exp`, `pow`, `log` and `clip_min` remain as the per-op
+compositions the tests check the fused nodes against. It is not a general
+autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -271,11 +274,15 @@ def dense(X: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """One layer, `X @ w + b`, rectified when `relu` is set, as one node.
 
     The same ops as `(X @ w + b).relu()`, so value and gradients match the
-    composition bit for bit; the backward forms a parent's product only
-    when that parent is live (frozen weights, constant inputs).
+    composition bit for bit, but the sum and the rectification are done in
+    place in the product's buffer. The backward forms a parent's product
+    only when that parent is live (frozen weights, constant inputs).
     """
-    z = X.data @ w.data + b.data
-    out = _make(np.maximum(z, 0.0) if relu else z, (X, w, b))
+    z = X.data @ w.data
+    z += b.data
+    if relu:
+        np.maximum(z, 0.0, out=z)
+    out = _make(z, (X, w, b))
     if out._parents:
         def backward():
             g = out.grad * (out.data > 0.0) if relu else out.grad
@@ -289,15 +296,31 @@ def dense(X: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     return out
 
 
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax on the tape; max-subtraction keeps it overflow-safe.
+def _shifted_exp(logits: Array) -> tuple[Array, Array]:
+    """`e = exp(logits - rowmax)` in one fresh buffer, and its row sums."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1, keepdims=True)
 
-    The subtracted row maximum is treated as a constant, which is exact for
-    both the value (shift invariance) and the gradient.
+
+def softmax_rows(logits: Tensor) -> Tensor:
+    """Row-wise softmax as one tape node; max-subtraction keeps it overflow-safe.
+
+    The value is `exp(logits - max) / rowsum`; the subtracted row maximum
+    is a constant, which is exact for both the value (shift invariance)
+    and the gradient. The backward replays the chain rule of that
+    composition op for op (divide, sum, exp), as `softmax_cross_entropy`
+    does, so both match the composition bit for bit.
     """
-    shift = logits.data.max(axis=-1, keepdims=True)
-    e = (logits - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    e, s = _shifted_exp(logits.data)
+    out = _make(e / s, (logits,))
+    if out._parents:
+        def backward():
+            g = out.grad
+            ds = (-g * e / (s * s)).sum(axis=-1, keepdims=True)
+            logits._accumulate((g / s + ds) * e)
+        out._backward = backward
+    return out
 
 
 def cross_entropy_rows(p: Tensor, targets: Array) -> Tensor:
@@ -318,8 +341,7 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     in the last bits.
     """
     T = np.asarray(targets, dtype=np.float64)
-    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
-    s = e.sum(axis=-1, keepdims=True)
+    e, s = _shifted_exp(logits.data)
     Pc = np.maximum(e / s, LOG_FLOOR)
     rows = (T * np.log(Pc)).sum(axis=-1)
     n = rows.size
@@ -339,13 +361,17 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax(logits: Array) -> Array:
-    """Stable softmax over the last axis of a vector or matrix of logits."""
+    """Stable softmax over the last axis of a vector or matrix of logits.
+
+    The value of `softmax_rows`, bit for bit, computed in place without a
+    tape node.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax: non-finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e, s = _shifted_exp(logits)
+    e /= s
+    return e
 
 
 def predict(p: Array) -> Array:

@@ -124,12 +124,16 @@ def sample_U_candidates(ds: LabeledDataset, batch: int,
 # MixMatch pieces
 # ---------------------------------------------------------------------------
 
-def _guess_from_views(params: MlpParams, views: list[Array], T: float) -> Array:
-    acc = None
-    for view in views:
-        _, _, P = numnet.mlp_forward(params, view)
-        acc = P if acc is None else acc + P
-    return sharpen(acc / len(views), T)
+def _guess_from_views(params: MlpParams, views: Array, K: int,
+                      T: float) -> Array:
+    """Sharpened mean prediction over `K` stacked blocks of view rows.
+
+    One forward over all blocks; the blocks' predictions are summed in
+    view order, as the per-view forwards were.
+    """
+    _, _, P = numnet.mlp_forward(params, views)
+    first, *rest = np.split(P, K)
+    return sharpen(sum(rest, first) / K, T)
 
 
 def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
@@ -187,10 +191,9 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
     if X_l.shape[0] != y_l.shape[0]:
         raise ConfigError("prepare_mixmatch_batch: labeled rows misaligned")
     x_hat_l = augment_batch(X_l, config.augmentation, rng)
-    views = [augment_batch(X_u, config.augmentation, rng)
-             for _ in range(config.K)]
-    q = _guess_from_views(guess_params, views, config.T)
-    u_all = np.concatenate(views, axis=0)
+    u_all = np.concatenate([augment_batch(X_u, config.augmentation, rng)
+                            for _ in range(config.K)])
+    q = _guess_from_views(guess_params, u_all, config.K, config.T)
     q_all = np.concatenate([q] * config.K, axis=0)
 
     W_x = np.concatenate([x_hat_l, u_all], axis=0)
@@ -320,7 +323,7 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
             graph = None
             if config.use_gsr:
                 graph = build_neighbor_graph(
-                    np.concatenate([Z_table[l_idx], Z_table[u_idx]]),
+                    Z_table[np.concatenate([l_idx, u_idx])],
                     config.tau_c, n_labeled=l_idx.size)
             yield step_loss(batch, graph)
 

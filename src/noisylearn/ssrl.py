@@ -149,6 +149,12 @@ def train_encoder(X: Array, config: ContrastiveConfig, seed: int,
 
 
 def embed(encoder: MlpParams, X: Array) -> Array:
-    """Representation of X under a trained encoder (no head applied)."""
-    Z, _, _ = numnet.mlp_forward(MlpParams(encoder=encoder.encoder, classifier=[]), X)
-    return Z
+    """Representation of X under a trained encoder (no head applied).
+
+    Only the encoder's layers run, on constants, so each layer's output is
+    the one array it allocates and no head or softmax is computed.
+    """
+    encoder = MlpParams(encoder=encoder.encoder, classifier=[])
+    X = np.asarray(X, dtype=np.float64)
+    numnet._check_input(encoder, X)
+    return numnet.TapeMlp(encoder, frozen=("encoder",)).embed(X).data

@@ -40,6 +40,29 @@ def test_affinity_symmetric_bitwise_and_bounded():
         assert np.all(g.affinity <= 1.0 - tau + 1e-12)
 
 
+def triu_mirror_graph(Z, tau):
+    """The affinity built as before the in-place construction: clamp, then
+    mirror the strict upper triangle and add the diagonal back."""
+    Zn = Z / np.linalg.norm(Z, axis=1)[:, None]
+    R = np.maximum(Zn @ Zn.T - tau, 0.0)
+    upper = np.triu(R, 1)
+    return upper + upper.T + np.diag(np.diag(R))
+
+
+@pytest.mark.parametrize("shape", [(256, 64), (1, 1), (2, 3), (7, 2),
+                                   (33, 17), (129, 10)])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("rectified", [True, False])
+def test_affinity_equals_triu_mirror_construction_bytewise(shape, tau,
+                                                           rectified):
+    Z = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=shape)
+    if rectified:    # encoder outputs are ReLU rows
+        Z = np.abs(Z)
+    A = graphreg.build_neighbor_graph(Z, tau=tau).affinity
+    assert A.tobytes() == triu_mirror_graph(Z, tau).tobytes()
+    assert np.array_equal(A, A.T)
+
+
 def test_graph_rejects_bad_input():
     Z = np.eye(3)
     with pytest.raises(ConfigError):
@@ -131,6 +154,45 @@ def test_sharpen_t_matches_numpy_version():
     P = rng.dirichlet(np.ones(5), size=7)
     t_out = graphreg.sharpen_t(numnet.Tensor(P), 0.5).data
     assert np.allclose(t_out, graphreg.sharpen(P, 0.5), atol=1e-12)
+
+
+def composed_sharpen_t(p, temperature):
+    """The four-node sharpen (clamp, power, row sum, divide) `sharpen_t` fuses."""
+    powered = p.clip_min(1e-12) ** (1.0 / temperature)
+    return powered / powered.sum(axis=-1, keepdims=True)
+
+
+@given(n=st.integers(1, 6), c=st.integers(1, 6),
+       spread=st.sampled_from([0.5, 5.0, 40.0, 200.0]),
+       temperature=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+@example(n=4, c=5, spread=200.0, temperature=0.5, seed=0)
+@example(n=3, c=4, spread=40.0, temperature=0.25, seed=2)
+def test_sharpen_t_equals_composition_bit_for_bit(n, c, spread, temperature,
+                                                  seed):
+    """Softmax rows from soft to near one-hot; at large spreads most
+    entries lie under the 1e-12 clamp, where the gradient is cut."""
+    rng = np.random.default_rng(seed)
+    p = numnet.softmax(rng.normal(scale=spread, size=(n, c)))
+    upstream = rng.normal(size=(n, c))
+    leaves = [numnet.Tensor(p.copy(), requires_grad=True) for _ in range(2)]
+    fused = graphreg.sharpen_t(leaves[0], temperature)
+    composed = composed_sharpen_t(leaves[1], temperature)
+    assert fused._parents == (leaves[0],)    # one node
+    for out in (fused, composed):
+        (out * upstream).sum().backward()
+    assert np.array_equal(fused.data, composed.data)
+    assert np.array_equal(leaves[0].grad, leaves[1].grad)
+
+
+def test_sharpen_t_clamp_engages_and_matches():
+    p = np.array([[1.0, 0.0, 1e-13, 1e-11], [0.5, 0.5, 0.0, 0.0]])
+    leaves = [numnet.Tensor(p.copy(), requires_grad=True) for _ in range(2)]
+    for leaf, sharpen in zip(leaves, (graphreg.sharpen_t, composed_sharpen_t)):
+        (sharpen(leaf, 0.5) * np.arange(8.0).reshape(2, 4)).sum().backward()
+    assert np.array_equal(leaves[0].grad, leaves[1].grad)
+    assert np.all(leaves[0].grad[p <= 1e-12] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,9 +277,12 @@ def test_run_stage2_warns_when_em_hits_max_iter(capsys, monkeypatch):
     monkeypatch.setattr(credibility, "fit_gmm_em",
                         lambda values: fit(values, max_iter=2))
     harness.run_stage2(encoder, train, config.stage2, seed=4)
-    assert capsys.readouterr().err.splitlines()[:2] == [
-        "warning: loss GMM EM hit max_iter=2 without converging",
-        "warning: confidence GMM EM hit max_iter=2 without converging"]
+    lines = capsys.readouterr().err.splitlines()[:2]
+    assert len(lines) == 2
+    for name, line in zip(("loss", "confidence"), lines):
+        assert re.fullmatch(
+            f"warning: {name} GMM EM hit max_iter=2 without converging "
+            r"\(last step [+-]\d\.\de[+-]\d\d, tol 1e-06\)", line), line
 
 
 def test_ablation_grid_runs_all_cells():

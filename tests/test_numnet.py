@@ -223,8 +223,8 @@ def test_cross_entropy_shape_mismatch():
 # ---------------------------------------------------------------------------
 # fused nodes, bit for bit against the compositions they replace
 #
-# `Tensor.__matmul__`, `Tensor.relu` and `cross_entropy_rows` over
-# `softmax_rows` stay on the tape as the references for these checks.
+# `Tensor.__matmul__`, `Tensor.relu`, `Tensor.exp` and `cross_entropy_rows`
+# stay on the tape as the references for these checks.
 
 
 def composed_dense(X, w, b, relu):
@@ -232,8 +232,15 @@ def composed_dense(X, w, b, relu):
     return out.relu() if relu else out
 
 
+def composed_softmax_rows(logits):
+    """The four-node softmax (shift, exp, row sum, divide) `softmax_rows` fuses."""
+    shift = logits.data.max(axis=-1, keepdims=True)
+    e = (logits - shift).exp()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def composed_softmax_cross_entropy(logits, targets):
-    return numnet.cross_entropy_rows(numnet.softmax_rows(logits), targets)
+    return numnet.cross_entropy_rows(composed_softmax_rows(logits), targets)
 
 
 def twin_leaves(arrays, live):
@@ -317,6 +324,36 @@ def test_softmax_cross_entropy_floor_engages_and_matches():
     fused.backward()
     composed.backward()
     assert_same_bits(fused, composed, *leaves)
+
+
+@given(n=st.integers(1, 6), c=st.integers(1, 6),
+       spread=st.sampled_from([0.5, 5.0, 40.0, 200.0]),
+       vector=st.booleans(), seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+@example(n=5, c=6, spread=200.0, vector=False, seed=0)
+@example(n=1, c=1, spread=0.5, vector=True, seed=1)
+def test_softmax_rows_equals_composition_bit_for_bit(n, c, spread, vector,
+                                                     seed):
+    """Soft rows (small spread) through near-one-hot ones (large spread)."""
+    rng = np.random.default_rng(seed)
+    shape = (c,) if vector else (n, c)
+    logits = rng.normal(scale=spread, size=shape)
+    upstream = rng.normal(size=shape)
+    leaves = twin_leaves([logits], [True])
+    fused = numnet.softmax_rows(leaves[0][0])
+    composed = composed_softmax_rows(leaves[1][0])
+    assert fused._parents == (leaves[0][0],)    # one node
+    for out in (fused, composed):
+        (out * upstream).sum().backward()
+    assert_same_bits(fused, composed, *leaves)
+
+
+def test_softmax_is_softmax_rows_on_a_constant():
+    logits = finite_rows(7, 5, 36) * 30.0
+    assert np.array_equal(numnet.softmax(logits),
+                          numnet.softmax_rows(numnet.Tensor(logits)).data)
+    assert np.array_equal(numnet.softmax(logits[0]),
+                          composed_softmax_rows(numnet.Tensor(logits[0])).data)
 
 
 def composed_mlp_ce(X, targets):

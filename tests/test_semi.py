@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisylearn import credibility, data, numnet, semi
+from noisylearn import credibility, data, graphreg, numnet, semi
 from noisylearn.errors import ConfigError
 
 
@@ -101,18 +101,38 @@ def test_guess_labels_uniform_head_is_uniform():
         encoder=[numnet.Layer(np.eye(4), np.zeros(4))],
         classifier=[numnet.Layer(np.zeros((4, 3)), np.zeros(3))])
     X = np.ones((5, 4))
-    q = semi._guess_from_views(params, [X, X], T=1.0)
+    q = semi._guess_from_views(params, np.concatenate([X, X]), 2, T=1.0)
     assert np.allclose(q, 1.0 / 3.0, atol=1e-12)
 
 
 def test_guess_labels_sharpens_below_unit_temperature():
     params = numnet.init_mlp([4, 8], [8, 3], seed=4)
     X = np.random.default_rng(5).normal(size=(6, 4))
-    soft = semi._guess_from_views(params, [X], T=1.0)
-    sharp = semi._guess_from_views(params, [X], T=0.5)
+    soft = semi._guess_from_views(params, X, 1, T=1.0)
+    sharp = semi._guess_from_views(params, X, 1, T=0.5)
     assert np.allclose(sharp.sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(sharp.argmax(axis=1), soft.argmax(axis=1))
     assert np.all(sharp.max(axis=1) >= soft.max(axis=1) - 1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 4, 7, 16, 128])
+def test_guess_equals_per_view_forwards(K, rows):
+    """Bitwise when every view starts on a BLAS kernel tile, as the
+    multiple-of-4 batches of the configs here do; OpenBLAS's edge kernels
+    for the leftover rows of a tile may round a row's products otherwise."""
+    params = numnet.init_mlp([16, 64, 64], [64, 10], seed=K)
+    views = [np.random.default_rng(rows + k).normal(size=(rows, 16))
+             for k in range(K)]
+    acc = numnet.mlp_forward(params, views[0])[2]
+    for view in views[1:]:
+        acc = acc + numnet.mlp_forward(params, view)[2]
+    expected = graphreg.sharpen(acc / K, 0.5)
+    got = semi._guess_from_views(params, np.concatenate(views), K, T=0.5)
+    if rows % 4 == 0:
+        assert got.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,16 @@ def test_train_encoder_learns_and_is_deterministic(tiny_blobs):
     assert np.all(Z >= 0)
 
 
+@pytest.mark.parametrize("widths", [[16, 64, 64], [5, 7]])
+def test_embed_is_the_representation_of_the_full_forward(widths):
+    params = numnet.init_mlp(widths, [widths[-1], 10], seed=len(widths))
+    X = np.random.default_rng(8).normal(size=(300, widths[0]))
+    assert np.array_equal(ssrl.embed(params, X),
+                          numnet.mlp_forward(params, X)[0])
+    with pytest.raises(ValueError, match="input width"):
+        ssrl.embed(params, X[:, 1:])
+
+
 def test_train_encoder_custom_widths(tiny_blobs):
     config = ssrl.ContrastiveConfig(epochs=2, batch_size=16)
     res = ssrl.train_encoder(tiny_blobs.X, config, seed=6,
