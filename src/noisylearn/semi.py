@@ -284,7 +284,6 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     params = MlpParams(encoder=encoder_init.clone().encoder,
                        classifier=classifier_init.clone().classifier)
     frozen_graph = (graph_encoder or encoder_init).clone()
-    Z_table = embed(frozen_graph, ds.X)
 
     sampler = make_balanced_sampler(transfer) if config.use_cbs else None
     L_idx, L_targets = transfer.labeled.index, transfer.labeled_targets()
@@ -322,8 +321,11 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
                                            config, rng)
             graph = None
             if config.use_gsr:
+                # the batch's rows only, not a table of every row; with
+                # the pipeline's [n_features, 64, 64] encoder they are the
+                # table's rows bit for bit (see tests/test_ssrl.py)
                 graph = build_neighbor_graph(
-                    Z_table[np.concatenate([l_idx, u_idx])],
+                    embed(frozen_graph, ds.X[np.concatenate([l_idx, u_idx])]),
                     config.tau_c, n_labeled=l_idx.size)
             yield step_loss(batch, graph)
 

@@ -296,6 +296,17 @@ def test_ablation_grid_runs_all_cells():
         assert len(log.series(run_id, "best_accuracy")) == 1
 
 
+def test_runners_release_after_every_stage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "_release_freed_memory",
+                        lambda: calls.append(1))
+    harness.run_pipeline(tiny_config())
+    assert len(calls) == 3
+    calls.clear()
+    harness.run_ablation(tiny_config())
+    assert len(calls) == 2 + len(harness.ABLATION_CELLS)
+
+
 # ---------------------------------------------------------------------------
 # histograms
 

@@ -2,14 +2,18 @@
 
 Each bound is a multiple of the bytes of the call's result, measured with
 `tracemalloc` (numpy reports its array buffers to it). The inputs are made
-before tracing starts, so only what the call allocates counts.
+before tracing starts, so only what the call allocates counts. The last
+test checks the release of freed heap pages that the runners make
+between stages.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from noisylearn import graphreg, numnet, ssrl
+from noisylearn import graphreg, harness, numnet, ssrl
 
 
 def traced_peak(call):
@@ -44,3 +48,27 @@ def test_dense_forward_allocates_its_output_only():
     b = numnet.Tensor(rng.normal(size=64), requires_grad=True)
     out, peak = traced_peak(lambda: numnet.dense(X, w, b, relu=True))
     assert peak <= 1.1 * out.data.nbytes
+
+
+def resident_mb() -> float:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(harness._MALLOC_TRIM is None
+                    or not os.path.exists("/proc/self/statm"),
+                    reason="needs glibc's malloc_trim and /proc")
+def test_release_returns_free_heap_pages_between_live_blocks():
+    """20 MB freed between live blocks stays resident until the release."""
+    # 100 kB blocks sit on the heap, below glibc's smallest mmap threshold;
+    # an 8 kB block after each keeps the freed ones from merging into the
+    # top of the heap, which glibc would trim by itself
+    blocks = [(np.ones(12_500), np.ones(1_000)) for _ in range(200)]
+    held = resident_mb()
+    pins = [pin for _, pin in blocks]
+    del blocks
+    freed = resident_mb()
+    harness._release_freed_memory()
+    assert held - freed < 5.0
+    assert freed - resident_mb() > 15.0
+    del pins

@@ -191,6 +191,25 @@ def test_embed_is_the_representation_of_the_full_forward(widths):
         ssrl.embed(params, X[:, 1:])
 
 
+@pytest.mark.parametrize("n_features", [1, 6, 16, 33])
+def test_embed_of_a_row_subset_is_those_rows_of_the_table(n_features):
+    """Stage 3 embeds each graph batch on its own, not a table of all rows.
+
+    Bit for bit with the encoder the pipeline builds, [n_features, 64, 64].
+    Its batches have 2 * batch_size >= 2 rows: numpy sends a lone row
+    through gemv instead of gemm, and other layer widths can take another
+    OpenBLAS kernel for a short product than for a long one, so either
+    may differ in the last bits.
+    """
+    params = numnet.init_mlp([n_features, 64, 64], [64, 32], seed=0)
+    X = np.random.default_rng(1).normal(size=(4500, n_features))
+    table = ssrl.embed(params, X)
+    rng = np.random.default_rng(2)
+    for size in (2, 3, 7, 256, 600):
+        idx = rng.integers(0, len(X), size=size)
+        assert np.array_equal(ssrl.embed(params, X[idx]), table[idx])
+
+
 def test_train_encoder_custom_widths(tiny_blobs):
     config = ssrl.ContrastiveConfig(epochs=2, batch_size=16)
     res = ssrl.train_encoder(tiny_blobs.X, config, seed=6,
