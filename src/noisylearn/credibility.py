@@ -153,24 +153,19 @@ def fit_gmm_em(values: Array, tol: float = EM_TOL, max_iter: int = 200) -> Gmm1D
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        # E-step in log space
-        log_joint = np.stack([
-            np.log(weights[k]) + _log_gauss(values, means[k], variances[k])
-            for k in range(2)
-        ], axis=1)
-        row_max = log_joint.max(axis=1, keepdims=True)
-        log_norm = row_max[:, 0] + np.log(
-            np.exp(log_joint - row_max).sum(axis=1))
-        resp = np.exp(log_joint - log_norm[:, None])
-        ll = float(log_norm.mean())
-        trace.append(ll)
+        # E-step in log space, one array per component
+        log_joint, log_norm = _log_joint(values, weights, means, variances)
+        resp = [np.exp(lj - log_norm) for lj in log_joint]
+        trace.append(float(log_norm.mean()))
 
-        # M-step
-        counts = resp.sum(axis=0)
-        counts = np.maximum(counts, 1e-12)
+        # M-step; accumulate's last entry is the sequential sum that an
+        # (n, 2) column sum gives, where a 1-D sum would pair terms up
+        counts = np.maximum([np.add.accumulate(r)[-1] for r in resp], 1e-12)
         weights = counts / values.size
-        means = (resp * values[:, None]).sum(axis=0) / counts
-        variances = (resp * (values[:, None] - means) ** 2).sum(axis=0) / counts
+        means = np.array([np.add.accumulate(r * values)[-1]
+                          for r in resp]) / counts
+        variances = np.array([np.add.accumulate(r * (values - m) ** 2)[-1]
+                              for r, m in zip(resp, means)]) / counts
         variances = np.maximum(variances, VAR_FLOOR)
 
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
@@ -183,6 +178,17 @@ def fit_gmm_em(values: Array, tol: float = EM_TOL, max_iter: int = 200) -> Gmm1D
                  converged=converged)
 
 
+def _log_joint(values: Array, weights, means, variances
+               ) -> tuple[list[Array], Array]:
+    """Per-component log weight + log density, and their log-sum-exp."""
+    log_joint = [np.log(weights[k]) + _log_gauss(values, means[k], variances[k])
+                 for k in range(2)]
+    row_max = np.maximum(*log_joint)
+    log_norm = row_max + np.log(np.exp(log_joint[0] - row_max)
+                                + np.exp(log_joint[1] - row_max))
+    return log_joint, log_norm
+
+
 def gmm_posterior(gmm: Gmm1D, values, component: str):
     """Posterior probability of one component, evaluated in log space.
 
@@ -193,14 +199,9 @@ def gmm_posterior(gmm: Gmm1D, values, component: str):
         raise ConfigError(f"unknown component selector: {component!r}")
     k = 0 if component == "low_mean" else 1
     arr = np.asarray(values, dtype=np.float64)
-    log_joint = np.stack([
-        np.log(gmm.weights[j]) + _log_gauss(arr, gmm.means[j], gmm.variances[j])
-        for j in range(2)
-    ], axis=-1)
-    row_max = log_joint.max(axis=-1, keepdims=True)
-    log_norm = row_max[..., 0] + np.log(
-        np.exp(log_joint - row_max).sum(axis=-1))
-    post = np.exp(log_joint[..., k] - log_norm)
+    log_joint, log_norm = _log_joint(arr, gmm.weights, gmm.means,
+                                     gmm.variances)
+    post = np.exp(log_joint[k] - log_norm)
     return float(post) if np.isscalar(values) or arr.ndim == 0 else post
 
 

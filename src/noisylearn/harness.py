@@ -409,14 +409,23 @@ class PipelineResult:
 def run_stage2(encoder: MlpParams, train: LabeledDataset,
                config: Stage2Config, seed: int,
                test_dataset: LabeledDataset | None = None) -> "Stage2Result":
-    """Frozen-representation probe, credibility scores, and label transfer."""
-    probe = train_frozen_classifier(encoder, train, epochs=config.epochs,
-                                    lr=config.lr, seed=seed,
-                                    momentum=config.momentum,
-                                    batch_size=config.batch_size,
-                                    test_dataset=test_dataset)
-    losses, confidences, y_pred = per_sample_stats(encoder, probe.classifier,
-                                                   train)
+    """Frozen-representation probe, credibility scores, and label transfer.
+
+    The encoder embeds each dataset once; the probe and the per-sample
+    statistics read those tables through an empty (identity) encoder.
+    """
+    def embedded(ds: LabeledDataset) -> LabeledDataset:
+        return LabeledDataset(embed(encoder, ds.X), ds.y_clean, ds.y_noisy,
+                              ds.n_classes)
+
+    identity = MlpParams(encoder=[], classifier=[])
+    Z = embedded(train)
+    probe = train_frozen_classifier(
+        identity, Z, epochs=config.epochs, lr=config.lr, seed=seed,
+        momentum=config.momentum, batch_size=config.batch_size,
+        test_dataset=None if test_dataset is None else embedded(test_dataset))
+    losses, confidences, y_pred = per_sample_stats(identity, probe.classifier,
+                                                   Z)
     scores = assess_credibility(losses, confidences)
     transfer = transfer_labels(train.y_noisy, y_pred, scores,
                                tau_clean=config.tau_clean,

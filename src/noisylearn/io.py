@@ -225,17 +225,18 @@ def load_gmm(path) -> Gmm1D:
 # ---------------------------------------------------------------------------
 
 def save_dataset_csv(path, dataset: LabeledDataset) -> None:
+    # csv.writer's bytes: neither float reprs nor ints need quoting
     d = dataset.n_features
+    header = [f"x_{j}" for j in range(d)] + ["y_clean", "y_noisy"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{j}" for j in range(d)] + ["y_clean", "y_noisy"])
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.X[i]]
-            row += [int(dataset.y_clean[i]), int(dataset.y_noisy[i])]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for x, yc, yn in zip(dataset.X, dataset.y_clean.tolist(),
+                             dataset.y_noisy.tolist()):
+            fh.write(f"{','.join(map(repr, x.tolist()))},{yc},{yn}\r\n")
 
 
 def load_dataset_csv(path, n_classes: int | None = None) -> LabeledDataset:
+    from array import array  # a 70 kB extension: load it only to read CSVs
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -246,29 +247,28 @@ def load_dataset_csv(path, n_classes: int | None = None) -> LabeledDataset:
         d = len(header) - 2
         if header[:d] != [f"x_{j}" for j in range(d)]:
             raise CheckpointError(f"dataset file {path}: malformed x_ columns")
-        X, yc, yn = [], [], []
+        X, yc, yn = array("d"), array("q"), array("q")  # no float objects
         for line, row in enumerate(reader, start=2):
             if len(row) != d + 2:
                 raise CheckpointError(
-                    f"dataset file {path}: row with {len(row)} fields, "
-                    f"expected {d + 2}")
+                    f"dataset file {path}: line {line}: row with {len(row)} "
+                    f"fields, expected {d + 2}")
             try:
-                X.append([float(v) for v in row[:d]])
+                X.extend(map(float, row[:d]))
                 yc.append(int(row[d]))
                 yn.append(int(row[d + 1]))
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:
                 raise CheckpointError(
                     f"dataset file {path}: line {line}: {e}") from None
-    if not X:
+    if not yc:
         raise CheckpointError(f"dataset file {path}: no rows")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.frombuffer(X, dtype=np.float64).reshape(-1, d)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise CheckpointError(f"dataset file {path}: non-finite feature value "
                               f"in row {i} (line {i + 2})")
-    yc = np.asarray(yc, dtype=np.int64)
-    yn = np.asarray(yn, dtype=np.int64)
+    yc, yn = (np.frombuffer(y, dtype=np.int64) for y in (yc, yn))
     if n_classes is None:
         n_classes = int(max(yc.max(), yn.max())) + 1
     for column, y in (("y_clean", yc), ("y_noisy", yn)):

@@ -6,13 +6,14 @@ rename in src/ or a change to what the transfer exposes would otherwise
 only surface when the benchmark runs; here it fails the unit suite.
 """
 
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from noisylearn import harness, numnet
+from noisylearn import credibility, harness, io, numnet, semi
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,3 +66,12 @@ def test_bench_triage_reads_a_real_transfer():
     assert quality["l_fraction"] == n_l / len(train)
     assert quality["l_precision"] == np.mean(
         transfer.labeled.label == train.y_clean[transfer.labeled.index])
+
+
+def test_bench_hooks_read_parameters_the_traced_functions_have():
+    """The hooks read these arguments by name from the bound call."""
+    for fn, name in ((credibility.fit_gmm_em, "max_iter"),
+                     (harness.run_stage2, "train"),
+                     (io.save_dataset_csv, "path"),
+                     (semi.train_stage3, "config")):
+        assert name in inspect.signature(fn).parameters, (fn.__name__, name)

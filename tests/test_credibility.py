@@ -109,18 +109,104 @@ def test_em_components_ordered_by_mean():
     assert gmm.means[0] <= gmm.means[1]
 
 
-def test_em_flags_nested_components_as_unconverged():
-    # a wide low-mean component around a narrow high-mean one, as the
-    # normalized stage-2 losses at 90 % noise look; quantiles, not draws
+def nested_sample():
+    """A wide low-mean component around a narrow high-mean one, as the
+    normalized stage-2 losses at 90 % noise look; quantiles, not draws."""
     def quantiles(mean, var, k):
         return stats.norm.ppf((np.arange(k) + 0.5) / k, mean, math.sqrt(var))
 
-    nested = np.concatenate([quantiles(0.43, 0.022, 3600),
-                             quantiles(0.478, 0.005, 900)])
-    gmm = credibility.fit_gmm_em(nested)
+    return np.concatenate([quantiles(0.43, 0.022, 3600),
+                           quantiles(0.478, 0.005, 900)])
+
+
+def test_em_flags_nested_components_as_unconverged():
+    gmm = credibility.fit_gmm_em(nested_sample())
     assert not gmm.converged
     assert len(gmm.log_likelihood_trace) == 200
     assert credibility.fit_gmm_em(bimodal_sample()).converged
+
+
+def stacked_fit_gmm_em(values, tol=credibility.EM_TOL, max_iter=200):
+    """The EM as it was written on stacked (n, 2) arrays, kept as the
+    bit-exact reference for the per-component one."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    means = np.percentile(values, [10.0, 90.0]).astype(np.float64)
+    if means[0] == means[1]:
+        means = np.array([values.min(), values.max()], dtype=np.float64)
+    pooled = max(float(values.var()), VAR_FLOOR)
+    variances = np.array([pooled, pooled])
+    weights = np.array([0.5, 0.5])
+    trace = []
+    converged = False
+    for _ in range(max_iter):
+        log_joint = np.stack([
+            np.log(weights[k])
+            + credibility._log_gauss(values, means[k], variances[k])
+            for k in range(2)
+        ], axis=1)
+        row_max = log_joint.max(axis=1, keepdims=True)
+        log_norm = row_max[:, 0] + np.log(
+            np.exp(log_joint - row_max).sum(axis=1))
+        resp = np.exp(log_joint - log_norm[:, None])
+        trace.append(float(log_norm.mean()))
+        counts = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = counts / values.size
+        means = (resp * values[:, None]).sum(axis=0) / counts
+        variances = (resp * (values[:, None] - means) ** 2).sum(axis=0) / counts
+        variances = np.maximum(variances, VAR_FLOOR)
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+            converged = True
+            break
+    order = np.argsort(means, kind="stable")
+    return credibility.Gmm1D(means=means[order], variances=variances[order],
+                             weights=weights[order],
+                             log_likelihood_trace=trace, converged=converged)
+
+
+def stacked_gmm_posterior(gmm, values, k):
+    """Posterior of component k on a stacked (..., 2) log joint."""
+    arr = np.asarray(values, dtype=np.float64)
+    log_joint = np.stack([
+        np.log(gmm.weights[j])
+        + credibility._log_gauss(arr, gmm.means[j], gmm.variances[j])
+        for j in range(2)
+    ], axis=-1)
+    row_max = log_joint.max(axis=-1, keepdims=True)
+    log_norm = row_max[..., 0] + np.log(
+        np.exp(log_joint - row_max).sum(axis=-1))
+    return np.exp(log_joint[..., k] - log_norm)
+
+
+def assert_em_matches_stacked_reference(values):
+    gmm = credibility.fit_gmm_em(values)
+    ref = stacked_fit_gmm_em(values)
+    for name in ("means", "variances", "weights"):
+        assert getattr(gmm, name).tobytes() == getattr(ref, name).tobytes()
+    assert gmm.log_likelihood_trace == ref.log_likelihood_trace
+    assert gmm.converged == ref.converged
+    for k, component in enumerate(("low_mean", "high_mean")):
+        post = credibility.gmm_posterior(gmm, values, component)
+        assert post.tobytes() == stacked_gmm_posterior(ref, values, k).tobytes()
+        assert credibility.gmm_posterior(gmm, float(values[0]), component) \
+            == float(stacked_gmm_posterior(ref, float(values[0]), k))
+    return gmm
+
+
+def test_em_matches_stacked_reference_on_nested_sample():
+    gmm = assert_em_matches_stacked_reference(nested_sample())
+    assert len(gmm.log_likelihood_trace) == 200
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44])
+def test_em_matches_stacked_reference_on_bimodal_samples(seed):
+    assert_em_matches_stacked_reference(bimodal_sample(seed=seed))
+
+
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4,
+                max_size=300).filter(lambda v: np.ptp(v) > 0))
+@settings(max_examples=60, deadline=None)
+def test_em_matches_stacked_reference_on_drawn_samples(values):
+    assert_em_matches_stacked_reference(np.array(values))
 
 
 def test_em_degenerate_input_raises():

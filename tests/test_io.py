@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -189,6 +190,53 @@ def test_dataset_csv_round_trip_exact(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join([f"x_{i}" for i in range(5)]
                               + ["y_clean", "y_noisy"])
+
+
+def csv_writer_reference(path, dataset):
+    """The dataset CSV as `csv.writer` writes it: the format's reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x_{j}" for j in range(dataset.n_features)]
+                        + ["y_clean", "y_noisy"])
+        for i in range(len(dataset)):
+            writer.writerow([repr(float(v)) for v in dataset.X[i]]
+                            + [int(dataset.y_clean[i]),
+                               int(dataset.y_noisy[i])])
+
+
+def test_dataset_csv_bytes_match_csv_writer(tmp_path):
+    ds = data.make_blobs(n_classes=3, n_per_class=4, n_features=7, seed=35)
+    X = ds.X.copy()
+    X[0] = [-0.0, 5e-324, 1e-300, 1e300, 2.0, 0.1, 1.0 / 3.0]
+    X[1] = -X[0]
+    ds = data.LabeledDataset(X, ds.y_clean, ds.y_noisy, ds.n_classes)
+    io.save_dataset_csv(tmp_path / "data.csv", ds)
+    csv_writer_reference(tmp_path / "ref.csv", ds)
+    written = (tmp_path / "data.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert written.count(b"\r\n") == len(ds) + 1
+    assert written.split(b"\r\n")[1].startswith(
+        b"-0.0,5e-324,1e-300,1e+300,2.0,0.1,0.3333333333333333,")
+    loaded = io.load_dataset_csv(tmp_path / "data.csv")
+    assert loaded.X.tobytes() == ds.X.tobytes()
+    assert np.array_equal(loaded.y_clean, ds.y_clean)
+    assert np.array_equal(loaded.y_noisy, ds.y_noisy)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0.5,1.5,0,1,7", "line 3: row with 5 fields, expected 4"),
+    ("0.5,1.5,0", "line 3: row with 3 fields, expected 4"),
+    ("0.5,abc,0,1", "line 3: could not convert string to float: 'abc'"),
+    ("0.5,1.5,0,x", "line 3: invalid literal for int"),
+    ("0.5,1.5,0,99999999999999999999", "line 3: "),
+    ("0.5,nan,0,1", r"non-finite feature value in row 1 \(line 3\)"),
+    ("0.5,1.5,0,-1", r"y_noisy -1 outside \[0, 2\) in row 1 \(line 3\)"),
+])
+def test_dataset_csv_rejects_bad_rows(tmp_path, line, message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"x_0,x_1,y_clean,y_noisy\n1.0,2.0,1,1\n{line}\n")
+    with pytest.raises(CheckpointError, match=message):
+        io.load_dataset_csv(path, n_classes=2)
 
 
 def test_dataset_csv_explicit_class_count(tmp_path):

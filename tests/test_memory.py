@@ -1,19 +1,20 @@
-"""Peak-allocation bounds on the stage-2 and stage-3 hot paths.
+"""Peak-allocation bounds on the stage-2 and stage-3 hot paths and io.
 
 Each bound is a multiple of the bytes of the call's result, measured with
 `tracemalloc` (numpy reports its array buffers to it). The inputs are made
-before tracing starts, so only what the call allocates counts. The last
-test checks the release of freed heap pages that the runners make
-between stages.
+before tracing starts, so only what the call allocates counts. Stage 2
+must embed each dataset once. The last test checks the release of freed
+heap pages that the runners make between stages.
 """
 
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from noisylearn import graphreg, harness, numnet, ssrl
+from noisylearn import data, graphreg, harness, io, numnet, ssrl
 
 
 def traced_peak(call):
@@ -48,6 +49,39 @@ def test_dense_forward_allocates_its_output_only():
     b = numnet.Tensor(rng.normal(size=64), requires_grad=True)
     out, peak = traced_peak(lambda: numnet.dense(X, w, b, relu=True))
     assert peak <= 1.1 * out.data.nbytes
+
+
+def test_dataset_csv_load_allocates_about_the_array():
+    """One flat buffer per column group, not a Python float per value."""
+    ds = data.make_blobs(n_classes=10, n_per_class=450, n_features=16, seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.csv")
+        io.save_dataset_csv(path, ds)
+        loaded, peak = traced_peak(lambda: io.load_dataset_csv(path))
+    assert loaded.X.shape == (4500, 16)
+    assert peak <= 1.6 * loaded.X.nbytes
+
+
+def test_run_stage2_embeds_each_dataset_once(monkeypatch):
+    config = harness.config_from_dict(
+        {"seed": 3, "dataset": {"n_classes": 3, "n_per_class": 40,
+                                "n_features": 6},
+         "noise": {"kind": "symmetric", "ratio": 0.4},
+         "stage2": {"epochs": 2}})
+    train, test = harness.generate_data(config)
+    encoder = numnet.init_mlp([6, 8], [], seed=3)
+    embedded = []
+
+    def counting_embed(params, X, embed=ssrl.embed):
+        if params.encoder:
+            embedded.append(X)
+        return embed(params, X)
+
+    monkeypatch.setattr(ssrl, "embed", counting_embed)
+    monkeypatch.setattr(harness, "embed", counting_embed)
+    harness.run_stage2(encoder, train, config.stage2, seed=4,
+                       test_dataset=test)
+    assert [id(X) for X in embedded] == [id(train.X), id(test.X)]
 
 
 def resident_mb() -> float:
