@@ -20,7 +20,7 @@ from .data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_noise,
 from .errors import (CheckpointError, ConfigError, DegenerateMixtureError,
                      NumericError, PipelineError)
 from .graphreg import (NeighborGraph, build_neighbor_graph, graph_regularizer,
-                       sharpen)
+                       sharpen_t)
 from .harness import (ExperimentConfig, MetricsLog, best_last, evaluate,
                       load_config, run_ablation, run_decoupling_experiment,
                       run_pipeline, run_stage2)
@@ -50,7 +50,7 @@ __all__ = [
     "load_config", "make_balanced_sampler", "make_blobs", "mixup",
     "mlp_forward", "nt_xent_loss", "one_hot", "optimizer_step",
     "per_sample_stats", "predict", "run_ablation", "run_decoupling_experiment",
-    "run_pipeline", "run_stage2", "sample_U_candidates", "sharpen", "softmax",
+    "run_pipeline", "run_stage2", "sample_U_candidates", "sharpen_t", "softmax",
     "stage3_loss", "train_encoder", "train_frozen_classifier", "train_stage3",
     "train_test_split", "transfer_labels",
 ]

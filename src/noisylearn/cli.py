@@ -23,6 +23,7 @@ from .ssrl import ContrastiveConfig, train_encoder
 
 
 def _cmd_gen_data(args) -> int:
+    import numpy as np
     ds = make_blobs(n_classes=args.classes, n_per_class=args.per_class,
                     n_features=args.features, separation=args.separation,
                     sigma=args.sigma, seed=args.seed)
@@ -34,9 +35,9 @@ def _cmd_gen_data(args) -> int:
     else:
         train = ds
     spec = NoiseSpec(kind=args.noise_kind, ratio=args.noise_ratio,
-                     exclude_true_class=args.exclude_true_class,
-                     seed=derive_seed(args.seed, harness.STREAM_NOISE))
-    train = apply_noise(train, spec)
+                     exclude_true_class=args.exclude_true_class)
+    train = apply_noise(train, spec, np.random.default_rng(
+        derive_seed(args.seed, harness.STREAM_NOISE)))
     io.save_dataset_csv(args.out, train)
     print(f"wrote {args.out} ({len(train)} rows)")
     if args.test_out is not None:
@@ -126,7 +127,7 @@ def _cmd_pipeline(args) -> int:
     io.save_checkpoint(out_dir / "encoder.json", result.stage1.encoder)
     io.save_checkpoint(out_dir / "classifier.json",
                        result.stage2.probe.classifier)
-    io.save_transfer(out_dir / "transfer.json", result.transfer,
+    io.save_transfer(out_dir / "transfer.json", result.stage2.transfer,
                      len(result.train))
     if result.stage3 is not None:
         io.save_checkpoint(out_dir / "model.json", result.stage3.params,
@@ -135,7 +136,7 @@ def _cmd_pipeline(args) -> int:
     harness.emit_histograms(out_dir / "histograms", result.train,
                             result.stage2.scores.losses,
                             result.stage2.scores.confidences,
-                            result.stage2.y_pred, result.transfer)
+                            result.stage2.y_pred, result.stage2.transfer)
     acc, _ = harness.evaluate(result.final_params(), result.test)
     print(f"final test accuracy {acc:.4f}; artifacts in {out_dir}")
     return 0
@@ -178,7 +179,8 @@ def _cmd_histograms(args) -> int:
     if n_samples != len(ds):
         raise ConfigError(
             f"transfer covers {n_samples} samples but data has {len(ds)}")
-    losses, confidences, y_pred = per_sample_stats(encoder, classifier, ds)
+    losses, confidences, y_pred = per_sample_stats(
+        classifier, harness.embed_dataset(encoder, ds))
     paths = harness.emit_histograms(args.out_dir, ds, losses, confidences,
                                     y_pred, transfer)
     for path in paths.values():
@@ -207,29 +209,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "GMM label triage, semi-supervised retraining.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    blobs = harness.DatasetSpec
     p = sub.add_parser("gen-data", help="generate a blob dataset CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=500)
-    p.add_argument("--features", type=int, default=16)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--classes", type=int, default=blobs.n_classes)
+    p.add_argument("--per-class", type=int, default=blobs.n_per_class)
+    p.add_argument("--features", type=int, default=blobs.n_features)
+    p.add_argument("--separation", type=float, default=blobs.separation)
+    p.add_argument("--sigma", type=float, default=blobs.sigma)
     p.add_argument("--noise-kind", default="none",
                    choices=["none", "symmetric", "asymmetric"])
-    p.add_argument("--noise-ratio", type=float, default=0.0)
+    p.add_argument("--noise-ratio", type=float, default=NoiseSpec.ratio)
     p.add_argument("--exclude-true-class", action="store_true")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--test-out", help="also write a clean stratified test split")
-    p.add_argument("--test-fraction", type=float, default=0.1)
+    p.add_argument("--test-fraction", type=float,
+                   default=harness.ExperimentConfig.test_fraction)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("stage1", help="contrastive encoder training")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=0.001)
+    stage1 = ContrastiveConfig
+    p.add_argument("--epochs", type=int, default=stage1.epochs)
+    p.add_argument("--temperature", type=float, default=stage1.temperature)
+    p.add_argument("--batch-size", type=int, default=stage1.batch_size)
+    p.add_argument("--lr", type=float, default=stage1.learning_rate)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--loss-csv", help="write the per-epoch loss curve here")
     p.set_defaults(func=_cmd_stage1)
@@ -238,10 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="transfer JSON path")
-    p.add_argument("--tau-clean", type=float, default=0.5)
-    p.add_argument("--tau-right", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=0.002)
+    stage2 = harness.Stage2Config
+    p.add_argument("--tau-clean", type=float, default=stage2.tau_clean)
+    p.add_argument("--tau-right", type=float, default=stage2.tau_right)
+    p.add_argument("--epochs", type=int, default=stage2.epochs)
+    p.add_argument("--lr", type=float, default=stage2.lr)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--classifier-out", help="save the trained probe here")
     p.add_argument("--hist-dir", help="emit loss/confidence histogram CSVs")

@@ -38,26 +38,24 @@ class ProbeTrainResult:
     test_accuracy: list[float]   # against clean labels; empty without a test set
 
 
-def train_frozen_classifier(encoder: MlpParams, dataset: LabeledDataset,
-                            epochs: int, lr: float = 0.002, seed: int = 0,
+def train_frozen_classifier(dataset: LabeledDataset, epochs: int,
+                            lr: float = 0.002, seed: int = 0,
                             momentum: float = 0.9,
                             batch_size: int = 128,
                             test_dataset: LabeledDataset | None = None
                             ) -> ProbeTrainResult:
-    """Fit a linear head on frozen embeddings against the observed labels.
+    """Fit a linear head on embedded rows against the observed labels.
 
-    The encoder is applied once up front; only the head's weights move.
+    `dataset.X` (and `test_dataset.X`) hold the frozen encoder's
+    embeddings; only the head's weights move.
     """
     if epochs < 1:
         raise ConfigError("train_frozen_classifier: epochs must be >= 1")
-    from .ssrl import embed
-    Z = embed(encoder, dataset.X)
-    Zt = embed(encoder, test_dataset.X) if test_dataset is not None else None
     rng = np.random.default_rng(seed)
-    params = numnet.init_mlp([], [Z.shape[1], dataset.n_classes],
+    params = numnet.init_mlp([], [dataset.n_features, dataset.n_classes],
                              seed=int(rng.integers(2**31)))
     targets = numnet.one_hot(dataset.y_noisy, dataset.n_classes)
-    batches = numnet.ce_batches(Z, targets, batch_size, rng)
+    batches = numnet.ce_batches(dataset.X, targets, batch_size, rng)
     loss_curve = []
     train_acc = []
     test_acc = []
@@ -66,22 +64,21 @@ def train_frozen_classifier(encoder: MlpParams, dataset: LabeledDataset,
                              math.ceil(len(dataset) / batch_size), batches,
                              eta_min=lr):
         loss_curve.append(float(np.mean(losses)))
-        _, _, P = numnet.mlp_forward(params, Z)
-        train_acc.append(float(np.mean(numnet.predict(P) == dataset.y_noisy)))
-        if Zt is not None:
-            _, _, P = numnet.mlp_forward(params, Zt)
-            test_acc.append(float(np.mean(
-                numnet.predict(P) == test_dataset.y_clean)))
+        train_acc.append(numnet.accuracy(params, dataset.X, dataset.y_noisy))
+        if test_dataset is not None:
+            test_acc.append(numnet.accuracy(params, test_dataset.X,
+                                            test_dataset.y_clean))
     return ProbeTrainResult(classifier=params, loss_curve=loss_curve,
                             train_accuracy=train_acc, test_accuracy=test_acc)
 
 
-def per_sample_stats(encoder: MlpParams, classifier: MlpParams,
-                     dataset: LabeledDataset) -> tuple[Array, Array, Array]:
-    """Per-sample (loss under observed label, predicted confidence, prediction)."""
-    from .ssrl import embed
-    Z = embed(encoder, dataset.X)
-    _, _, P = numnet.mlp_forward(classifier, Z)
+def per_sample_stats(classifier: MlpParams, dataset: LabeledDataset
+                     ) -> tuple[Array, Array, Array]:
+    """Per-sample (loss under observed label, predicted confidence, prediction).
+
+    `dataset.X` holds the embedded rows the classifier reads.
+    """
+    _, _, P = numnet.mlp_forward(classifier, dataset.X)
     clamped = np.maximum(P, numnet.LOG_FLOOR)
     losses = -np.log(clamped[np.arange(len(dataset)), dataset.y_noisy])
     y_pred = numnet.predict(P)

@@ -11,7 +11,6 @@ semi-supervised stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,13 +51,14 @@ class LabeledDataset:
         return self.X.shape[1]
 
     def with_labels(self, y_noisy: Array) -> "LabeledDataset":
-        return LabeledDataset(self.X.copy(), self.y_clean.copy(),
+        """The same rows, shared read-only, with a copy of `y_noisy`."""
+        return LabeledDataset(self.X, self.y_clean,
                               np.asarray(y_noisy).copy(), self.n_classes)
 
     def subset(self, indices: Array) -> "LabeledDataset":
         indices = np.asarray(indices)
-        return LabeledDataset(self.X[indices].copy(), self.y_clean[indices].copy(),
-                              self.y_noisy[indices].copy(), self.n_classes)
+        return LabeledDataset(self.X[indices], self.y_clean[indices],
+                              self.y_noisy[indices], self.n_classes)
 
 
 def check_blob_spec(n_classes: int, n_per_class: int, n_features: int,
@@ -172,7 +172,6 @@ class NoiseSpec:
 
     kind: str = "symmetric"     # "symmetric" | "asymmetric" | "none"
     ratio: float = 0.0
-    seed: int = 0
     exclude_true_class: bool = False
     pair_map: dict[int, int] | None = None
 
@@ -183,10 +182,8 @@ class NoiseSpec:
 
 
 def apply_noise(dataset: LabeledDataset, spec: NoiseSpec,
-                rng: np.random.Generator | None = None) -> LabeledDataset:
-    """Run the corruption a NoiseSpec describes; `rng` overrides spec.seed."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+                rng: np.random.Generator) -> LabeledDataset:
+    """Run the corruption a NoiseSpec describes, drawing from `rng`."""
     if spec.kind == "none" or spec.ratio == 0.0:
         return dataset.with_labels(dataset.y_clean)
     if spec.kind == "symmetric":

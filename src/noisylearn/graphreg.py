@@ -26,7 +26,6 @@ class NeighborGraph:
 
     affinity: Array          # (n, n); diagonal present but inert in the penalty
     n_labeled: int           # the remaining rows are U
-    tau: float
 
     @property
     def n_nodes(self) -> int:
@@ -63,34 +62,21 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5,
     A = Zn @ Zn.T
     A -= tau
     np.maximum(A, 0.0, out=A)
-    return NeighborGraph(affinity=A, n_labeled=n_labeled, tau=tau)
-
-
-def sharpen(p: Array, temperature: float) -> Array:
-    """Temperature-sharpen probability rows: p^(1/T), renormalized.
-
-    T < 1 concentrates mass on the largest entries; T = 1 is the identity
-    up to renormalization. The argmax of every row is preserved.
-    """
-    if temperature <= 0:
-        raise ConfigError("sharpen: temperature must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    powered = np.maximum(p, 0.0) ** (1.0 / temperature)
-    total = powered.sum(axis=-1, keepdims=True)
-    if np.any(total == 0.0):
-        raise NumericError("sharpen: a row has no positive mass")
-    return powered / total
+    return NeighborGraph(affinity=A, n_labeled=n_labeled)
 
 
 SHARPEN_FLOOR = 1e-12
 
 
 def sharpen_t(p: Tensor, temperature: float) -> Tensor:
-    """Tape version of `sharpen`; rows are clamped at 1e-12 before powering.
+    """Temperature-sharpen probability rows: p^(1/T), renormalized.
 
-    One tape node. The backward replays the chain rule of the composition
-    clamp, power, row sum, divide op for op, so value and gradient match
-    it bit for bit.
+    Entries are clamped at 1e-12 before powering. T < 1 concentrates mass
+    on the largest entries; T = 1 is the identity up to renormalization.
+    The argmax of every row is preserved. One tape node; on a constant
+    `p` (the label guess) nothing is recorded. The backward replays the
+    chain rule of the composition clamp, power, row sum, divide op for op,
+    so value and gradient match it bit for bit.
     """
     if temperature <= 0:
         raise ConfigError("sharpen: temperature must be positive")

@@ -394,7 +394,6 @@ class PipelineResult:
     test: LabeledDataset
     stage1: EncoderTrainResult
     stage2: "Stage2Result"
-    transfer: TransferredLabels
     stage3: Stage3Result | None
     metrics: MetricsLog
 
@@ -406,26 +405,27 @@ class PipelineResult:
                          classifier=self.stage2.probe.classifier.classifier)
 
 
+def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> LabeledDataset:
+    """`ds` with its rows replaced by their embedding under `encoder`."""
+    return LabeledDataset(embed(encoder, ds.X), ds.y_clean, ds.y_noisy,
+                          ds.n_classes)
+
+
 def run_stage2(encoder: MlpParams, train: LabeledDataset,
                config: Stage2Config, seed: int,
                test_dataset: LabeledDataset | None = None) -> "Stage2Result":
     """Frozen-representation probe, credibility scores, and label transfer.
 
     The encoder embeds each dataset once; the probe and the per-sample
-    statistics read those tables through an empty (identity) encoder.
+    statistics read those tables.
     """
-    def embedded(ds: LabeledDataset) -> LabeledDataset:
-        return LabeledDataset(embed(encoder, ds.X), ds.y_clean, ds.y_noisy,
-                              ds.n_classes)
-
-    identity = MlpParams(encoder=[], classifier=[])
-    Z = embedded(train)
+    Z = embed_dataset(encoder, train)
+    Zt = None if test_dataset is None else embed_dataset(encoder, test_dataset)
     probe = train_frozen_classifier(
-        identity, Z, epochs=config.epochs, lr=config.lr, seed=seed,
+        Z, epochs=config.epochs, lr=config.lr, seed=seed,
         momentum=config.momentum, batch_size=config.batch_size,
-        test_dataset=None if test_dataset is None else embedded(test_dataset))
-    losses, confidences, y_pred = per_sample_stats(identity, probe.classifier,
-                                                   Z)
+        test_dataset=Zt)
+    losses, confidences, y_pred = per_sample_stats(probe.classifier, Z)
     scores = assess_credibility(losses, confidences)
     transfer = transfer_labels(train.y_noisy, y_pred, scores,
                                tau_clean=config.tau_clean,
@@ -447,21 +447,26 @@ def run_stage2(encoder: MlpParams, train: LabeledDataset,
                         transfer=transfer)
 
 
-def run_pipeline(config: ExperimentConfig) -> PipelineResult:
-    """Stage-1 -> Stage-2 -> optional Stage-3 under one derived seed tree."""
+def _data_and_stages_1_2(config: ExperimentConfig) -> tuple[
+        LabeledDataset, LabeledDataset, EncoderTrainResult, Stage2Result]:
+    """Data, then stages 1 and 2, each followed by a heap release."""
     train, test = generate_data(config)
-    log = MetricsLog()
-
     stage1 = train_encoder(train.X, config.stage1,
                            derive_seed(config.seed, STREAM_STAGE1))
     _release_freed_memory()
-    for epoch, value in enumerate(stage1.loss_curve):
-        log.add("stage1", epoch, "train", "nt_xent_loss", value)
-
     stage2 = run_stage2(stage1.encoder, train, config.stage2,
                         derive_seed(config.seed, STREAM_STAGE2),
                         test_dataset=test)
     _release_freed_memory()
+    return train, test, stage1, stage2
+
+
+def run_pipeline(config: ExperimentConfig) -> PipelineResult:
+    """Stage-1 -> Stage-2 -> optional Stage-3 under one derived seed tree."""
+    train, test, stage1, stage2 = _data_and_stages_1_2(config)
+    log = MetricsLog()
+    for epoch, value in enumerate(stage1.loss_curve):
+        log.add("stage1", epoch, "train", "nt_xent_loss", value)
     for epoch, value in enumerate(stage2.probe.loss_curve):
         log.add("stage2", epoch, "train", "ce_loss", value)
     for epoch, value in enumerate(stage2.probe.train_accuracy):
@@ -486,8 +491,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                         row["test_acc_ema"])
 
     return PipelineResult(train=train, test=test, stage1=stage1,
-                          stage2=stage2, transfer=stage2.transfer,
-                          stage3=stage3, metrics=log)
+                          stage2=stage2, stage3=stage3, metrics=log)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +513,7 @@ def run_ablation(config: ExperimentConfig) -> MetricsLog:
     the training seed, and the schedule, toggling only use_cbs/use_gsr.
     Per-epoch test accuracy is logged per cell plus Best/Last summaries.
     """
-    train, test = generate_data(config)
-    stage1 = train_encoder(train.X, config.stage1,
-                           derive_seed(config.seed, STREAM_STAGE1))
-    _release_freed_memory()
-    stage2 = run_stage2(stage1.encoder, train, config.stage2,
-                        derive_seed(config.seed, STREAM_STAGE2),
-                        test_dataset=test)
-    _release_freed_memory()
+    train, test, stage1, stage2 = _data_and_stages_1_2(config)
     stage3_seed = derive_seed(config.seed, STREAM_STAGE3)
     log = MetricsLog()
     for run_id, use_cbs, use_gsr in ABLATION_CELLS:

@@ -4,12 +4,11 @@ A small reverse-mode tape over float64 numpy arrays, MLP parameter
 containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
 parameter EMA, and the one training loop (`fit`) every stage runs. The
 tape supports exactly the compositions the training stages need: the
-fused `dense`, `softmax_rows` and `softmax_cross_entropy` nodes,
-elementwise algebra and reductions, plus the fused NT-Xent node in `ssrl`
-and the sharpening and graph-penalty nodes in `graphreg`. `matmul`,
-`relu`, `exp`, `pow`, `log` and `clip_min` remain as the per-op
-compositions the tests check the fused nodes against. It is not a general
-autodiff system.
+fused `dense`, `softmax_rows` and `softmax_cross_entropy` nodes, `+`,
+`-`, `*`, `sum` and `mean`, plus the fused NT-Xent node in `ssrl` and the
+sharpening and graph-penalty nodes in `graphreg`. The per-op compositions
+the fused nodes are checked against live with the tests. It is not a
+general autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -77,8 +76,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
         out = _make(self.data - other.data, (self, other))
@@ -88,14 +85,6 @@ class Tensor:
                     self._accumulate(_unbroadcast(out.grad, self.data.shape))
                 if _live(other):
                     other._accumulate(_unbroadcast(-out.grad, other.data.shape))
-            out._backward = backward
-        return out
-
-    def __neg__(self) -> "Tensor":
-        out = _make(-self.data, (self,))
-        if out._parents:
-            def backward():
-                _accum(self, -out.grad)
             out._backward = backward
         return out
 
@@ -113,80 +102,7 @@ class Tensor:
             out._backward = backward
         return out
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = _make(self.data / other.data, (self, other))
-        if out._parents:
-            def backward():
-                if _live(self):
-                    self._accumulate(_unbroadcast(out.grad / other.data,
-                                                  self.data.shape))
-                if _live(other):
-                    other._accumulate(_unbroadcast(
-                        -out.grad * self.data / (other.data * other.data),
-                        other.data.shape))
-            out._backward = backward
-        return out
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        e = float(exponent)
-        out = _make(self.data ** e, (self,))
-        if out._parents:
-            def backward():
-                _accum(self, out.grad * e * self.data ** (e - 1.0))
-            out._backward = backward
-        return out
-
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = _make(self.data @ other.data, (self, other))
-        if out._parents:
-            def backward():
-                _accum(self, out.grad @ other.data.T)
-                _accum(other, self.data.T @ out.grad)
-            out._backward = backward
-        return out
-
-    # -- nonlinearities ------------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        out = _make(np.maximum(self.data, 0.0), (self,))
-        if out._parents:
-            mask = self.data > 0.0
-            def backward():
-                _accum(self, out.grad * mask)
-            out._backward = backward
-        return out
-
-    def exp(self) -> "Tensor":
-        out = _make(np.exp(self.data), (self,))
-        if out._parents:
-            def backward():
-                _accum(self, out.grad * out.data)
-            out._backward = backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = _make(np.log(self.data), (self,))
-        if out._parents:
-            def backward():
-                _accum(self, out.grad / self.data)
-            out._backward = backward
-        return out
-
-    def clip_min(self, floor: float) -> "Tensor":
-        """Clamp below at `floor`; gradient is zero where the clamp engages."""
-        out = _make(np.maximum(self.data, floor), (self,))
-        if out._parents:
-            mask = self.data > floor
-            def backward():
-                _accum(self, out.grad * mask)
-            out._backward = backward
-        return out
-
-    # -- reductions and reshaping ---------------------------------------------
+    # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
@@ -202,14 +118,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def reshape(self, *shape) -> "Tensor":
-        out = _make(self.data.reshape(*shape), (self,))
-        if out._parents:
-            def backward():
-                _accum(self, out.grad.reshape(self.data.shape))
-            out._backward = backward
-        return out
 
     # -- backward pass ---------------------------------------------------------
 
@@ -273,7 +181,7 @@ def _accum(node: Tensor, g: Array) -> None:
 def dense(X: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """One layer, `X @ w + b`, rectified when `relu` is set, as one node.
 
-    The same ops as `(X @ w + b).relu()`, so value and gradients match the
+    The same ops as `relu(X @ w + b)`, so value and gradients match the
     composition bit for bit, but the sum and the rectification are done in
     place in the product's buffer. The backward forms a parent's product
     only when that parent is live (frozen weights, constant inputs).
@@ -323,22 +231,17 @@ def softmax_rows(logits: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy_rows(p: Tensor, targets: Array) -> Tensor:
-    """Mean cross-entropy between probability rows and (soft) target rows."""
-    logs = p.clip_min(LOG_FLOOR).log()
-    return -(as_tensor(targets) * logs).sum(axis=-1).mean()
-
-
 LOG_FLOOR = 1e-12
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
-    """`cross_entropy_rows(softmax_rows(logits), targets)` as one node.
+    """Mean cross-entropy of `softmax_rows(logits)` against target rows.
 
-    The value runs the composition's ops in order. The backward replays
-    its chain rule op for op on arrays rather than using the closed form
-    `(P * rowsum(T) - T) / n`, which is equal in exact arithmetic but not
-    in the last bits.
+    One node for the composition softmax, clamp at `LOG_FLOOR`, log, times
+    the targets, row sum, mean and negation; the value runs those ops in
+    order. The backward replays their chain rule op for op on arrays
+    rather than using the closed form `(P * rowsum(T) - T) / n`, which is
+    equal in exact arithmetic but not in the last bits.
     """
     T = np.asarray(targets, dtype=np.float64)
     e, s = _shifted_exp(logits.data)
@@ -494,6 +397,12 @@ def mlp_forward(params: MlpParams, X: Array) -> tuple[Array, Array, Array]:
     return Z.data, F.data, softmax(F.data)
 
 
+def accuracy(params: MlpParams, X: Array, y: Array) -> float:
+    """Share of the rows of `X` whose predicted class is their entry of `y`."""
+    _, _, P = mlp_forward(params, X)
+    return float(np.mean(predict(P) == y))
+
+
 class TapeMlp:
     """Tape-lifted view of an MlpParams used inside gradient closures."""
 
@@ -502,7 +411,6 @@ class TapeMlp:
         unknown = frozen - {"encoder", "classifier"}
         if unknown:
             raise ValueError(f"unknown frozen groups: {sorted(unknown)}")
-        self.params = params
         self.encoder = [
             (Tensor(l.weight, requires_grad="encoder" not in frozen),
              Tensor(l.bias, requires_grad="encoder" not in frozen))

@@ -25,7 +25,7 @@ from .credibility import TransferredLabels
 from .data import AugmentationSpec, LabeledDataset, augment_batch
 from .errors import ConfigError
 from .graphreg import (NeighborGraph, build_neighbor_graph, graph_regularizer,
-                       sharpen, sharpen_t)
+                       sharpen_t)
 from .numnet import MlpParams, Tensor
 
 Array = np.ndarray
@@ -49,7 +49,6 @@ class MixMatchConfig:
     ema_decay: float = 0.999
     lr: float = 0.001
     eta_min: float = 0.0002
-    guess_with_ema: bool = True
     count_ordered_pairs: bool = True
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
 
@@ -133,7 +132,7 @@ def _guess_from_views(params: MlpParams, views: Array, K: int,
     """
     _, _, P = numnet.mlp_forward(params, views)
     first, *rest = np.split(P, K)
-    return sharpen(sum(rest, first) / K, T)
+    return sharpen_t(numnet.as_tensor(sum(rest, first) / K), T).data
 
 
 def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
@@ -147,10 +146,6 @@ def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
     """
     if alpha <= 0:
         raise ConfigError("mixup: alpha must be positive")
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=np.float64))
-    y1 = np.atleast_2d(np.asarray(y1, dtype=np.float64))
-    y2 = np.atleast_2d(np.asarray(y2, dtype=np.float64))
     if x1.shape != x2.shape or y1.shape != y2.shape:
         raise ConfigError("mixup: mismatched operand shapes")
     n = x1.shape[0]
@@ -266,15 +261,14 @@ def _labeled_only_batch(X_l: Array, y_l: Array, config: MixMatchConfig,
 def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
                  transfer: TransferredLabels, ds: LabeledDataset,
                  config: MixMatchConfig, seed: int,
-                 test_dataset: LabeledDataset | None = None,
-                 graph_encoder: MlpParams | None = None) -> Stage3Result:
+                 test_dataset: LabeledDataset | None = None) -> Stage3Result:
     """Retrain encoder and classifier jointly on the transferred labels.
 
     `encoder_init` and `classifier_init` seed the live network (both
-    trainable from here on). `graph_encoder` supplies the fixed embeddings
-    for the neighbor graph; it defaults to a snapshot of `encoder_init`,
-    i.e. the first-stage representation. If U is empty the stage degrades
-    to supervised training with mixup on L alone.
+    trainable from here on). The neighbor graph reads the fixed embeddings
+    of `encoder_init`, the first-stage representation. Labels for U rows
+    are guessed by the EMA weights. If U is empty the stage degrades to
+    supervised training with mixup on L alone.
     """
     from .ssrl import embed
 
@@ -283,7 +277,6 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     rng = np.random.default_rng(seed)
     params = MlpParams(encoder=encoder_init.clone().encoder,
                        classifier=classifier_init.clone().classifier)
-    frozen_graph = (graph_encoder or encoder_init).clone()
 
     sampler = make_balanced_sampler(transfer) if config.use_cbs else None
     L_idx, L_targets = transfer.labeled.index, transfer.labeled_targets()
@@ -315,17 +308,15 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
                 u_idx = sample_U_candidates(ds, config.batch_size, rng)
             else:
                 u_idx = U[rng.integers(0, U.size, size=config.batch_size)]
-            guess_src = (numnet.ema_params(ema, params)
-                         if config.guess_with_ema else params)
-            batch = prepare_mixmatch_batch(guess_src, X_l, y_l, ds.X[u_idx],
-                                           config, rng)
+            batch = prepare_mixmatch_batch(numnet.ema_params(ema, params),
+                                           X_l, y_l, ds.X[u_idx], config, rng)
             graph = None
             if config.use_gsr:
                 # the batch's rows only, not a table of every row; with
                 # the pipeline's [n_features, 64, 64] encoder they are the
                 # table's rows bit for bit (see tests/test_ssrl.py)
                 graph = build_neighbor_graph(
-                    embed(frozen_graph, ds.X[np.concatenate([l_idx, u_idx])]),
+                    embed(encoder_init, ds.X[np.concatenate([l_idx, u_idx])]),
                     config.tau_c, n_labeled=l_idx.size)
             yield step_loss(batch, graph)
 
@@ -337,13 +328,11 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
         for key in sums:      # per-step means, summed in step order
             row[key], sums[key] = sums[key] / steps, 0.0
         if test_dataset is not None:
-            _, _, P = numnet.mlp_forward(params, test_dataset.X)
-            row["test_acc"] = float(np.mean(
-                numnet.predict(P) == test_dataset.y_clean))
-            shadow = numnet.ema_params(ema, params)
-            _, _, P = numnet.mlp_forward(shadow, test_dataset.X)
-            row["test_acc_ema"] = float(np.mean(
-                numnet.predict(P) == test_dataset.y_clean))
+            row["test_acc"] = numnet.accuracy(params, test_dataset.X,
+                                              test_dataset.y_clean)
+            row["test_acc_ema"] = numnet.accuracy(
+                numnet.ema_params(ema, params), test_dataset.X,
+                test_dataset.y_clean)
         history.append(row)
 
     return Stage3Result(params=params, ema=numnet.ema_params(ema, params),

@@ -104,31 +104,24 @@ class EncoderTrainResult:
     loss_curve: list[float]     # mean contrastive loss per epoch
 
 
-def train_encoder(X: Array, config: ContrastiveConfig, seed: int,
-                  encoder_widths: list[int] | None = None) -> EncoderTrainResult:
+def train_encoder(X: Array, config: ContrastiveConfig,
+                  seed: int) -> EncoderTrainResult:
     """Fit the encoder on unlabeled inputs with the contrastive objective.
 
     Each step draws a batch without labels, produces two augmented views of
     every element, interleaves them, and optimizes encoder + projection
     head jointly with Adam under a cosine schedule. Labels never enter.
-    Default architecture: two 64-wide encoder layers.
+    The encoder has two 64-wide layers.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ConfigError("train_encoder: X must be 2-D with at least 2 rows")
-    if encoder_widths is None:
-        encoder_widths = [X.shape[1], 64, 64]
-    if encoder_widths[0] != X.shape[1]:
-        raise ConfigError(
-            f"encoder input width {encoder_widths[0]} != data width {X.shape[1]}")
     rng = np.random.default_rng(seed)
-    params = numnet.init_mlp(encoder_widths,
-                             [encoder_widths[-1], config.projection_width],
+    params = numnet.init_mlp([X.shape[1], 64, 64],
+                             [64, config.projection_width],
                              seed=int(rng.integers(2**31)))
     n = X.shape[0]
     batch = min(config.batch_size, n if n % 2 == 0 else n - 1)
-    if batch < 2:
-        raise ConfigError("train_encoder: not enough rows for a paired batch")
     steps = math.ceil(n / batch)
 
     def batches():

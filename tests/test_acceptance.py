@@ -17,6 +17,7 @@ from noisylearn import credibility, graphreg, harness, numnet, semi
 from noisylearn.credibility import TransferredLabels, labeled_records
 from noisylearn.data import (default_pair_map, inject_asymmetric_noise,
                              inject_symmetric_noise, make_blobs)
+from tape_ops import cross_entropy_rows
 from test_credibility import bimodal_sample, reference_em
 from util import central_diff, child_env, max_rel_err
 
@@ -39,7 +40,7 @@ def test_criterion_01_gradient_correctness(capsys):
 
     def mlp_loss(tape):
         _, _, P = tape.forward(X)
-        return numnet.cross_entropy_rows(P, targets)
+        return cross_entropy_rows(P, targets)
 
     _, grads = numnet.grad(params, mlp_loss)
     fd = central_diff(params, lambda p: float(
@@ -124,7 +125,7 @@ def test_criterion_04_probability_and_graph_algebra(capsys):
     P = numnet.softmax(logits)
     closure = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
 
-    sharpened = graphreg.sharpen(P, 0.5)
+    sharpened = graphreg.sharpen_t(numnet.Tensor(P), 0.5).data
     argmax_kept = bool(np.all(np.argmax(sharpened, axis=1)
                               == np.argmax(P, axis=1)))
 
@@ -231,7 +232,7 @@ def test_criterion_08_transfer_quality(capsys):
         {"seed": 0, "noise": {"kind": "symmetric", "ratio": 0.5},
          "run_stage3": False})
     result = harness.run_pipeline(config)
-    transfer = result.transfer
+    transfer = result.stage2.transfer
     y_clean = result.train.y_clean
 
     n = len(result.train)

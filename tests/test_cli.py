@@ -158,7 +158,9 @@ def test_bad_config_exits_two(tmp_path):
             ("stage3", {"lr": 0}, "lr"),
             ("stage1", {"learning_rate": 0}, "learning_rate"),
             ("stage3", {"lr": 0.001, "eta_min": 0.002}, "eta_min"),
-            ("dataset", {"n_classes": 1}, "n_classes")):
+            ("dataset", {"n_classes": 1}, "n_classes"),
+            ("noise", {"kind": "symmetric", "ratio": 0.5, "seed": 0},
+             "seed")):
         config = write_tiny_config(tmp_path / "range.json",
                                    **{section: values})
         out = run_cli("pipeline", "--config", str(config), "--out-dir", "run",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from noisylearn import credibility, data, numnet
+from noisylearn import credibility, data, harness, numnet
 from noisylearn.errors import ConfigError, DegenerateMixtureError
 
 VAR_FLOOR = 1e-6
@@ -436,9 +436,10 @@ def test_transfer_monotone_in_thresholds():
 
 
 def test_probe_leaves_encoder_untouched(tiny_blobs):
-    encoder = numnet.init_mlp([6, 8], [8, 3], seed=3)
+    encoder = numnet.init_mlp([6, 8], [], seed=3)
     before = [(n, a.copy()) for n, a in encoder.walk()]
-    credibility.train_frozen_classifier(encoder, tiny_blobs, epochs=3, seed=4)
+    harness.run_stage2(encoder, tiny_blobs, harness.Stage2Config(epochs=3),
+                       seed=4)
     for (name, old), (_, new) in zip(before, encoder.walk()):
         assert np.array_equal(old, new), name
 
@@ -448,17 +449,18 @@ def test_probe_on_uninformative_encoder_hits_class_prior(tiny_blobs):
     for layer in encoder.encoder:
         layer.weight[:] = 0.0
         layer.bias[:] = 0.0
-    res = credibility.train_frozen_classifier(encoder, tiny_blobs, epochs=5,
-                                              seed=6, test_dataset=tiny_blobs)
+    embedded = harness.embed_dataset(encoder, tiny_blobs)
+    res = credibility.train_frozen_classifier(embedded, epochs=5, seed=6,
+                                              test_dataset=embedded)
     # identical embeddings force a single predicted class
     assert res.test_accuracy[-1] == pytest.approx(1.0 / 3.0)
 
 
 def test_probe_learns_separable_data(tiny_blobs):
     encoder = numnet.init_mlp([6, 16, 8], [8, 3], seed=7)
-    res = credibility.train_frozen_classifier(encoder, tiny_blobs, epochs=30,
-                                              lr=0.02, seed=8,
-                                              test_dataset=tiny_blobs)
+    embedded = harness.embed_dataset(encoder, tiny_blobs)
+    res = credibility.train_frozen_classifier(embedded, epochs=30, lr=0.02,
+                                              seed=8, test_dataset=embedded)
     assert res.train_accuracy[-1] > 0.9
     assert len(res.loss_curve) == 30
 
@@ -467,8 +469,8 @@ def test_per_sample_stats_uniform_head(tiny_blobs):
     encoder = numnet.init_mlp([6, 8], [8, 3], seed=9)
     flat_head = numnet.MlpParams(
         encoder=[], classifier=[numnet.Layer(np.zeros((8, 3)), np.zeros(3))])
-    losses, confs, y_pred = credibility.per_sample_stats(encoder, flat_head,
-                                                         tiny_blobs)
+    losses, confs, y_pred = credibility.per_sample_stats(
+        flat_head, harness.embed_dataset(encoder, tiny_blobs))
     assert np.allclose(losses, math.log(3), atol=1e-12)
     assert np.allclose(confs, 1.0 / 3.0, atol=1e-12)
     assert np.all(y_pred == 0)  # argmax tie -> lowest index

@@ -168,10 +168,12 @@ def test_asymmetric_noise_rejects_identity_entries():
 
 def test_apply_noise_dispatch():
     ds = data.make_blobs(n_classes=4, n_per_class=50, seed=13)
-    untouched = data.apply_noise(ds, data.NoiseSpec(kind="none", ratio=0.0))
+    untouched = data.apply_noise(ds, data.NoiseSpec(kind="none", ratio=0.0),
+                                 np.random.default_rng(3))
     assert np.array_equal(untouched.y_noisy, ds.y_clean)
-    sym = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", ratio=0.5, seed=3))
-    again = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", ratio=0.5, seed=3))
+    spec = data.NoiseSpec(kind="symmetric", ratio=0.5)
+    sym = data.apply_noise(ds, spec, np.random.default_rng(3))
+    again = data.apply_noise(ds, spec, np.random.default_rng(3))
     assert np.array_equal(sym.y_noisy, again.y_noisy)
     assert np.any(sym.y_noisy != ds.y_clean)
 

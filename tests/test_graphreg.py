@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from noisylearn import graphreg, numnet
 from noisylearn.errors import ConfigError, NumericError
 
+from tape_ops import clip_min, div, power, reshape
+
 
 def unit_rows(rows):
     Z = np.asarray(rows, dtype=float)
@@ -100,14 +102,19 @@ def test_graph_role_partition():
 # sharpening
 
 
+def sharpen(p, temperature):
+    """`sharpen_t` on a constant, as the stage-3 label guess calls it."""
+    return graphreg.sharpen_t(numnet.Tensor(p), temperature).data
+
+
 def test_sharpen_hand_value():
-    out = graphreg.sharpen(np.array([0.8, 0.2]), 0.5)
+    out = sharpen(np.array([0.8, 0.2]), 0.5)
     assert np.allclose(out, [16.0 / 17.0, 1.0 / 17.0], atol=1e-12)
 
 
 def test_sharpen_identity_at_unit_temperature():
     p = np.array([0.3, 0.45, 0.25])
-    assert np.allclose(graphreg.sharpen(p, 1.0), p, atol=1e-12)
+    assert np.allclose(sharpen(p, 1.0), p, atol=1e-12)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 8),
@@ -116,7 +123,7 @@ def test_sharpen_identity_at_unit_temperature():
 def test_sharpen_simplex_and_argmax(seed, c, temp):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(c))
-    out = graphreg.sharpen(p, temp)
+    out = sharpen(p, temp)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out >= 0.0)
     assert out.argmax() == p.argmax()
@@ -126,7 +133,7 @@ def test_sharpen_lowers_entropy():
     rng = np.random.default_rng(1)
     for _ in range(20):
         p = rng.dirichlet(np.ones(5))
-        out = graphreg.sharpen(p, 0.5)
+        out = sharpen(p, 0.5)
         h = lambda q: -np.sum(q * np.log(np.maximum(q, 1e-12)))
         assert h(out) <= h(p) + 1e-12
 
@@ -134,32 +141,32 @@ def test_sharpen_lowers_entropy():
 def test_sharpen_matrix_rows():
     rng = np.random.default_rng(2)
     P = rng.dirichlet(np.ones(4), size=6)
-    out = graphreg.sharpen(P, 0.5)
+    out = sharpen(P, 0.5)
     assert out.shape == (6, 4)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_sharpen_handles_zero_entries():
-    out = graphreg.sharpen(np.array([1.0, 0.0]), 0.5)
+    out = sharpen(np.array([1.0, 0.0]), 0.5)
     assert out[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sharpen_rejects_zero_mass():
-    with pytest.raises(NumericError):
-        graphreg.sharpen(np.array([0.0, 0.0]), 0.5)
+def test_sharpen_clamps_a_zero_row_to_uniform():
+    assert np.array_equal(sharpen(np.array([0.0, 0.0]), 0.5), [0.5, 0.5])
 
 
 def test_sharpen_t_matches_numpy_version():
     rng = np.random.default_rng(3)
     P = rng.dirichlet(np.ones(5), size=7)
-    t_out = graphreg.sharpen_t(numnet.Tensor(P), 0.5).data
-    assert np.allclose(t_out, graphreg.sharpen(P, 0.5), atol=1e-12)
+    squared = P ** 2.0
+    assert np.allclose(sharpen(P, 0.5),
+                       squared / squared.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def composed_sharpen_t(p, temperature):
     """The four-node sharpen (clamp, power, row sum, divide) `sharpen_t` fuses."""
-    powered = p.clip_min(1e-12) ** (1.0 / temperature)
-    return powered / powered.sum(axis=-1, keepdims=True)
+    powered = power(clip_min(p, 1e-12), 1.0 / temperature)
+    return div(powered, powered.sum(axis=-1, keepdims=True))
 
 
 @given(n=st.integers(1, 6), c=st.integers(1, 6),
@@ -189,8 +196,8 @@ def test_sharpen_t_equals_composition_bit_for_bit(n, c, spread, temperature,
 def test_sharpen_t_clamp_engages_and_matches():
     p = np.array([[1.0, 0.0, 1e-13, 1e-11], [0.5, 0.5, 0.0, 0.0]])
     leaves = [numnet.Tensor(p.copy(), requires_grad=True) for _ in range(2)]
-    for leaf, sharpen in zip(leaves, (graphreg.sharpen_t, composed_sharpen_t)):
-        (sharpen(leaf, 0.5) * np.arange(8.0).reshape(2, 4)).sum().backward()
+    for leaf, fn in zip(leaves, (graphreg.sharpen_t, composed_sharpen_t)):
+        (fn(leaf, 0.5) * np.arange(8.0).reshape(2, 4)).sum().backward()
     assert np.array_equal(leaves[0].grad, leaves[1].grad)
     assert np.all(leaves[0].grad[p <= 1e-12] == 0.0)
 
@@ -287,13 +294,13 @@ def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
     p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
     if n_l and lam_lu > 0:
-        diff_ul = p.reshape(n_u, 1, -1) - labels_labeled[None, :, :]
+        diff_ul = reshape(p, n_u, 1, -1) - labels_labeled[None, :, :]
         lu_term = (as_tensor(graph.affinity[n_l:, :n_l])
                    * (diff_ul * diff_ul).sum(axis=2)).sum()
     else:
         lu_term = as_tensor(0.0)
     if n_u > 1 and lam_uu > 0:
-        diff_uu = p.reshape(n_u, 1, -1) - p.reshape(1, n_u, -1)
+        diff_uu = reshape(p, n_u, 1, -1) - reshape(p, 1, n_u, -1)
         W = np.triu(graph.affinity[n_l:, n_l:], 1) * (
             2.0 if count_ordered_pairs else 1.0)
         uu_term = (as_tensor(W) * (diff_uu * diff_uu).sum(axis=2)).sum()

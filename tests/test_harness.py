@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import noisylearn
 from noisylearn import credibility, data, harness, numnet
 from noisylearn.errors import ConfigError
 
@@ -238,9 +239,9 @@ def test_pipeline_tiny_end_to_end():
     result = harness.run_pipeline(tiny_config())
     assert result.stage3 is not None
     assert len(result.stage3.history) == 3
-    assert result.transfer.n_classes == 3
-    labeled = {e.index for e in result.transfer.labeled}
-    assert labeled.union(result.transfer.unlabeled) == set(range(96))
+    assert result.stage2.transfer.n_classes == 3
+    labeled = {e.index for e in result.stage2.transfer.labeled}
+    assert labeled.union(result.stage2.transfer.unlabeled) == set(range(96))
     rows = result.metrics.series("stage3", "accuracy")
     assert len(rows) == 3
 
@@ -315,7 +316,8 @@ def test_emit_histograms_layout(tmp_path):
     rng = np.random.default_rng(8)
     train = data.make_blobs(n_classes=3, n_per_class=30, seed=9)
     train = data.apply_noise(train, data.NoiseSpec(kind="symmetric",
-                                                   ratio=0.5, seed=10))
+                                                   ratio=0.5),
+                             np.random.default_rng(10))
     n = len(train)
     losses = rng.exponential(1.0, n)
     confs = rng.random(n)
@@ -344,3 +346,10 @@ def test_emit_histograms_layout(tmp_path):
     assert sum(int(r[3]) for r in label_rows) == len(labeled)
     assert [int(r[3]) for r in label_rows] == [
         sum(1 for e in labeled if e.label == c) for c in range(3)]
+
+
+def test_package_exports_resolve_once():
+    names = noisylearn.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(noisylearn, name)]
+    assert not missing

@@ -179,8 +179,8 @@ def test_gmm_rejects_bad_em_fields(tmp_path, field, value):
 def test_dataset_csv_round_trip_exact(tmp_path):
     path = tmp_path / "data.csv"
     ds = data.make_blobs(n_classes=3, n_per_class=8, n_features=5, seed=32)
-    noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", ratio=0.5,
-                                                seed=33))
+    noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", ratio=0.5),
+                             np.random.default_rng(33))
     io.save_dataset_csv(path, noisy)
     loaded = io.load_dataset_csv(path)
     assert np.array_equal(loaded.X, noisy.X)

@@ -73,8 +73,7 @@ def test_run_stage2_embeds_each_dataset_once(monkeypatch):
     embedded = []
 
     def counting_embed(params, X, embed=ssrl.embed):
-        if params.encoder:
-            embedded.append(X)
+        embedded.append(X)
         return embed(params, X)
 
     monkeypatch.setattr(ssrl, "embed", counting_embed)

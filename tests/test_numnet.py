@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from noisylearn import graphreg, numnet, semi, ssrl
 from noisylearn.errors import NumericError
 
+from tape_ops import (clip_min, cross_entropy_rows, div, exp, log, matmul,
+                      relu, reshape)
 from util import central_diff, max_rel_err
 
 
@@ -47,10 +49,10 @@ def fd_scalar(build, arrays, h=1e-6):
     ("add", lambda a, b: (a + b).sum()),
     ("sub", lambda a, b: (a - b).sum()),
     ("mul", lambda a, b: (a * b).sum()),
-    ("div", lambda a, b: (a / (b * b + 1.0)).sum()),
-    ("matmul", lambda a, b: (a @ b.reshape(4, 3)).sum()),
+    ("div", lambda a, b: div(a, b * b + 1.0).sum()),
+    ("matmul", lambda a, b: matmul(a, reshape(b, 4, 3)).sum()),
     ("mean_axis", lambda a, b: (a * b).mean(axis=0).sum()),
-    ("chain", lambda a, b: ((a @ b.reshape(4, 3)).relu() + 0.3).log().mean()),
+    ("chain", lambda a, b: log(relu(matmul(a, reshape(b, 4, 3))) + 0.3).mean()),
 ])
 def test_tape_ops_match_finite_differences(name, build):
     a = finite_rows(3, 4, 1) + 2.0
@@ -62,7 +64,8 @@ def test_tape_ops_match_finite_differences(name, build):
 
 def test_tape_exp_log_clip():
     a = np.abs(finite_rows(2, 3, 3)) + 0.5
-    analytic, numeric = fd_scalar(lambda t: (t.exp().log().clip_min(0.8)).sum(), [a])
+    analytic, numeric = fd_scalar(lambda t: clip_min(log(exp(t)), 0.8).sum(),
+                                  [a])
     assert np.max(np.abs(analytic[0] - numeric[0])) < 1e-6
 
 
@@ -70,9 +73,9 @@ def test_tape_reshape():
     a = finite_rows(5, 3, 5)
 
     def build(t):
-        flat = t.reshape((15,))
-        rows = t.reshape((3, 5)).sum(axis=1, keepdims=True)
-        return ((flat * flat).reshape((3, 5)) * rows).sum()
+        flat = reshape(t, (15,))
+        rows = reshape(t, (3, 5)).sum(axis=1, keepdims=True)
+        return (reshape(flat * flat, (3, 5)) * rows).sum()
 
     analytic, numeric = fd_scalar(build, [a])
     assert np.max(np.abs(analytic[0] - numeric[0])) < 1e-6
@@ -94,8 +97,8 @@ def test_reused_leaves_match_finite_differences(name, build):
 
 def test_node_feeding_two_consumers_matches_finite_differences():
     def build(a, b):
-        h = (a * b).relu()              # one node, two consumers
-        return (h.exp().sum(axis=0) * (h + b).sum(axis=0)).sum()
+        h = relu(a * b)                 # one node, two consumers
+        return (exp(h).sum(axis=0) * (h + b).sum(axis=0)).sum()
 
     analytic, numeric = fd_scalar(build, [finite_rows(3, 4, 16) + 0.5,
                                           finite_rows(3, 4, 17) + 0.5])
@@ -133,7 +136,7 @@ def test_constant_operand_gets_no_gradient_work():
     # overflows, so computing it at all raises under errstate(all="raise").
     a = numnet.Tensor(finite_rows(2, 3, 20), requires_grad=True)
     with np.errstate(all="raise"):
-        (a / np.full((2, 3), 1e200)).sum().backward()
+        div(a, np.full((2, 3), 1e200)).sum().backward()
     assert np.array_equal(a.grad, 1.0 / np.full((2, 3), 1e200))
 
 
@@ -144,10 +147,19 @@ def test_broadcast_gradients_reduce_correctly():
     assert np.max(np.abs(analytic[1] - numeric[1])) < 1e-6
 
 
+def test_tensor_has_only_the_ops_the_stages_use():
+    """Ops that only tests compose belong in `tape_ops`, not on the tape."""
+    ops = {name for name, value in vars(numnet.Tensor).items()
+           if (callable(value) or isinstance(value, property))
+           and not (name.startswith("_") and not name.endswith("__"))}
+    assert ops - {"__init__"} == {"__add__", "__sub__", "__mul__", "sum",
+                                  "mean", "backward", "shape"}
+
+
 def test_backward_rejects_nonfinite_root():
     t = numnet.Tensor(np.array([1.0]), requires_grad=True)
     with np.errstate(divide="ignore"):
-        bad = (t * 0.0).log().sum()  # log(0) = -inf
+        bad = log(t * 0.0).sum()  # log(0) = -inf
     with pytest.raises(NumericError):
         bad.backward()
 
@@ -191,8 +203,8 @@ def test_softmax_simplex_closure(c, n, seed):
 
 def cross_entropy(p, y) -> float:
     """Mean row cross-entropy of plain arrays, through the tape op."""
-    return float(numnet.cross_entropy_rows(numnet.Tensor(np.atleast_2d(p)),
-                                           np.atleast_2d(y)).data)
+    return float(cross_entropy_rows(numnet.Tensor(np.atleast_2d(p)),
+                                    np.atleast_2d(y)).data)
 
 
 def test_cross_entropy_uniform_predictor():
@@ -223,24 +235,23 @@ def test_cross_entropy_shape_mismatch():
 # ---------------------------------------------------------------------------
 # fused nodes, bit for bit against the compositions they replace
 #
-# `Tensor.__matmul__`, `Tensor.relu`, `Tensor.exp` and `cross_entropy_rows`
-# stay on the tape as the references for these checks.
+# The compositions are built from the per-op nodes in `tape_ops`.
 
 
-def composed_dense(X, w, b, relu):
-    out = X @ w + b
-    return out.relu() if relu else out
+def composed_dense(X, w, b, rectify):
+    out = matmul(X, w) + b
+    return relu(out) if rectify else out
 
 
 def composed_softmax_rows(logits):
     """The four-node softmax (shift, exp, row sum, divide) `softmax_rows` fuses."""
     shift = logits.data.max(axis=-1, keepdims=True)
-    e = (logits - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    e = exp(logits - shift)
+    return div(e, e.sum(axis=-1, keepdims=True))
 
 
 def composed_softmax_cross_entropy(logits, targets):
-    return numnet.cross_entropy_rows(composed_softmax_rows(logits), targets)
+    return cross_entropy_rows(composed_softmax_rows(logits), targets)
 
 
 def twin_leaves(arrays, live):
@@ -281,7 +292,8 @@ def test_dense_equals_composed_layer_bit_for_bit(n, d, h, c, consumers, relu,
     for layer, ts in zip((numnet.dense, composed_dense), leaves):
         *xs, w1, b1, w2, b2 = ts
         outs = [layer(layer(x, w1, b1, True), w2, b2, relu) for x in xs]
-        root = sum((o * k).sum() for o, k in zip(outs, weights))
+        first, *rest = [(o * k).sum() for o, k in zip(outs, weights)]
+        root = sum(rest, first)
         root.backward()
         roots.append((root, outs))
     (root_f, outs_f), (root_c, outs_c) = roots
@@ -520,7 +532,7 @@ def loss_on(params, X, y):
 
     def fn(tape):
         _, _, p = tape.forward(X)
-        return numnet.cross_entropy_rows(p, targets)
+        return cross_entropy_rows(p, targets)
     return fn
 
 

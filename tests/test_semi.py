@@ -127,7 +127,7 @@ def test_guess_equals_per_view_forwards(K, rows):
     acc = numnet.mlp_forward(params, views[0])[2]
     for view in views[1:]:
         acc = acc + numnet.mlp_forward(params, view)[2]
-    expected = graphreg.sharpen(acc / K, 0.5)
+    expected = graphreg.sharpen_t(numnet.Tensor(acc / K), 0.5).data
     got = semi._guess_from_views(params, np.concatenate(views), K, T=0.5)
     if rows % 4 == 0:
         assert got.tobytes() == expected.tobytes()
@@ -294,8 +294,8 @@ def test_mixmatch_losses_perfect_model_near_zero():
 
 def stage3_inputs(tiny_blobs, ratio=0.5):
     noisy = data.apply_noise(tiny_blobs,
-                             data.NoiseSpec(kind="symmetric", ratio=ratio,
-                                            seed=1))
+                             data.NoiseSpec(kind="symmetric", ratio=ratio),
+                             np.random.default_rng(1))
     encoder = numnet.init_mlp([6, 16, 8], [8, 3], seed=22)
     classifier = numnet.MlpParams(
         encoder=[], classifier=numnet.init_layers(
@@ -364,15 +364,16 @@ def test_train_stage3_gsr_off_zeroes_graph_term(tiny_blobs):
 def test_train_stage3_improves_on_easy_data(tiny_blobs):
     # the loop expects pretrained weights: encoder from the contrastive
     # stage, head from the frozen probe
-    from noisylearn import credibility as cred, ssrl
+    from noisylearn import credibility as cred, harness, ssrl
     noisy = data.apply_noise(tiny_blobs,
-                             data.NoiseSpec(kind="symmetric", ratio=0.3,
-                                            seed=1))
+                             data.NoiseSpec(kind="symmetric", ratio=0.3),
+                             np.random.default_rng(1))
     enc = ssrl.train_encoder(tiny_blobs.X,
                              ssrl.ContrastiveConfig(epochs=8, batch_size=32),
                              seed=5)
-    probe = cred.train_frozen_classifier(enc.encoder, noisy, epochs=20,
-                                         seed=23, test_dataset=tiny_blobs)
+    probe = cred.train_frozen_classifier(
+        harness.embed_dataset(enc.encoder, noisy), epochs=20, seed=23,
+        test_dataset=harness.embed_dataset(enc.encoder, tiny_blobs))
     rows = np.arange(0, 120, 2)
     labeled = credibility.labeled_records(rows, tiny_blobs.y_clean[rows],
                                           ["kept"] * rows.size)
