@@ -13,8 +13,8 @@ from .credibility import (CredibilityScores, Gmm1D, Stage2Result,
                           TransferredLabels, assess_credibility, fit_gmm_em,
                           gmm_posterior, labeled_records, per_sample_stats,
                           train_frozen_classifier, transfer_labels)
-from .data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_noise,
-                   augment_batch, default_pair_map,
+from .data import (AugmentationSpec, DatasetSpec, LabeledDataset, NoiseSpec,
+                   apply_noise, augment_batch, default_pair_map,
                    inject_asymmetric_noise, inject_symmetric_noise,
                    make_blobs, train_test_split)
 from .errors import (CheckpointError, ConfigError, DegenerateMixtureError,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentationSpec", "BalancedSamplerState", "CheckpointError",
-    "ConfigError", "ContrastiveConfig", "CredibilityScores",
+    "ConfigError", "ContrastiveConfig", "CredibilityScores", "DatasetSpec",
     "DegenerateMixtureError", "EmaState", "EncoderTrainResult",
     "ExperimentConfig", "Gmm1D", "LabeledDataset", "Layer", "MetricsLog",
     "MixMatchConfig", "MlpParams", "NeighborGraph", "NoiseSpec",

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import harness, io
 from .credibility import per_sample_stats
-from .data import NoiseSpec, apply_noise, make_blobs, train_test_split
+from .data import (DatasetSpec, NoiseSpec, apply_noise, make_blobs,
+                   train_test_split)
 from .errors import ConfigError, NumericError
 from .harness import MetricsLog, derive_seed
 from .semi import train_stage3
@@ -24,9 +25,11 @@ from .ssrl import ContrastiveConfig, train_encoder
 
 def _cmd_gen_data(args) -> int:
     import numpy as np
-    ds = make_blobs(n_classes=args.classes, n_per_class=args.per_class,
-                    n_features=args.features, separation=args.separation,
-                    sigma=args.sigma, seed=args.seed)
+    ds = make_blobs(DatasetSpec(n_classes=args.classes,
+                                n_per_class=args.per_class,
+                                n_features=args.features,
+                                separation=args.separation, sigma=args.sigma),
+                    args.seed)
     if args.test_out is not None:
         train, test = train_test_split(
             ds, args.test_fraction,
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "GMM label triage, semi-supervised retraining.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    blobs = harness.DatasetSpec
+    blobs = DatasetSpec
     p = sub.add_parser("gen-data", help="generate a blob dataset CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=blobs.n_classes)

@@ -78,7 +78,7 @@ def per_sample_stats(classifier: MlpParams, dataset: LabeledDataset
 
     `dataset.X` holds the embedded rows the classifier reads.
     """
-    _, _, P = numnet.mlp_forward(classifier, dataset.X)
+    P = numnet.mlp_forward(classifier, dataset.X)
     clamped = np.maximum(P, numnet.LOG_FLOOR)
     losses = -np.log(clamped[np.arange(len(dataset)), dataset.y_noisy])
     y_pred = numnet.predict(P)
@@ -301,8 +301,8 @@ def assess_credibility(losses: Array, confidences: Array) -> CredibilityScores:
 
 
 def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,
-                    tau_clean: float = 0.5, tau_right: float = 0.5,
-                    n_classes: int | None = None) -> TransferredLabels:
+                    tau_clean: float = 0.5, tau_right: float = 0.5, *,
+                    n_classes: int) -> TransferredLabels:
     """Partition samples by the two credibility scores.
 
     A sample whose observed label looks clean (p_clean >= tau_clean) keeps
@@ -316,8 +316,6 @@ def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,
     y_pred = np.asarray(y_pred)
     if y_noisy.shape != y_pred.shape or y_noisy.shape != scores.p_clean.shape:
         raise ConfigError("transfer_labels: misaligned inputs")
-    if n_classes is None:
-        n_classes = int(max(y_noisy.max(), y_pred.max())) + 1
     kept = scores.p_clean >= tau_clean
     in_L = kept | (scores.p_right >= tau_right)
     index = np.flatnonzero(in_L)

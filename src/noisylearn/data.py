@@ -61,22 +61,28 @@ class LabeledDataset:
                               self.y_noisy[indices], self.n_classes)
 
 
-def check_blob_spec(n_classes: int, n_per_class: int, n_features: int,
-                    separation: float, sigma: float) -> None:
-    """The ranges `make_blobs` accepts; a ConfigError names the field."""
-    if n_classes < 2:
-        raise ConfigError("n_classes must be >= 2")
-    if n_per_class < 1:
-        raise ConfigError("n_per_class must be >= 1")
-    if n_features < 2:
-        raise ConfigError("n_features must be >= 2")
-    if separation <= 0 or sigma <= 0:
-        raise ConfigError("separation and sigma must be positive")
+@dataclass
+class DatasetSpec:
+    """The blob problem `make_blobs` draws; a ConfigError names a bad field."""
+
+    n_classes: int = 10
+    n_per_class: int = 500
+    n_features: int = 16
+    separation: float = 4.0
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        if self.n_classes < 2:
+            raise ConfigError("n_classes must be >= 2")
+        if self.n_per_class < 1:
+            raise ConfigError("n_per_class must be >= 1")
+        if self.n_features < 2:
+            raise ConfigError("n_features must be >= 2")
+        if self.separation <= 0 or self.sigma <= 0:
+            raise ConfigError("separation and sigma must be positive")
 
 
-def make_blobs(n_classes: int = 10, n_per_class: int = 500, n_features: int = 16,
-               separation: float = 4.0, sigma: float = 1.0,
-               seed: int = 0) -> LabeledDataset:
+def make_blobs(spec: DatasetSpec, seed: int) -> LabeledDataset:
     """Isotropic Gaussian clusters with mutually orthogonal centers.
 
     When n_classes <= n_features the centers are an orthonormal frame
@@ -85,7 +91,8 @@ def make_blobs(n_classes: int = 10, n_per_class: int = 500, n_features: int = 16
     Gaussian direction, scaled the same way. Observed labels start equal to
     the clean ones.
     """
-    check_blob_spec(n_classes, n_per_class, n_features, separation, sigma)
+    n_classes, n_features = spec.n_classes, spec.n_features
+    separation, n_per_class = spec.separation, spec.n_per_class
     rng = np.random.default_rng(seed)
     if n_classes <= n_features:
         q, _ = np.linalg.qr(rng.normal(size=(n_features, n_classes)))
@@ -96,7 +103,7 @@ def make_blobs(n_classes: int = 10, n_per_class: int = 500, n_features: int = 16
         centers = directions * separation
     n = n_classes * n_per_class
     y = np.repeat(np.arange(n_classes), n_per_class)
-    X = centers[y] + rng.normal(scale=sigma, size=(n, n_features))
+    X = centers[y] + rng.normal(scale=spec.sigma, size=(n, n_features))
     perm = rng.permutation(n)
     X, y = X[perm], y[perm]
     return LabeledDataset(X, y, y.copy(), n_classes)

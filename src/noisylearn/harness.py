@@ -27,7 +27,7 @@ from . import numnet
 from .credibility import (EM_TOL, Stage2Result, TransferredLabels,
                           assess_credibility, per_sample_stats,
                           train_frozen_classifier, transfer_labels)
-from .data import (LabeledDataset, NoiseSpec, apply_noise, check_blob_spec,
+from .data import (DatasetSpec, LabeledDataset, NoiseSpec, apply_noise,
                    make_blobs, train_test_split)
 from .errors import ConfigError
 from .numnet import MlpParams
@@ -135,9 +135,7 @@ def evaluate(params: MlpParams, test: LabeledDataset) -> tuple[float, Array]:
     """Top-1 accuracy against clean labels, plus per-class accuracy."""
     if len(test) == 0:
         raise ConfigError("evaluate: empty test set")
-    _, _, P = numnet.mlp_forward(params, test.X)
-    pred = numnet.predict(P)
-    hits = pred == test.y_clean
+    hits = numnet.predict(numnet.mlp_forward(params, test.X)) == test.y_clean
     per_class = np.zeros(test.n_classes)
     for c in range(test.n_classes):
         members = test.y_clean == c
@@ -148,18 +146,6 @@ def evaluate(params: MlpParams, test: LabeledDataset) -> tuple[float, Array]:
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DatasetSpec:
-    n_classes: int = 10
-    n_per_class: int = 500
-    n_features: int = 16
-    separation: float = 4.0
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        check_blob_spec(**dataclasses.asdict(self))
-
 
 @dataclass
 class Stage2Config:
@@ -277,12 +263,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def generate_data(config: ExperimentConfig
                   ) -> tuple[LabeledDataset, LabeledDataset]:
     """Blobs -> stratified split -> noise on the training half only."""
-    ds = make_blobs(n_classes=config.dataset.n_classes,
-                    n_per_class=config.dataset.n_per_class,
-                    n_features=config.dataset.n_features,
-                    separation=config.dataset.separation,
-                    sigma=config.dataset.sigma,
-                    seed=derive_seed(config.seed, STREAM_DATA))
+    ds = make_blobs(config.dataset, derive_seed(config.seed, STREAM_DATA))
     train, test = train_test_split(ds, config.test_fraction,
                                    derive_seed(config.seed, STREAM_SPLIT))
     noise_rng = np.random.default_rng(derive_seed(config.seed, STREAM_NOISE))
@@ -320,8 +301,8 @@ def train_supervised(params: MlpParams, X: Array, y: Array, n_classes: int,
                              batches, config.eta_min, frozen=frozen):
         train_loss.append(float(np.mean(losses)))
         if test_dataset is not None:
-            acc, _ = evaluate(params, test_dataset)
-            test_acc.append(acc)
+            test_acc.append(numnet.accuracy(params, test_dataset.X,
+                                            test_dataset.y_clean))
     return SupervisedRunResult(params=params, train_loss=train_loss,
                                test_accuracy=test_acc)
 

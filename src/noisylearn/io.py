@@ -47,10 +47,15 @@ def _load_document(path, kind: str) -> dict:
 # Model checkpoints
 # ---------------------------------------------------------------------------
 
-def _encode_layers(layers: list[Layer]) -> tuple[list, list]:
-    shapes = [[int(l.weight.shape[0]), int(l.weight.shape[1])] for l in layers]
-    blobs = [{"weight": l.weight.ravel().tolist(), "bias": l.bias.tolist()}
-             for l in layers]
+def _encode_params(params: MlpParams) -> tuple[dict, dict]:
+    """Each group's layer shapes, and its layers as JSON blobs."""
+    shapes, blobs = {}, {}
+    for group in ("encoder", "classifier"):
+        layers = getattr(params, group)
+        shapes[group] = [[int(l.weight.shape[0]), int(l.weight.shape[1])]
+                         for l in layers]
+        blobs[group] = [{"weight": l.weight.ravel().tolist(),
+                         "bias": l.bias.tolist()} for l in layers]
     return shapes, blobs
 
 
@@ -82,22 +87,21 @@ def _decode_layers(shapes, blobs, field: str) -> list[Layer]:
     return layers
 
 
+def _decode_params(shapes: dict, blobs: dict, prefix: str = "") -> MlpParams:
+    """The MlpParams whose groups `blobs` holds; errors name `prefix`+group."""
+    return MlpParams(**{group: _decode_layers(shapes.get(group),
+                                              blobs.get(group), prefix + group)
+                        for group in ("encoder", "classifier")})
+
+
 def save_checkpoint(path, params: MlpParams, ema: MlpParams | None = None) -> None:
-    enc_shapes, enc_blobs = _encode_layers(params.encoder)
-    cls_shapes, cls_blobs = _encode_layers(params.classifier)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "shapes": {"encoder": enc_shapes, "classifier": cls_shapes},
-        "encoder": enc_blobs,
-        "classifier": cls_blobs,
-        "ema": None,
-    }
+    shapes, blobs = _encode_params(params)
+    doc = {"format_version": FORMAT_VERSION, "shapes": shapes, **blobs,
+           "ema": None}
     if ema is not None:
-        e_enc_shapes, e_enc_blobs = _encode_layers(ema.encoder)
-        e_cls_shapes, e_cls_blobs = _encode_layers(ema.classifier)
-        if e_enc_shapes != enc_shapes or e_cls_shapes != cls_shapes:
+        ema_shapes, doc["ema"] = _encode_params(ema)
+        if ema_shapes != shapes:
             raise CheckpointError("ema shapes do not mirror the parameters")
-        doc["ema"] = {"encoder": e_enc_blobs, "classifier": e_cls_blobs}
     _write_text(path, canonical_json(doc))
 
 
@@ -106,23 +110,9 @@ def load_checkpoint(path) -> tuple[MlpParams, MlpParams | None]:
     shapes = doc.get("shapes")
     if not isinstance(shapes, dict):
         raise CheckpointError(f"checkpoint file {path}: missing shapes")
-    params = MlpParams(
-        encoder=_decode_layers(shapes.get("encoder"), doc.get("encoder"),
-                               "encoder"),
-        classifier=_decode_layers(shapes.get("classifier"),
-                                  doc.get("classifier"), "classifier"),
-    )
-    ema = None
-    if doc.get("ema") is not None:
-        ema_doc = doc["ema"]
-        ema = MlpParams(
-            encoder=_decode_layers(shapes.get("encoder"),
-                                   ema_doc.get("encoder"), "ema.encoder"),
-            classifier=_decode_layers(shapes.get("classifier"),
-                                      ema_doc.get("classifier"),
-                                      "ema.classifier"),
-        )
-    return params, ema
+    params = _decode_params(shapes, doc)
+    ema = doc.get("ema")
+    return params, None if ema is None else _decode_params(shapes, ema, "ema.")
 
 
 # ---------------------------------------------------------------------------

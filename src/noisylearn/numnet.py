@@ -376,31 +376,28 @@ def init_mlp(encoder_widths: Sequence[int], classifier_widths: Sequence[int],
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _check_input(params: MlpParams, X: Array) -> None:
-    layers = params.encoder or params.classifier
+def _check_input(layers: list[Layer], X: Array) -> None:
+    """ValueError unless the rows of `X` fit the first of `layers`."""
     if layers and X.shape[-1] != layers[0].weight.shape[0]:
         raise ValueError(
             f"input width {X.shape[-1]} does not match first layer "
             f"fan-in {layers[0].weight.shape[0]}")
 
 
-def mlp_forward(params: MlpParams, X: Array) -> tuple[Array, Array, Array]:
-    """Forward pass: returns (representation Z, logits F, probabilities P).
+def mlp_forward(params: MlpParams, X: Array) -> Array:
+    """Class probabilities of the rows of `X`.
 
     The tape forward on constants, so no node keeps parents or a backward.
     """
     X = np.asarray(X, dtype=np.float64)
-    _check_input(params, X)
+    _check_input(params.encoder or params.classifier, X)
     tape = TapeMlp(params, frozen=("encoder", "classifier"))
-    Z = tape.embed(X)
-    F = tape.head(Z)
-    return Z.data, F.data, softmax(F.data)
+    return softmax(tape.logits(X).data)
 
 
 def accuracy(params: MlpParams, X: Array, y: Array) -> float:
     """Share of the rows of `X` whose predicted class is their entry of `y`."""
-    _, _, P = mlp_forward(params, X)
-    return float(np.mean(predict(P) == y))
+    return float(np.mean(predict(mlp_forward(params, X)) == y))
 
 
 class TapeMlp:
@@ -429,21 +426,13 @@ class TapeMlp:
             Z = dense(Z, w, b, relu=True)
         return Z
 
-    def head(self, Z: Tensor) -> Tensor:
-        """Head layers on a representation: ReLU between them, raw output."""
-        F = Z
+    def logits(self, X) -> Tensor:
+        """Head layers on the representation: ReLU between them, raw output."""
+        F = self.embed(X)
         last = len(self.classifier) - 1
         for i, (w, b) in enumerate(self.classifier):
             F = dense(F, w, b, relu=i < last)
         return F
-
-    def logits(self, X) -> Tensor:
-        return self.head(self.embed(X))
-
-    def forward(self, X) -> tuple[Tensor, Tensor, Tensor]:
-        Z = self.embed(X)
-        F = self.head(Z)
-        return Z, F, softmax_rows(F)
 
     def gradients(self) -> GradDict:
         grads: GradDict = {}

@@ -130,28 +130,22 @@ def _guess_from_views(params: MlpParams, views: Array, K: int,
     One forward over all blocks; the blocks' predictions are summed in
     view order, as the per-view forwards were.
     """
-    _, _, P = numnet.mlp_forward(params, views)
-    first, *rest = np.split(P, K)
+    first, *rest = np.split(numnet.mlp_forward(params, views), K)
     return sharpen_t(numnet.as_tensor(sum(rest, first) / K), T).data
 
 
 def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
-          rng: np.random.Generator, lam: Array | float | None = None
-          ) -> tuple[Array, Array]:
+          rng: np.random.Generator) -> tuple[Array, Array]:
     """Convex combination biased toward the first argument.
 
     lam' = max(lam, 1 - lam) with lam ~ Beta(alpha, alpha) drawn per row,
-    so the first argument always dominates. `lam` overrides the draw
-    (used by tests and for forced reproductions).
+    so the first argument always dominates.
     """
     if alpha <= 0:
         raise ConfigError("mixup: alpha must be positive")
     if x1.shape != x2.shape or y1.shape != y2.shape:
         raise ConfigError("mixup: mismatched operand shapes")
-    n = x1.shape[0]
-    if lam is None:
-        lam = rng.beta(alpha, alpha, size=n)
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
+    lam = rng.beta(alpha, alpha, size=x1.shape[0])
     lam_prime = np.maximum(lam, 1.0 - lam)[:, None]
     x = lam_prime * x1 + (1.0 - lam_prime) * x2
     y = lam_prime * y1 + (1.0 - lam_prime) * y2
@@ -166,7 +160,6 @@ class MixedBatch:
     y_sup: Array       # (B, C) mixed labeled targets
     X_unsup: Array     # (B*K, d) mixed unlabeled inputs
     q_unsup: Array     # (B*K, C) mixed unlabeled targets
-    X_l_raw: Array     # (B, d) original labeled features
     y_l: Array         # (B, C) transferred one-hot labels
     X_u_raw: Array     # (B_u, d) original unlabeled features
 
@@ -178,11 +171,9 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
 
     The K augmented views of each unlabeled row feed both the label guess
     and the unlabeled half of the mix. Randomness comes only from `rng`,
-    so a frozen batch can be replayed exactly.
+    so a frozen batch can be replayed exactly. `X_u` may have zero rows:
+    the labeled rows then mix with a shuffle of themselves.
     """
-    X_l = np.atleast_2d(np.asarray(X_l, dtype=np.float64))
-    y_l = np.atleast_2d(np.asarray(y_l, dtype=np.float64))
-    X_u = np.atleast_2d(np.asarray(X_u, dtype=np.float64))
     if X_l.shape[0] != y_l.shape[0]:
         raise ConfigError("prepare_mixmatch_batch: labeled rows misaligned")
     x_hat_l = augment_batch(X_l, config.augmentation, rng)
@@ -200,28 +191,26 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
     X_sup, y_sup = mixup(x_hat_l, y_l, W_x[:B], W_y[:B], config.alpha, rng)
     X_unsup, q_unsup = mixup(u_all, q_all, W_x[B:], W_y[B:], config.alpha, rng)
     return MixedBatch(X_sup=X_sup, y_sup=y_sup, X_unsup=X_unsup,
-                      q_unsup=q_unsup, X_l_raw=X_l, y_l=y_l, X_u_raw=X_u)
-
-
-def mixmatch_losses_from(tape, batch: MixedBatch) -> tuple[Tensor, Tensor]:
-    """Supervised CE and unsupervised squared-distance terms (0 without U)."""
-    l_sup = numnet.softmax_cross_entropy(tape.logits(batch.X_sup), batch.y_sup)
-    if not batch.X_unsup.shape[0]:
-        return l_sup, numnet.as_tensor(0.0)
-    _, _, P_unsup = tape.forward(batch.X_unsup)
-    diff = P_unsup - batch.q_unsup
-    return l_sup, (diff * diff).sum(axis=1).mean()
+                      q_unsup=q_unsup, y_l=y_l, X_u_raw=X_u)
 
 
 def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
                 config: MixMatchConfig) -> tuple[Tensor, dict[str, float]]:
     """The stage-3 objective L_sup + lambda_u * L_unsup + R on one batch.
 
-    R is the graph penalty on the sharpened predictions for the raw
-    unlabeled rows, or zero without a graph. Returns the total on the tape
-    and the values of its three parts.
+    L_sup is the cross-entropy on the mixed labeled rows and L_unsup the
+    mean squared distance of the mixed unlabeled rows' predictions from
+    their targets, zero when the batch has no unlabeled rows. R is the
+    graph penalty on the sharpened predictions for the raw unlabeled rows,
+    or zero without a graph. Returns the total on the tape and the values
+    of its three parts.
     """
-    l_sup, l_unsup = mixmatch_losses_from(tape, batch)
+    l_sup = numnet.softmax_cross_entropy(tape.logits(batch.X_sup), batch.y_sup)
+    if batch.X_unsup.shape[0]:
+        diff = numnet.softmax_rows(tape.logits(batch.X_unsup)) - batch.q_unsup
+        l_unsup = (diff * diff).sum(axis=1).mean()
+    else:                   # a mean over zero rows would divide by zero
+        l_unsup = numnet.as_tensor(0.0)
     if graph is None:
         r = numnet.as_tensor(0.0)
     else:
@@ -246,18 +235,6 @@ class Stage3Result:
     history: list[dict]          # one row per epoch
 
 
-def _labeled_only_batch(X_l: Array, y_l: Array, config: MixMatchConfig,
-                        rng: np.random.Generator) -> MixedBatch:
-    """Mixup of augmented L rows with a shuffle of themselves (U is empty)."""
-    x_hat = augment_batch(X_l, config.augmentation, rng)
-    perm = rng.permutation(x_hat.shape[0])
-    X_sup, y_sup = mixup(x_hat, y_l, x_hat[perm], y_l[perm], config.alpha, rng)
-    empty = np.zeros((0, X_l.shape[1]))
-    return MixedBatch(X_sup=X_sup, y_sup=y_sup, X_unsup=empty,
-                      q_unsup=np.zeros((0, y_l.shape[1])), X_l_raw=X_l,
-                      y_l=y_l, X_u_raw=empty)
-
-
 def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
                  transfer: TransferredLabels, ds: LabeledDataset,
                  config: MixMatchConfig, seed: int,
@@ -267,8 +244,9 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     `encoder_init` and `classifier_init` seed the live network (both
     trainable from here on). The neighbor graph reads the fixed embeddings
     of `encoder_init`, the first-stage representation. Labels for U rows
-    are guessed by the EMA weights. If U is empty the stage degrades to
-    supervised training with mixup on L alone.
+    are guessed by the EMA weights. An empty U runs the same step with
+    zero U rows: L mixes with itself, and there is no unsupervised term
+    and no graph.
     """
     from .ssrl import embed
 
@@ -302,16 +280,15 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
             l_idx, y_l = L_idx[pos], L_targets[pos]
             X_l = ds.X[l_idx]
             if U.size == 0:
-                yield step_loss(_labeled_only_batch(X_l, y_l, config, rng), None)
-                continue
-            if config.use_cbs:
+                u_idx = U
+            elif config.use_cbs:
                 u_idx = sample_U_candidates(ds, config.batch_size, rng)
             else:
                 u_idx = U[rng.integers(0, U.size, size=config.batch_size)]
             batch = prepare_mixmatch_batch(numnet.ema_params(ema, params),
                                            X_l, y_l, ds.X[u_idx], config, rng)
             graph = None
-            if config.use_gsr:
+            if config.use_gsr and u_idx.size:
                 # the batch's rows only, not a table of every row; with
                 # the pipeline's [n_features, 64, 64] encoder they are the
                 # table's rows bit for bit (see tests/test_ssrl.py)

@@ -100,7 +100,6 @@ class ContrastiveConfig:
 @dataclass
 class EncoderTrainResult:
     encoder: MlpParams          # trained encoder with empty classifier head
-    projection: list            # trained projection layers (rarely needed)
     loss_curve: list[float]     # mean contrastive loss per epoch
 
 
@@ -137,8 +136,7 @@ def train_encoder(X: Array, config: ContrastiveConfig,
         params, numnet.adam(config.learning_rate), config.epochs, steps,
         batches, config.eta_min)]
     encoder = MlpParams(encoder=params.encoder, classifier=[])
-    return EncoderTrainResult(encoder=encoder, projection=list(params.classifier),
-                              loss_curve=loss_curve)
+    return EncoderTrainResult(encoder=encoder, loss_curve=loss_curve)
 
 
 def embed(encoder: MlpParams, X: Array) -> Array:
@@ -147,7 +145,6 @@ def embed(encoder: MlpParams, X: Array) -> Array:
     Only the encoder's layers run, on constants, so each layer's output is
     the one array it allocates and no head or softmax is computed.
     """
-    encoder = MlpParams(encoder=encoder.encoder, classifier=[])
     X = np.asarray(X, dtype=np.float64)
-    numnet._check_input(encoder, X)
+    numnet._check_input(encoder.encoder, X)
     return numnet.TapeMlp(encoder, frozen=("encoder",)).embed(X).data

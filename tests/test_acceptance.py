@@ -15,8 +15,9 @@ import numpy as np
 
 from noisylearn import credibility, graphreg, harness, numnet, semi
 from noisylearn.credibility import TransferredLabels, labeled_records
-from noisylearn.data import (default_pair_map, inject_asymmetric_noise,
-                             inject_symmetric_noise, make_blobs)
+from noisylearn.data import (DatasetSpec, default_pair_map,
+                             inject_asymmetric_noise, inject_symmetric_noise,
+                             make_blobs)
 from tape_ops import cross_entropy_rows
 from test_credibility import bimodal_sample, reference_em
 from util import central_diff, child_env, max_rel_err
@@ -39,8 +40,7 @@ def test_criterion_01_gradient_correctness(capsys):
     targets = numnet.one_hot(rng.integers(0, 4, size=8), 4)
 
     def mlp_loss(tape):
-        _, _, P = tape.forward(X)
-        return cross_entropy_rows(P, targets)
+        return cross_entropy_rows(numnet.softmax_rows(tape.logits(X)), targets)
 
     _, grads = numnet.grad(params, mlp_loss)
     fd = central_diff(params, lambda p: float(
@@ -99,7 +99,8 @@ def test_criterion_02_gmm_em_oracle(capsys):
 
 
 def test_criterion_03_noise_statistics(capsys):
-    ds = make_blobs(n_classes=10, n_per_class=1000, n_features=8, seed=17)
+    ds = make_blobs(DatasetSpec(n_classes=10, n_per_class=1000, n_features=8),
+                    seed=17)
 
     sym = inject_symmetric_noise(ds, 0.9, np.random.default_rng(23))
     flipped = float(np.mean(sym.y_noisy != sym.y_clean))

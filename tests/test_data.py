@@ -13,7 +13,8 @@ from util import logistic_probe_predict
 
 
 def test_make_blobs_shapes_and_balance():
-    ds = data.make_blobs(n_classes=4, n_per_class=30, n_features=8, seed=0)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=30,
+                                          n_features=8), seed=0)
     assert ds.X.shape == (120, 8)
     assert np.array_equal(np.bincount(ds.y_clean), [30, 30, 30, 30])
     assert np.array_equal(ds.y_clean, ds.y_noisy)
@@ -21,15 +22,16 @@ def test_make_blobs_shapes_and_balance():
 
 
 def test_make_blobs_rows_are_shuffled():
-    ds = data.make_blobs(n_classes=3, n_per_class=50, seed=1)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=50), seed=1)
     assert not np.all(ds.y_clean[:-1] <= ds.y_clean[1:])
 
 
 def test_make_blobs_orthonormal_center_distances():
     # with C <= d centers sit on orthogonal directions scaled by separation
     sep = 3.0
-    ds = data.make_blobs(n_classes=4, n_per_class=400, n_features=8,
-                         separation=sep, sigma=0.05, seed=2)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=400,
+                                          n_features=8, separation=sep,
+                                          sigma=0.05), seed=2)
     centers = np.stack([ds.X[ds.y_clean == c].mean(axis=0) for c in range(4)])
     dist = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
     off = dist[~np.eye(4, dtype=bool)]
@@ -37,14 +39,15 @@ def test_make_blobs_orthonormal_center_distances():
 
 
 def test_make_blobs_more_classes_than_features():
-    ds = data.make_blobs(n_classes=5, n_per_class=10, n_features=2, seed=3)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=5, n_per_class=10,
+                                          n_features=2), seed=3)
     assert ds.X.shape == (50, 2)
     assert ds.n_classes == 5
 
 
 def test_make_blobs_deterministic():
-    a = data.make_blobs(seed=7, n_per_class=20)
-    b = data.make_blobs(seed=7, n_per_class=20)
+    a = data.make_blobs(data.DatasetSpec(n_per_class=20), seed=7)
+    b = data.make_blobs(data.DatasetSpec(n_per_class=20), seed=7)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.y_clean, b.y_clean)
 
@@ -55,12 +58,12 @@ def test_make_blobs_deterministic():
 ])
 def test_make_blobs_rejects_bad_arguments(kwargs):
     with pytest.raises((ConfigError, ValueError)):
-        data.make_blobs(**kwargs)
+        data.make_blobs(data.DatasetSpec(**kwargs), seed=0)
 
 
 def test_tight_blobs_fully_separable():
-    ds = data.make_blobs(n_classes=4, n_per_class=25, n_features=8,
-                         sigma=1e-6, seed=4)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=25,
+                                          n_features=8, sigma=1e-6), seed=4)
     pred = logistic_probe_predict(ds.X, ds.y_clean, ds.X, 4)
     assert np.mean(pred == ds.y_clean) == 1.0
 
@@ -97,7 +100,8 @@ def test_dataset_validates_lengths():
 
 
 def test_symmetric_noise_flip_fraction_uniform_over_all():
-    ds = data.make_blobs(n_classes=10, n_per_class=1000, seed=5)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=10, n_per_class=1000),
+                         seed=5)
     noisy = data.inject_symmetric_noise(ds, 0.9, rng=np.random.default_rng(6))
     flipped = float(np.mean(noisy.y_noisy != noisy.y_clean))
     # resampling uniformly over all classes leaves r/C labels unchanged
@@ -106,7 +110,8 @@ def test_symmetric_noise_flip_fraction_uniform_over_all():
 
 
 def test_symmetric_noise_exclude_true_class_flips_exactly_r():
-    ds = data.make_blobs(n_classes=10, n_per_class=1000, seed=5)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=10, n_per_class=1000),
+                         seed=5)
     noisy = data.inject_symmetric_noise(ds, 0.4, rng=np.random.default_rng(7),
                                         exclude_true_class=True)
     flipped = float(np.mean(noisy.y_noisy != noisy.y_clean))
@@ -114,20 +119,22 @@ def test_symmetric_noise_exclude_true_class_flips_exactly_r():
 
 
 def test_symmetric_noise_targets_are_uniform():
-    ds = data.make_blobs(n_classes=5, n_per_class=4000, n_features=4, seed=8)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=5, n_per_class=4000,
+                                          n_features=4), seed=8)
     noisy = data.inject_symmetric_noise(ds, 1.0, rng=np.random.default_rng(9))
     counts = np.bincount(noisy.y_noisy, minlength=5)
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_symmetric_noise_zero_ratio_is_identity():
-    ds = data.make_blobs(n_classes=3, n_per_class=20, seed=10)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=20),
+                         seed=10)
     noisy = data.inject_symmetric_noise(ds, 0.0, rng=np.random.default_rng(0))
     assert np.array_equal(noisy.y_noisy, ds.y_clean)
 
 
 def test_symmetric_noise_rejects_bad_ratio():
-    ds = data.make_blobs(n_classes=3, n_per_class=5, seed=0)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=5), seed=0)
     for ratio in (-0.1, 1.5):
         with pytest.raises((ConfigError, ValueError)):
             data.inject_symmetric_noise(ds, ratio, rng=np.random.default_rng(0))
@@ -145,7 +152,8 @@ def test_default_pair_map_shape():
 
 
 def test_asymmetric_noise_only_touches_mapped_classes():
-    ds = data.make_blobs(n_classes=10, n_per_class=1000, seed=11)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=10, n_per_class=1000),
+                         seed=11)
     pm = data.default_pair_map(10)
     noisy = data.inject_asymmetric_noise(ds, 0.4, pair_map=pm,
                                          rng=np.random.default_rng(12))
@@ -160,14 +168,15 @@ def test_asymmetric_noise_only_touches_mapped_classes():
 
 
 def test_asymmetric_noise_rejects_identity_entries():
-    ds = data.make_blobs(n_classes=4, n_per_class=5, seed=0)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=5), seed=0)
     with pytest.raises((ConfigError, ValueError)):
         data.inject_asymmetric_noise(ds, 0.2, pair_map={1: 1},
                                      rng=np.random.default_rng(0))
 
 
 def test_apply_noise_dispatch():
-    ds = data.make_blobs(n_classes=4, n_per_class=50, seed=13)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=50),
+                         seed=13)
     untouched = data.apply_noise(ds, data.NoiseSpec(kind="none", ratio=0.0),
                                  np.random.default_rng(3))
     assert np.array_equal(untouched.y_noisy, ds.y_clean)
@@ -222,14 +231,16 @@ def test_augment_batch_scale_bounds():
 
 
 def test_train_test_split_stratified_counts():
-    ds = data.make_blobs(n_classes=4, n_per_class=50, seed=19)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=50),
+                         seed=19)
     train, test = data.train_test_split(ds, 0.1, seed=20)
     assert len(train) == 180 and len(test) == 20
     assert np.array_equal(np.bincount(test.y_clean), [5, 5, 5, 5])
 
 
 def test_train_test_split_disjoint_cover():
-    ds = data.make_blobs(n_classes=3, n_per_class=30, seed=21)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=30),
+                         seed=21)
     train, test = data.train_test_split(ds, 0.2, seed=22)
     joined = np.vstack([train.X, test.X])
     assert joined.shape[0] == len(ds)
@@ -240,7 +251,8 @@ def test_train_test_split_disjoint_cover():
 
 
 def test_train_test_split_deterministic():
-    ds = data.make_blobs(n_classes=3, n_per_class=30, seed=23)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=30),
+                         seed=23)
     a_train, a_test = data.train_test_split(ds, 0.25, seed=24)
     b_train, b_test = data.train_test_split(ds, 0.25, seed=24)
     assert np.array_equal(a_train.X, b_train.X)
@@ -248,14 +260,14 @@ def test_train_test_split_deterministic():
 
 
 def test_train_test_split_keeps_at_least_one_per_side():
-    ds = data.make_blobs(n_classes=2, n_per_class=3, seed=25)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=2, n_per_class=3), seed=25)
     train, test = data.train_test_split(ds, 0.01, seed=26)
     assert np.all(np.bincount(test.y_clean, minlength=2) >= 1)
     assert np.all(np.bincount(train.y_clean, minlength=2) >= 1)
 
 
 def test_train_test_split_rejects_bad_fraction():
-    ds = data.make_blobs(n_classes=2, n_per_class=5, seed=27)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=2, n_per_class=5), seed=27)
     for frac in (0.0, 1.0, -0.2):
         with pytest.raises((ConfigError, ValueError)):
             data.train_test_split(ds, frac, seed=0)

@@ -104,7 +104,7 @@ def test_evaluate_reports_per_class_accuracy():
 
 
 def test_evaluate_rejects_empty():
-    ds = data.make_blobs(n_classes=2, n_per_class=2, seed=0)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=2, n_per_class=2), seed=0)
     empty = ds.subset(np.array([], dtype=int))
     params = numnet.init_mlp([16, 4], [4, 2], seed=0)
     with pytest.raises(ConfigError):
@@ -314,7 +314,8 @@ def test_runners_release_after_every_stage(monkeypatch):
 
 def test_emit_histograms_layout(tmp_path):
     rng = np.random.default_rng(8)
-    train = data.make_blobs(n_classes=3, n_per_class=30, seed=9)
+    train = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=30),
+                            seed=9)
     train = data.apply_noise(train, data.NoiseSpec(kind="symmetric",
                                                    ratio=0.5),
                              np.random.default_rng(10))

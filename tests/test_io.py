@@ -62,6 +62,21 @@ def test_checkpoint_rejects_corrupt_shapes(tmp_path):
     assert "weight" in str(err.value)
 
 
+def test_checkpoint_rejects_corrupt_ema_naming_its_field(tmp_path):
+    path = tmp_path / "model.json"
+    params = sample_params()
+    io.save_checkpoint(path, params, ema=params.clone())
+    doc = json.loads(path.read_text())
+    layer = doc["ema"]["encoder"][0]
+    layer["weight"] = layer["weight"][:-2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=r"ema\.encoder\[0\]\.weight"):
+        io.load_checkpoint(path)
+    other = numnet.init_mlp([4, 5], [5, 3], seed=0)
+    with pytest.raises(CheckpointError, match="ema shapes do not mirror"):
+        io.save_checkpoint(path, params, ema=other)
+
+
 def test_transfer_round_trip(tmp_path):
     path = tmp_path / "transfer.json"
     labeled = credibility.labeled_records([0, 2], [2, 1], ["kept", "corrected"])
@@ -178,7 +193,8 @@ def test_gmm_rejects_bad_em_fields(tmp_path, field, value):
 
 def test_dataset_csv_round_trip_exact(tmp_path):
     path = tmp_path / "data.csv"
-    ds = data.make_blobs(n_classes=3, n_per_class=8, n_features=5, seed=32)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=8,
+                                          n_features=5), seed=32)
     noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", ratio=0.5),
                              np.random.default_rng(33))
     io.save_dataset_csv(path, noisy)
@@ -205,7 +221,8 @@ def csv_writer_reference(path, dataset):
 
 
 def test_dataset_csv_bytes_match_csv_writer(tmp_path):
-    ds = data.make_blobs(n_classes=3, n_per_class=4, n_features=7, seed=35)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=4,
+                                          n_features=7), seed=35)
     X = ds.X.copy()
     X[0] = [-0.0, 5e-324, 1e-300, 1e300, 2.0, 0.1, 1.0 / 3.0]
     X[1] = -X[0]
@@ -241,7 +258,7 @@ def test_dataset_csv_rejects_bad_rows(tmp_path, line, message):
 
 def test_dataset_csv_explicit_class_count(tmp_path):
     path = tmp_path / "data.csv"
-    ds = data.make_blobs(n_classes=4, n_per_class=3, seed=34)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=3), seed=34)
     sub = ds.subset(np.flatnonzero(ds.y_clean < 2))
     io.save_dataset_csv(path, sub)
     loaded = io.load_dataset_csv(path, n_classes=4)

@@ -53,7 +53,8 @@ def test_dense_forward_allocates_its_output_only():
 
 def test_dataset_csv_load_allocates_about_the_array():
     """One flat buffer per column group, not a Python float per value."""
-    ds = data.make_blobs(n_classes=10, n_per_class=450, n_features=16, seed=4)
+    ds = data.make_blobs(data.DatasetSpec(n_classes=10, n_per_class=450,
+                                          n_features=16), seed=4)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.csv")
         io.save_dataset_csv(path, ds)

@@ -147,13 +147,20 @@ def test_broadcast_gradients_reduce_correctly():
     assert np.max(np.abs(analytic[1] - numeric[1])) < 1e-6
 
 
+def public_members(cls) -> set[str]:
+    return {name for name, value in vars(cls).items()
+            if (callable(value) or isinstance(value, property))
+            and not (name.startswith("_") and not name.endswith("__"))}
+
+
 def test_tensor_has_only_the_ops_the_stages_use():
-    """Ops that only tests compose belong in `tape_ops`, not on the tape."""
-    ops = {name for name, value in vars(numnet.Tensor).items()
-           if (callable(value) or isinstance(value, property))
-           and not (name.startswith("_") and not name.endswith("__"))}
+    """Ops that only tests compose belong in `tape_ops`, not on the tape,
+    and the tape MLP offers only the passes the stages run."""
+    ops = public_members(numnet.Tensor)
     assert ops - {"__init__"} == {"__add__", "__sub__", "__mul__", "sum",
                                   "mean", "backward", "shape"}
+    assert public_members(numnet.TapeMlp) - {"__init__"} == {
+        "embed", "logits", "gradients"}
 
 
 def test_backward_rejects_nonfinite_root():
@@ -423,10 +430,8 @@ def test_ce_step_records_one_node_per_layer_plus_loss():
 def test_mlp_forward_is_the_tape_forward_on_constants():
     params = numnet.init_mlp([4, 8, 6], [6, 5, 3], seed=34)
     X = finite_rows(10, 4, 35)
-    plain = numnet.mlp_forward(params, X)
-    taped = numnet.TapeMlp(params).forward(X)
-    for a, t in zip(plain, taped):
-        assert np.array_equal(a, t.data)
+    taped = numnet.softmax_rows(numnet.TapeMlp(params).logits(X))
+    assert np.array_equal(numnet.mlp_forward(params, X), taped.data)
     with pytest.raises(ValueError):
         numnet.mlp_forward(params, finite_rows(10, 3, 35))
     params.classifier[-1].weight[0, 0] = np.nan
@@ -500,7 +505,9 @@ def test_mlp_params_validates_width_chain():
 def test_mlp_forward_embedding_is_rectified():
     params = numnet.init_mlp([4, 8, 6], [6, 3], seed=1)
     X = finite_rows(10, 4, 11)
-    Z, logits, probs = numnet.mlp_forward(params, X)
+    tape = numnet.TapeMlp(params)
+    Z, logits = tape.embed(X).data, tape.logits(X).data
+    probs = numnet.mlp_forward(params, X)
     assert Z.shape == (10, 6)
     assert np.all(Z >= 0)  # activation applied after the last encoder layer
     assert logits.shape == (10, 3)
@@ -531,8 +538,7 @@ def loss_on(params, X, y):
     targets = numnet.one_hot(y, int(y.max()) + 1)
 
     def fn(tape):
-        _, _, p = tape.forward(X)
-        return cross_entropy_rows(p, targets)
+        return cross_entropy_rows(numnet.softmax_rows(tape.logits(X)), targets)
     return fn
 
 
@@ -545,8 +551,7 @@ def test_mlp_gradient_matches_finite_differences():
     targets = numnet.one_hot(y, 3)
 
     def scalar(p):
-        _, _, probs = numnet.mlp_forward(p, X)
-        return cross_entropy(probs, targets)
+        return cross_entropy(numnet.mlp_forward(p, X), targets)
 
     numeric = central_diff(params, scalar)
     assert max_rel_err(analytic, numeric) < 1e-5

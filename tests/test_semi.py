@@ -61,13 +61,15 @@ def test_mixup_first_argument_dominates():
     assert np.all(xm >= 0.0) and np.all(xm <= 0.5 + 1e-12)
 
 
-def test_mixup_lambda_override_hand_value():
+def test_mixup_folds_the_drawn_lambda_hand_value():
+    lam = np.random.default_rng(3).beta(0.75, 0.75)
+    assert lam < 0.5                        # so the fold engages
     xm, ym = semi.mixup(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
                         np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]),
-                        0.75, np.random.default_rng(0), lam=0.25)
-    # override is still folded through max(lam, 1-lam)
-    assert np.allclose(xm, [[0.75, 0.25]])
-    assert np.allclose(ym, [[0.75, 0.25]])
+                        0.75, np.random.default_rng(3))
+    # the draw is folded through max(lam, 1-lam)
+    assert np.allclose(xm, [[1.0 - lam, lam]])
+    assert np.allclose(ym, [[1.0 - lam, lam]])
 
 
 def test_mixup_rows_stay_convex():
@@ -124,9 +126,9 @@ def test_guess_equals_per_view_forwards(K, rows):
     params = numnet.init_mlp([16, 64, 64], [64, 10], seed=K)
     views = [np.random.default_rng(rows + k).normal(size=(rows, 16))
              for k in range(K)]
-    acc = numnet.mlp_forward(params, views[0])[2]
+    acc = numnet.mlp_forward(params, views[0])
     for view in views[1:]:
-        acc = acc + numnet.mlp_forward(params, view)[2]
+        acc = acc + numnet.mlp_forward(params, view)
     expected = graphreg.sharpen_t(numnet.Tensor(acc / K), 0.5).data
     got = semi._guess_from_views(params, np.concatenate(views), K, T=0.5)
     if rows % 4 == 0:
@@ -251,10 +253,35 @@ def test_prepare_batch_deterministic():
     assert np.array_equal(a.q_unsup, b.q_unsup)
 
 
+def labeled_only_batch(X_l, y_l, config, rng):
+    """The batch stage 3 once built on a path of its own when U was empty:
+    the augmented L rows mixed with a shuffle of themselves."""
+    x_hat = data.augment_batch(X_l, config.augmentation, rng)
+    perm = rng.permutation(x_hat.shape[0])
+    return semi.mixup(x_hat, y_l, x_hat[perm], y_l[perm], config.alpha, rng)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_prepare_batch_without_unlabeled_rows_is_the_labeled_only_batch(K):
+    params = numnet.init_mlp([4, 8], [8, 3], seed=40)
+    config = semi.MixMatchConfig(batch_size=8, K=K)
+    rng_inputs = np.random.default_rng(41)
+    X_l = rng_inputs.normal(size=(8, 4))
+    y_l = numnet.one_hot(rng_inputs.integers(0, 3, 8), 3)
+    rng, rng_old = np.random.default_rng(42), np.random.default_rng(42)
+    batch = semi.prepare_mixmatch_batch(params, X_l, y_l, np.zeros((0, 4)),
+                                        config, rng)
+    X_sup, y_sup = labeled_only_batch(X_l, y_l, config, rng_old)
+    for got, want in ((batch.X_sup, X_sup), (batch.y_sup, y_sup)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == rng_old.bit_generator.state
+    assert batch.X_unsup.shape == (0, 4) and batch.q_unsup.shape == (0, 3)
+
+
 def mixmatch_loss_values(params, X_l, y_l, X_u, config, rng):
     batch = semi.prepare_mixmatch_batch(params, X_l, y_l, X_u, config, rng)
-    l_sup, l_unsup = semi.mixmatch_losses_from(numnet.TapeMlp(params), batch)
-    return float(l_sup.data), float(l_unsup.data)
+    _, parts = semi.stage3_loss(numnet.TapeMlp(params), batch, None, config)
+    return parts["l_sup"], parts["l_unsup"]
 
 
 def test_mixmatch_losses_finite_and_nonnegative():
