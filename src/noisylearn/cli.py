@@ -2,7 +2,9 @@
 
 Subcommands cover dataset generation, the three training stages, the full
 pipeline, the decoupling study, the sampler/regularizer ablation,
-diagnostic histograms, and checkpoint evaluation. Exit codes: 0 on
+diagnostic histograms, and checkpoint evaluation. The data and stage
+commands read the pipeline's config and draw the pipeline's stream seeds,
+so their artifacts equal `pipeline`'s byte for byte. Exit codes: 0 on
 success, 2 for configuration problems, 3 for numeric failures.
 """
 
@@ -15,66 +17,41 @@ from pathlib import Path
 
 from . import harness, io
 from .credibility import per_sample_stats
-from .data import (DatasetSpec, NoiseSpec, apply_noise, make_blobs,
-                   train_test_split)
 from .errors import ConfigError, NumericError
 from .harness import MetricsLog, derive_seed
 from .semi import train_stage3
-from .ssrl import ContrastiveConfig, train_encoder
+from .ssrl import train_encoder
 
 
 def _cmd_gen_data(args) -> int:
-    import numpy as np
-    ds = make_blobs(DatasetSpec(n_classes=args.classes,
-                                n_per_class=args.per_class,
-                                n_features=args.features,
-                                separation=args.separation, sigma=args.sigma),
-                    args.seed)
-    if args.test_out is not None:
-        train, test = train_test_split(
-            ds, args.test_fraction,
-            derive_seed(args.seed, harness.STREAM_SPLIT))
-        io.save_dataset_csv(args.test_out, test)
-    else:
-        train = ds
-    spec = NoiseSpec(kind=args.noise_kind, ratio=args.noise_ratio,
-                     exclude_true_class=args.exclude_true_class)
-    train = apply_noise(train, spec, np.random.default_rng(
-        derive_seed(args.seed, harness.STREAM_NOISE)))
+    train, test = harness.generate_data(harness.load_config(args.config))
     io.save_dataset_csv(args.out, train)
+    io.save_dataset_csv(args.test_out, test)
     print(f"wrote {args.out} ({len(train)} rows)")
-    if args.test_out is not None:
-        print(f"wrote {args.test_out}")
+    print(f"wrote {args.test_out} ({len(test)} rows)")
     return 0
 
 
-def _stage1_config(args) -> ContrastiveConfig:
-    return ContrastiveConfig(temperature=args.temperature,
-                             batch_size=args.batch_size,
-                             epochs=args.epochs, learning_rate=args.lr,
-                             eta_min=min(ContrastiveConfig.eta_min, args.lr))
-
-
 def _cmd_stage1(args) -> int:
+    config = harness.load_config(args.config)
     ds = io.load_dataset_csv(args.data)
-    result = train_encoder(ds.X, _stage1_config(args), args.seed)
+    result = train_encoder(ds.X, config.stage1,
+                           derive_seed(config.seed, harness.STREAM_STAGE1))
     io.save_checkpoint(args.out, result.encoder)
     if args.loss_csv is not None:
         log = MetricsLog()
-        for epoch, value in enumerate(result.loss_curve):
-            log.add("stage1", epoch, "train", "nt_xent_loss", value)
+        harness.log_stage1(log, result)
         log.to_csv(args.loss_csv)
     print(f"wrote {args.out} (final loss {result.loss_curve[-1]:.4f})")
     return 0
 
 
 def _cmd_stage2(args) -> int:
+    config = harness.load_config(args.config)
     ds = io.load_dataset_csv(args.data)
     encoder, _ = io.load_checkpoint(args.encoder)
-    config = harness.Stage2Config(epochs=args.epochs, lr=args.lr,
-                                  tau_clean=args.tau_clean,
-                                  tau_right=args.tau_right)
-    result = harness.run_stage2(encoder, ds, config, args.seed)
+    result = harness.run_stage2(encoder, ds, config.stage2,
+                                derive_seed(config.seed, harness.STREAM_STAGE2))
     io.save_transfer(args.out, result.transfer, len(ds))
     if args.classifier_out is not None:
         io.save_checkpoint(args.classifier_out, result.probe.classifier)
@@ -87,37 +64,31 @@ def _cmd_stage2(args) -> int:
     return 0
 
 
-def _cmd_stage3(args) -> int:
-    config = harness.load_config(args.config)
+def _load_stage2_outputs(args):
+    """The dataset, encoder, probe and transfer a finished stage 2 left."""
     ds = io.load_dataset_csv(args.data)
-    test = io.load_dataset_csv(args.test_data) if args.test_data else None
     encoder, _ = io.load_checkpoint(args.encoder)
     classifier, _ = io.load_checkpoint(args.classifier)
     transfer, n_samples = io.load_transfer(args.transfer)
     if n_samples != len(ds):
         raise ConfigError(
             f"transfer covers {n_samples} samples but data has {len(ds)}")
+    return ds, encoder, classifier, transfer
+
+
+def _cmd_stage3(args) -> int:
+    config = harness.load_config(args.config)
+    ds, encoder, classifier, transfer = _load_stage2_outputs(args)
+    test = io.load_dataset_csv(args.test_data) if args.test_data else None
     result = train_stage3(encoder, classifier, transfer, ds, config.stage3,
                           derive_seed(config.seed, harness.STREAM_STAGE3),
                           test_dataset=test)
     io.save_checkpoint(args.out, result.params, ema=result.ema)
-    _write_stage3_csv(args.metrics, result.history)
+    log = MetricsLog()
+    harness.log_stage3(log, result)
+    log.to_csv(args.metrics)
     print(f"wrote {args.out}")
     return 0
-
-
-def _write_stage3_csv(path, history: list[dict]) -> None:
-    import csv
-    columns = ["epoch", "test_acc", "test_acc_ema", "l_sup", "l_unsup",
-               "r_graph"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in history:
-            out = [row["epoch"]]
-            for key in columns[1:]:
-                out.append(repr(float(row[key])) if key in row else "")
-            writer.writerow(out)
 
 
 def _cmd_pipeline(args) -> int:
@@ -175,13 +146,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_histograms(args) -> int:
-    ds = io.load_dataset_csv(args.data)
-    encoder, _ = io.load_checkpoint(args.encoder)
-    classifier, _ = io.load_checkpoint(args.classifier)
-    transfer, n_samples = io.load_transfer(args.transfer)
-    if n_samples != len(ds):
-        raise ConfigError(
-            f"transfer covers {n_samples} samples but data has {len(ds)}")
+    ds, encoder, classifier, transfer = _load_stage2_outputs(args)
     losses, confidences, y_pred = per_sample_stats(
         classifier, harness.embed_dataset(encoder, ds))
     paths = harness.emit_histograms(args.out_dir, ds, losses, confidences,
@@ -212,46 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "GMM label triage, semi-supervised retraining.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    blobs = DatasetSpec
-    p = sub.add_parser("gen-data", help="generate a blob dataset CSV")
+    p = sub.add_parser("gen-data",
+                       help="write the config's noisy train and clean test CSVs")
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=blobs.n_classes)
-    p.add_argument("--per-class", type=int, default=blobs.n_per_class)
-    p.add_argument("--features", type=int, default=blobs.n_features)
-    p.add_argument("--separation", type=float, default=blobs.separation)
-    p.add_argument("--sigma", type=float, default=blobs.sigma)
-    p.add_argument("--noise-kind", default="none",
-                   choices=["none", "symmetric", "asymmetric"])
-    p.add_argument("--noise-ratio", type=float, default=NoiseSpec.ratio)
-    p.add_argument("--exclude-true-class", action="store_true")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--test-out", help="also write a clean stratified test split")
-    p.add_argument("--test-fraction", type=float,
-                   default=harness.ExperimentConfig.test_fraction)
+    p.add_argument("--test-out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("stage1", help="contrastive encoder training")
+    p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    stage1 = ContrastiveConfig
-    p.add_argument("--epochs", type=int, default=stage1.epochs)
-    p.add_argument("--temperature", type=float, default=stage1.temperature)
-    p.add_argument("--batch-size", type=int, default=stage1.batch_size)
-    p.add_argument("--lr", type=float, default=stage1.learning_rate)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--loss-csv", help="write the per-epoch loss curve here")
     p.set_defaults(func=_cmd_stage1)
 
     p = sub.add_parser("stage2", help="frozen-probe training and label transfer")
+    p.add_argument("--config", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="transfer JSON path")
-    stage2 = harness.Stage2Config
-    p.add_argument("--tau-clean", type=float, default=stage2.tau_clean)
-    p.add_argument("--tau-right", type=float, default=stage2.tau_right)
-    p.add_argument("--epochs", type=int, default=stage2.epochs)
-    p.add_argument("--lr", type=float, default=stage2.lr)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--classifier-out", help="save the trained probe here")
     p.add_argument("--hist-dir", help="emit loss/confidence histogram CSVs")
     p.set_defaults(func=_cmd_stage2)

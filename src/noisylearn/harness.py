@@ -123,12 +123,11 @@ class MetricsLog:
                 writer.writerow([run_id, epoch, split, metric, repr(value)])
 
 
-def best_last(accuracies: list[float], last_k: int = 10) -> tuple[float, float]:
-    """Best = max over epochs; Last = mean of the final min(last_k, n)."""
+def best_last(accuracies: list[float]) -> tuple[float, float]:
+    """Best = max over epochs; Last = mean of the final min(10, n)."""
     if not accuracies:
         raise ConfigError("best_last: empty accuracy sequence")
-    tail = accuracies[-last_k:]
-    return max(accuracies), float(np.mean(tail))
+    return max(accuracies), float(np.mean(accuracies[-10:]))
 
 
 def evaluate(params: MlpParams, test: LabeledDataset) -> tuple[float, Array]:
@@ -442,12 +441,29 @@ def _data_and_stages_1_2(config: ExperimentConfig) -> tuple[
     return train, test, stage1, stage2
 
 
+def log_stage1(log: MetricsLog, stage1: EncoderTrainResult) -> None:
+    """The stage-1 rows: the NT-Xent loss of each epoch."""
+    for epoch, value in enumerate(stage1.loss_curve):
+        log.add("stage1", epoch, "train", "nt_xent_loss", value)
+
+
+def log_stage3(log: MetricsLog, stage3: Stage3Result) -> None:
+    """The stage-3 rows: each epoch's loss parts and any test accuracies."""
+    for row in stage3.history:
+        epoch = row["epoch"]
+        for metric in ("l_sup", "l_unsup", "r_graph", "total"):
+            log.add("stage3", epoch, "train", metric, row[metric])
+        if "test_acc" in row:
+            log.add("stage3", epoch, "test", "accuracy", row["test_acc"])
+            log.add("stage3", epoch, "test", "accuracy_ema",
+                    row["test_acc_ema"])
+
+
 def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     """Stage-1 -> Stage-2 -> optional Stage-3 under one derived seed tree."""
     train, test, stage1, stage2 = _data_and_stages_1_2(config)
     log = MetricsLog()
-    for epoch, value in enumerate(stage1.loss_curve):
-        log.add("stage1", epoch, "train", "nt_xent_loss", value)
+    log_stage1(log, stage1)
     for epoch, value in enumerate(stage2.probe.loss_curve):
         log.add("stage2", epoch, "train", "ce_loss", value)
     for epoch, value in enumerate(stage2.probe.train_accuracy):
@@ -462,14 +478,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                               derive_seed(config.seed, STREAM_STAGE3),
                               test_dataset=test)
         _release_freed_memory()
-        for row in stage3.history:
-            epoch = row["epoch"]
-            for metric in ("l_sup", "l_unsup", "r_graph", "total"):
-                log.add("stage3", epoch, "train", metric, row[metric])
-            if "test_acc" in row:
-                log.add("stage3", epoch, "test", "accuracy", row["test_acc"])
-                log.add("stage3", epoch, "test", "accuracy_ema",
-                        row["test_acc_ema"])
+        log_stage3(log, stage3)
 
     return PipelineResult(train=train, test=test, stage1=stage1,
                           stage2=stage2, stage3=stage3, metrics=log)

@@ -471,6 +471,8 @@ def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
 class OptState:
     """SGD (optionally with momentum) or Adam state for an MlpParams.
 
+    Adam runs with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
+
     The state lives in flat float64 buffers laid out at the first step in
     the key order of its `grads`; `buffers` (momentum or Adam's first
     moment) and `second_moments` map each name to a view into them.
@@ -479,9 +481,6 @@ class OptState:
     kind: str
     learning_rate: float
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     buffers: dict[str, Array] = field(default_factory=dict, repr=False)
     second_moments: dict[str, Array] = field(default_factory=dict, repr=False)
@@ -500,10 +499,8 @@ def sgd(learning_rate: float, momentum: float = 0.0) -> OptState:
     return OptState(kind="sgd", learning_rate=learning_rate, momentum=momentum)
 
 
-def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-         eps: float = 1e-8) -> OptState:
-    return OptState(kind="adam", learning_rate=learning_rate,
-                    beta1=beta1, beta2=beta2, eps=eps)
+def adam(learning_rate: float) -> OptState:
+    return OptState(kind="adam", learning_rate=learning_rate)
 
 
 def _lay_out(state: OptState, grads: GradDict) -> list[Array]:
@@ -554,18 +551,19 @@ def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpPa
     state.step_count += 1
     if state.kind == "adam":
         m, v = kept
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
+        beta1, beta2 = 0.9, 0.999
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=a)
         m += a
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=a)
         a *= g
         v += a
-        np.divide(m, 1.0 - state.beta1 ** state.step_count, out=a)
+        np.divide(m, 1.0 - beta1 ** state.step_count, out=a)
         a *= state.learning_rate
-        np.divide(v, 1.0 - state.beta2 ** state.step_count, out=g)  # g spent
+        np.divide(v, 1.0 - beta2 ** state.step_count, out=g)  # g spent
         np.sqrt(g, out=g)
-        g += state.eps
+        g += 1e-8
         a /= g
     elif kept:
         v, = kept

@@ -59,6 +59,8 @@ class MixMatchConfig:
             raise ConfigError("alpha must be positive")
         if self.lambda_u < 0:
             raise ConfigError("lambda_u must be non-negative")
+        if self.lambda_lu < 0 or self.lambda_uu < 0:
+            raise ConfigError("lambda_lu and lambda_uu must be non-negative")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:

@@ -90,8 +90,8 @@ class ContrastiveConfig:
             raise ConfigError("temperature must be positive")
         if self.batch_size < 4 or self.batch_size % 2 != 0:
             raise ConfigError("batch_size must be an even number >= 4")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        if self.epochs < 1 or self.projection_width < 1:
+            raise ConfigError("epochs and projection_width must be >= 1")
         if self.learning_rate <= 0 or not 0 <= self.eta_min <= self.learning_rate:
             raise ConfigError("learning_rate must be positive and eta_min "
                               "in [0, learning_rate]")

@@ -30,18 +30,16 @@ def write_tiny_config(path, **overrides):
 
 
 def test_stagewise_flow(tmp_path):
-    gen = run_cli("gen-data", "--out", "train.csv", "--test-out", "test.csv",
-                  "--classes", "3", "--per-class", "40", "--features", "6",
-                  "--sigma", "0.8", "--noise-kind", "symmetric",
-                  "--noise-ratio", "0.4", "--test-fraction", "0.2",
-                  "--seed", "5", cwd=tmp_path)
+    config = str(write_tiny_config(tmp_path / "config.json"))
+    gen = run_cli("gen-data", "--config", config, "--out", "train.csv",
+                  "--test-out", "test.csv", cwd=tmp_path)
     assert gen.returncode == 0, gen.stderr
     assert (tmp_path / "train.csv").exists()
     assert (tmp_path / "test.csv").exists()
 
-    s1 = run_cli("stage1", "--data", "train.csv", "--out", "encoder.json",
-                 "--epochs", "4", "--batch-size", "32", "--seed", "6",
-                 "--loss-csv", "stage1.csv", cwd=tmp_path)
+    s1 = run_cli("stage1", "--config", config, "--data", "train.csv",
+                 "--out", "encoder.json", "--loss-csv", "stage1.csv",
+                 cwd=tmp_path)
     assert s1.returncode == 0, s1.stderr
     with open(tmp_path / "stage1.csv") as fh:
         rows = list(csv.reader(fh))
@@ -49,28 +47,28 @@ def test_stagewise_flow(tmp_path):
     assert len(rows) == 5
     assert all(row[3] == "nt_xent_loss" for row in rows[1:])
 
-    s2 = run_cli("stage2", "--encoder", "encoder.json", "--data", "train.csv",
-                 "--out", "transfer.json", "--classifier-out",
-                 "classifier.json", "--epochs", "5", "--seed", "7",
-                 "--hist-dir", "hists", cwd=tmp_path)
+    s2 = run_cli("stage2", "--config", config, "--encoder", "encoder.json",
+                 "--data", "train.csv", "--out", "transfer.json",
+                 "--classifier-out", "classifier.json", "--hist-dir", "hists",
+                 cwd=tmp_path)
     assert s2.returncode == 0, s2.stderr
     transfer = json.loads((tmp_path / "transfer.json").read_text())
     assert transfer["n_samples"] == 96
     assert len(transfer["L"]) + len(transfer["U"]) == 96
     assert (tmp_path / "hists" / "loss_histogram.csv").exists()
 
-    config = write_tiny_config(tmp_path / "config.json")
     s3 = run_cli("stage3", "--transfer", "transfer.json", "--encoder",
                  "encoder.json", "--classifier", "classifier.json",
-                 "--config", str(config), "--data", "train.csv",
+                 "--config", config, "--data", "train.csv",
                  "--test-data", "test.csv", "--out", "model.json",
                  "--metrics", "stage3.csv", cwd=tmp_path)
     assert s3.returncode == 0, s3.stderr
     with open(tmp_path / "stage3.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["epoch", "test_acc", "test_acc_ema", "l_sup",
-                       "l_unsup", "r_graph"]
-    assert len(rows) == 4
+    assert rows[0] == ["run_id", "epoch", "split", "metric", "value"]
+    # 3 epochs x (4 loss parts + accuracy + accuracy_ema)
+    assert len(rows) == 1 + 3 * 6
+    assert {row[0] for row in rows[1:]} == {"stage3"}
 
     ev = run_cli("eval", "--model", "model.json", "--data", "test.csv",
                  cwd=tmp_path)
@@ -86,6 +84,35 @@ def test_stagewise_flow(tmp_path):
                    "transfer.json", "--out-dir", "hists2", cwd=tmp_path)
     assert hist.returncode == 0, hist.stderr
     assert (tmp_path / "hists2" / "labeled_class_counts.csv").exists()
+
+
+def test_stage_commands_reproduce_the_pipeline(tmp_path):
+    config = str(write_tiny_config(tmp_path / "config.json"))
+    for command, *paths in (
+            ("gen-data", "--out", "train.csv", "--test-out", "test.csv"),
+            ("stage1", "--data", "train.csv", "--out", "encoder.json",
+             "--loss-csv", "stage1.csv"),
+            ("stage2", "--encoder", "encoder.json", "--data", "train.csv",
+             "--out", "transfer.json", "--classifier-out", "classifier.json"),
+            ("stage3", "--transfer", "transfer.json", "--encoder",
+             "encoder.json", "--classifier", "classifier.json", "--data",
+             "train.csv", "--test-data", "test.csv", "--out", "model.json",
+             "--metrics", "stage3.csv"),
+            ("pipeline", "--out-dir", "run")):
+        out = run_cli(command, "--config", config, *paths, cwd=tmp_path)
+        assert out.returncode == 0, (command, out.stderr)
+    for name in ("train.csv", "test.csv", "encoder.json", "classifier.json",
+                 "transfer.json", "model.json"):
+        assert (tmp_path / name).read_bytes() == \
+            (tmp_path / "run" / name).read_bytes(), name
+
+    def rows(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.reader(fh))
+
+    staged = rows("stage1.csv") + rows("stage3.csv")[1:]
+    pipeline = [row for row in rows("run/metrics.csv") if row[0] != "stage2"]
+    assert staged == pipeline
 
 
 def test_pipeline_writes_artifacts(tmp_path):
@@ -125,21 +152,21 @@ def test_ablate_multi_seed_suffixes(tmp_path):
 
 
 def test_stage1_learning_rate_below_default_floor(tmp_path):
-    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
-                  "--per-class", "20", "--features", "6", "--seed", "5",
-                  cwd=tmp_path)
-    assert gen.returncode == 0, gen.stderr
     # 1e-4 is below the schedule's default floor of 2e-4
-    out = run_cli("stage1", "--data", "train.csv", "--out", "encoder.json",
-                  "--epochs", "2", "--batch-size", "16", "--lr", "0.0001",
-                  "--seed", "6", cwd=tmp_path)
-    assert out.returncode == 0, out.stderr
-    assert (tmp_path / "encoder.json").exists()
+    config = write_tiny_config(tmp_path / "config.json",
+                               stage1={"learning_rate": 1e-4})
+    out = run_cli("stage1", "--config", str(config), "--data", "train.csv",
+                  "--out", "encoder.json", cwd=tmp_path)
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert "config section stage1: " in out.stderr, out.stderr
+    assert "eta_min" in out.stderr, out.stderr
+    assert not (tmp_path / "encoder.json").exists()
 
 
 def test_missing_file_exits_two(tmp_path):
-    out = run_cli("stage1", "--data", "nope.csv", "--out", "x.json",
-                  "--seed", "1", cwd=tmp_path)
+    config = write_tiny_config(tmp_path / "config.json")
+    out = run_cli("stage1", "--config", str(config), "--data", "nope.csv",
+                  "--out", "x.json", cwd=tmp_path)
     assert out.returncode == 2
     assert "nope.csv" in out.stderr, out.stderr
 
@@ -179,54 +206,51 @@ def test_mistyped_config_value_exits_two(tmp_path):
     assert "stage1.epochs expects int, got str" in out.stderr
 
 
+def gen_data(tmp_path, config):
+    out = run_cli("gen-data", "--config", str(config), "--out", "train.csv",
+                  "--test-out", "test.csv", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
 def test_non_finite_csv_value_exits_two(tmp_path):
-    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
-                  "--per-class", "20", "--features", "6", "--seed", "2",
-                  cwd=tmp_path)
-    assert gen.returncode == 0, gen.stderr
+    config = write_tiny_config(tmp_path / "config.json")
+    gen_data(tmp_path, config)
     lines = (tmp_path / "train.csv").read_text().splitlines()
     cells = lines[3].split(",")
     cells[1] = "nan"
     lines[3] = ",".join(cells)
     (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
-    out = run_cli("stage1", "--data", "train.csv", "--out", "enc.json",
-                  "--epochs", "2", "--batch-size", "16", "--seed", "3",
-                  cwd=tmp_path)
+    out = run_cli("stage1", "--config", str(config), "--data", "train.csv",
+                  "--out", "enc.json", cwd=tmp_path)
     assert out.returncode == 2, (out.returncode, out.stderr)
     assert "train.csv" in out.stderr and "row 2 (line 4)" in out.stderr
 
 
 def test_out_of_range_csv_label_exits_two(tmp_path):
-    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
-                  "--per-class", "20", "--features", "6", "--seed", "2",
-                  cwd=tmp_path)
-    assert gen.returncode == 0, gen.stderr
+    config = write_tiny_config(tmp_path / "config.json")
+    gen_data(tmp_path, config)
     lines = (tmp_path / "train.csv").read_text().splitlines()
     cells = lines[3].split(",")
     cells[-2] = "-1"                     # y_clean of row 2
     lines[3] = ",".join(cells)
     (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
-    out = run_cli("stage1", "--data", "train.csv", "--out", "enc.json",
-                  "--epochs", "2", "--batch-size", "16", "--seed", "3",
-                  cwd=tmp_path)
+    out = run_cli("stage1", "--config", str(config), "--data", "train.csv",
+                  "--out", "enc.json", cwd=tmp_path)
     assert out.returncode == 2, (out.returncode, out.stderr)
     assert "train.csv" in out.stderr, out.stderr
     assert "y_clean -1 outside [0, 3) in row 2 (line 4)" in out.stderr
 
 
 def test_numeric_blowup_exits_three(tmp_path):
-    gen = run_cli("gen-data", "--out", "train.csv", "--classes", "3",
-                  "--per-class", "20", "--features", "6", "--seed", "2",
-                  cwd=tmp_path)
-    assert gen.returncode == 0, gen.stderr
-    s1 = run_cli("stage1", "--data", "train.csv", "--out", "enc.json",
-                 "--epochs", "2", "--batch-size", "16", "--seed", "3",
-                 cwd=tmp_path)
-    assert s1.returncode == 0, s1.stderr
     # lr near float64 max overflows the probe weights to inf
-    out = run_cli("stage2", "--encoder", "enc.json", "--data", "train.csv",
-                  "--out", "t.json", "--epochs", "3", "--lr", "1e307",
-                  "--seed", "4", cwd=tmp_path)
+    config = write_tiny_config(tmp_path / "config.json",
+                               stage2={"epochs": 3, "lr": 1e307})
+    gen_data(tmp_path, config)
+    s1 = run_cli("stage1", "--config", str(config), "--data", "train.csv",
+                 "--out", "enc.json", cwd=tmp_path)
+    assert s1.returncode == 0, s1.stderr
+    out = run_cli("stage2", "--config", str(config), "--encoder", "enc.json",
+                  "--data", "train.csv", "--out", "t.json", cwd=tmp_path)
     assert out.returncode == 3, (out.returncode, out.stderr)
     assert "numeric failure" in out.stderr
 

@@ -148,6 +148,9 @@ def test_config_rejects_unknown_keys():
     ("dataset", {"sigma": -1.0}, "sigma"),
     ("noise", {"ratio": 1.5}, "ratio"),
     ("noise", {"ratio": -0.1}, "ratio"),
+    ("stage3", {"lambda_lu": -1.0}, "lambda_lu"),
+    ("stage3", {"lambda_uu": -1.0}, "lambda_uu"),
+    ("stage1", {"projection_width": 0}, "projection_width"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:
