@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands cover dataset generation, the three training stages, the full
-pipeline, the decoupling study, the sampler/regularizer ablation,
-diagnostic histograms, and checkpoint evaluation. The data and stage
-commands read the pipeline's config and draw the pipeline's stream seeds,
-so their artifacts equal `pipeline`'s byte for byte. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numeric failures.
+pipeline, the decoupling study, the sampler/regularizer ablation, and
+checkpoint evaluation. The data and stage commands read the pipeline's
+config and draw the pipeline's stream seeds, so their artifacts equal
+`pipeline`'s byte for byte. Exit codes: 0 on success, 2 for configuration
+problems and for files that do not fit together, 3 for numeric failures.
 """
 
 from __future__ import annotations
@@ -16,11 +16,21 @@ import sys
 from pathlib import Path
 
 from . import harness, io
-from .credibility import per_sample_stats
 from .errors import ConfigError, NumericError
 from .harness import MetricsLog, derive_seed
 from .semi import train_stage3
 from .ssrl import train_encoder
+
+
+def _load_data(path, params, params_path):
+    """The dataset CSV at `path`, refused unless the first layer of the
+    network loaded from `params_path` takes its rows."""
+    ds = io.load_dataset_csv(path)
+    layers = params.encoder + params.classifier
+    if layers and layers[0].weight.shape[0] != ds.n_features:
+        raise ConfigError(f"{path} has {ds.n_features} features but "
+                          f"{params_path} takes {layers[0].weight.shape[0]}")
+    return ds
 
 
 def _cmd_gen_data(args) -> int:
@@ -48,8 +58,8 @@ def _cmd_stage1(args) -> int:
 
 def _cmd_stage2(args) -> int:
     config = harness.load_config(args.config)
-    ds = io.load_dataset_csv(args.data)
     encoder, _ = io.load_checkpoint(args.encoder)
+    ds = _load_data(args.data, encoder, args.encoder)
     result = harness.run_stage2(encoder, ds, config.stage2,
                                 derive_seed(config.seed, harness.STREAM_STAGE2))
     io.save_transfer(args.out, result.transfer, len(ds))
@@ -64,22 +74,29 @@ def _cmd_stage2(args) -> int:
     return 0
 
 
-def _load_stage2_outputs(args):
-    """The dataset, encoder, probe and transfer a finished stage 2 left."""
-    ds = io.load_dataset_csv(args.data)
-    encoder, _ = io.load_checkpoint(args.encoder)
-    classifier, _ = io.load_checkpoint(args.classifier)
-    transfer, n_samples = io.load_transfer(args.transfer)
-    if n_samples != len(ds):
-        raise ConfigError(
-            f"transfer covers {n_samples} samples but data has {len(ds)}")
-    return ds, encoder, classifier, transfer
-
-
 def _cmd_stage3(args) -> int:
     config = harness.load_config(args.config)
-    ds, encoder, classifier, transfer = _load_stage2_outputs(args)
-    test = io.load_dataset_csv(args.test_data) if args.test_data else None
+    encoder, _ = io.load_checkpoint(args.encoder)
+    ds = _load_data(args.data, encoder, args.encoder)
+    classifier, _ = io.load_checkpoint(args.classifier)
+    transfer, n_samples = io.load_transfer(args.transfer)
+    if (n_samples, transfer.n_classes) != (len(ds), ds.n_classes):
+        raise ConfigError(
+            f"{args.transfer} covers {n_samples} samples of "
+            f"{transfer.n_classes} classes but {args.data} has {len(ds)} "
+            f"of {ds.n_classes}")
+    width = (encoder.encoder[-1].weight.shape[1] if encoder.encoder
+             else ds.n_features)
+    head = classifier.classifier
+    if not head or head[0].weight.shape[0] != width:
+        raise ConfigError(f"{args.classifier} has no head that takes the "
+                          f"{width} outputs of {args.encoder}")
+    if head[-1].weight.shape[1] != ds.n_classes:
+        raise ConfigError(
+            f"{args.classifier} has {head[-1].weight.shape[1]} outputs but "
+            f"{args.data} has {ds.n_classes} classes")
+    test = (_load_data(args.test_data, encoder, args.encoder)
+            if args.test_data else None)
     result = train_stage3(encoder, classifier, transfer, ds, config.stage3,
                           derive_seed(config.seed, harness.STREAM_STAGE3),
                           test_dataset=test)
@@ -128,6 +145,8 @@ def _cmd_decouple(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     config = harness.load_config(args.config)
     merged = MetricsLog()
     for i in range(args.seeds):
@@ -145,24 +164,13 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_histograms(args) -> int:
-    ds, encoder, classifier, transfer = _load_stage2_outputs(args)
-    losses, confidences, y_pred = per_sample_stats(
-        classifier, harness.embed_dataset(encoder, ds))
-    paths = harness.emit_histograms(args.out_dir, ds, losses, confidences,
-                                    y_pred, transfer)
-    for path in paths.values():
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_eval(args) -> int:
     params, ema = io.load_checkpoint(args.model)
     if args.ema:
         if ema is None:
             raise ConfigError(f"checkpoint {args.model} has no ema weights")
         params = ema
-    test = io.load_dataset_csv(args.data)
+    test = _load_data(args.data, params, args.model)
     acc, per_class = harness.evaluate(params, test)
     print(f"top1 {acc:.4f}")
     for c, value in enumerate(per_class):
@@ -227,14 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", required=True)
     p.add_argument("--seeds", type=int, default=1)
     p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("histograms", help="stage-2 diagnostic histograms")
-    p.add_argument("--encoder", required=True)
-    p.add_argument("--classifier", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--transfer", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_histograms)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a test CSV")
     p.add_argument("--model", required=True)

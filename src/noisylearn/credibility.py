@@ -31,6 +31,24 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 
 @dataclass
+class Stage2Config:
+    epochs: int = 40
+    lr: float = 0.002
+    momentum: float = 0.9
+    batch_size: int = 128
+    tau_clean: float = 0.5
+    tau_right: float = 0.5
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("lr must be positive and momentum in [0, 1)")
+        if not (0.0 <= self.tau_clean <= 1.0 and 0.0 <= self.tau_right <= 1.0):
+            raise ConfigError("tau_clean and tau_right must lie in [0, 1]")
+
+
+@dataclass
 class ProbeTrainResult:
     classifier: MlpParams        # empty encoder, single linear layer
     loss_curve: list[float]
@@ -38,10 +56,8 @@ class ProbeTrainResult:
     test_accuracy: list[float]   # against clean labels; empty without a test set
 
 
-def train_frozen_classifier(dataset: LabeledDataset, epochs: int,
-                            lr: float = 0.002, seed: int = 0,
-                            momentum: float = 0.9,
-                            batch_size: int = 128,
+def train_frozen_classifier(dataset: LabeledDataset, config: Stage2Config,
+                            seed: int,
                             test_dataset: LabeledDataset | None = None
                             ) -> ProbeTrainResult:
     """Fit a linear head on embedded rows against the observed labels.
@@ -49,20 +65,19 @@ def train_frozen_classifier(dataset: LabeledDataset, epochs: int,
     `dataset.X` (and `test_dataset.X`) hold the frozen encoder's
     embeddings; only the head's weights move.
     """
-    if epochs < 1:
-        raise ConfigError("train_frozen_classifier: epochs must be >= 1")
     rng = np.random.default_rng(seed)
     params = numnet.init_mlp([], [dataset.n_features, dataset.n_classes],
                              seed=int(rng.integers(2**31)))
     targets = numnet.one_hot(dataset.y_noisy, dataset.n_classes)
-    batches = numnet.ce_batches(dataset.X, targets, batch_size, rng)
+    batches = numnet.ce_batches(dataset.X, targets, config.batch_size, rng)
     loss_curve = []
     train_acc = []
     test_acc = []
+    optimizer = numnet.sgd(config.lr, momentum=config.momentum)
+    steps = math.ceil(len(dataset) / config.batch_size)
     # eta_min = lr: the cosine schedule collapses to a constant rate
-    for losses in numnet.fit(params, numnet.sgd(lr, momentum=momentum), epochs,
-                             math.ceil(len(dataset) / batch_size), batches,
-                             eta_min=lr):
+    for losses in numnet.fit(params, optimizer, config.epochs, steps, batches,
+                             eta_min=config.lr):
         loss_curve.append(float(np.mean(losses)))
         train_acc.append(numnet.accuracy(params, dataset.X, dataset.y_noisy))
         if test_dataset is not None:
@@ -118,17 +133,17 @@ def _log_gauss(values: Array, mean: float, var: float) -> Array:
     return -0.5 * (np.log(2.0 * np.pi * var) + (values - mean) ** 2 / var)
 
 
-EM_TOL = 1e-6  # the default stopping step of `fit_gmm_em`
+EM_TOL = 1e-6  # the stopping step of `fit_gmm_em`
 
 
-def fit_gmm_em(values: Array, tol: float = EM_TOL, max_iter: int = 200) -> Gmm1D:
+def fit_gmm_em(values: Array, max_iter: int = 200) -> Gmm1D:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initialization is deterministic: component means at the 10th and 90th
     percentiles, equal weights, both variances set to the pooled variance.
     Responsibilities are computed in log space; variances are floored at
     1e-6. Iteration stops when the mean log-likelihood improves by less
-    than `tol`; a fit that uses all `max_iter` iterations without that is
+    than `EM_TOL`; a fit that uses all `max_iter` iterations without that is
     marked `converged=False`. The returned components are sorted by mean.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
@@ -165,7 +180,7 @@ def fit_gmm_em(values: Array, tol: float = EM_TOL, max_iter: int = 200) -> Gmm1D
                               for r, m in zip(resp, means)]) / counts
         variances = np.maximum(variances, VAR_FLOOR)
 
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < EM_TOL:
             converged = True
             break
 
@@ -282,27 +297,26 @@ def assess_credibility(losses: Array, confidences: Array) -> CredibilityScores:
     """
     losses = np.asarray(losses, dtype=np.float64)
     confidences = np.asarray(confidences, dtype=np.float64)
-    norm_losses = _minmax(losses)
-    try:
-        loss_gmm = fit_gmm_em(norm_losses)
-        p_clean = gmm_posterior(loss_gmm, norm_losses, "low_mean")
-    except DegenerateMixtureError:
-        loss_gmm = None
-        p_clean = np.ones_like(losses)
-    try:
-        confidence_gmm = fit_gmm_em(confidences)
-        p_right = gmm_posterior(confidence_gmm, confidences, "high_mean")
-    except DegenerateMixtureError:
-        confidence_gmm = None
-        p_right = np.ones_like(confidences)
+    loss_gmm, p_clean = _fit_and_score(_minmax(losses), "low_mean")
+    confidence_gmm, p_right = _fit_and_score(confidences, "high_mean")
     return CredibilityScores(p_clean=p_clean, p_right=p_right,
                              losses=losses, confidences=confidences,
                              loss_gmm=loss_gmm, confidence_gmm=confidence_gmm)
 
 
+def _fit_and_score(values: Array, component: str
+                   ) -> tuple[Gmm1D | None, Array]:
+    """The mixture fit of `values` and each value's `component` posterior;
+    no mixture and all-ones posteriors when `values` is constant."""
+    try:
+        gmm = fit_gmm_em(values)
+    except DegenerateMixtureError:
+        return None, np.ones_like(values)
+    return gmm, gmm_posterior(gmm, values, component)
+
+
 def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,
-                    tau_clean: float = 0.5, tau_right: float = 0.5, *,
-                    n_classes: int) -> TransferredLabels:
+                    config: Stage2Config, n_classes: int) -> TransferredLabels:
     """Partition samples by the two credibility scores.
 
     A sample whose observed label looks clean (p_clean >= tau_clean) keeps
@@ -310,17 +324,15 @@ def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,
     (p_right >= tau_right), the sample is relabeled with the prediction.
     Everything else becomes unlabeled. Both thresholds are inclusive.
     """
-    if not (0.0 <= tau_clean <= 1.0 and 0.0 <= tau_right <= 1.0):
-        raise ConfigError("thresholds must lie in [0, 1]")
     y_noisy = np.asarray(y_noisy)
     y_pred = np.asarray(y_pred)
     if y_noisy.shape != y_pred.shape or y_noisy.shape != scores.p_clean.shape:
         raise ConfigError("transfer_labels: misaligned inputs")
-    kept = scores.p_clean >= tau_clean
-    in_L = kept | (scores.p_right >= tau_right)
+    kept = scores.p_clean >= config.tau_clean
+    in_L = kept | (scores.p_right >= config.tau_right)
     index = np.flatnonzero(in_L)
     labeled = labeled_records(index, np.where(kept, y_noisy, y_pred)[index],
                               np.where(kept[index], "kept", "corrected"))
     return TransferredLabels(labeled=labeled, unlabeled=np.flatnonzero(~in_L),
-                             tau_clean=tau_clean, tau_right=tau_right,
-                             n_classes=n_classes)
+                             tau_clean=config.tau_clean,
+                             tau_right=config.tau_right, n_classes=n_classes)

@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import numnet
-from .credibility import (EM_TOL, Stage2Result, TransferredLabels,
-                          assess_credibility, per_sample_stats,
-                          train_frozen_classifier, transfer_labels)
+from .credibility import (EM_TOL, Stage2Config, Stage2Result,
+                          TransferredLabels, assess_credibility,
+                          per_sample_stats, train_frozen_classifier,
+                          transfer_labels)
 from .data import (DatasetSpec, LabeledDataset, NoiseSpec, apply_noise,
                    make_blobs, train_test_split)
 from .errors import ConfigError
@@ -147,24 +148,6 @@ def evaluate(params: MlpParams, test: LabeledDataset) -> tuple[float, Array]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Stage2Config:
-    epochs: int = 40
-    lr: float = 0.002
-    momentum: float = 0.9
-    batch_size: int = 128
-    tau_clean: float = 0.5
-    tau_right: float = 0.5
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("lr must be positive and momentum in [0, 1)")
-        if not (0.0 <= self.tau_clean <= 1.0 and 0.0 <= self.tau_right <= 1.0):
-            raise ConfigError("tau_clean and tau_right must lie in [0, 1]")
-
-
-@dataclass
 class SupervisedConfig:
     """End-to-end CE training used by the decoupling study and baselines."""
 
@@ -191,6 +174,10 @@ class ExperimentConfig:
     stage3: MixMatchConfig = field(default_factory=MixMatchConfig)
     supervised: SupervisedConfig = field(default_factory=SupervisedConfig)
     run_stage3: bool = True
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _typed(value, hint, where: str):
@@ -247,8 +234,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file {path}: not valid JSON ({e})") from e
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
-    if "seed" not in data:
-        raise ConfigError(f"config file {path}: 'seed' is required")
     return config_from_dict(data)
 
 
@@ -401,16 +386,11 @@ def run_stage2(encoder: MlpParams, train: LabeledDataset,
     """
     Z = embed_dataset(encoder, train)
     Zt = None if test_dataset is None else embed_dataset(encoder, test_dataset)
-    probe = train_frozen_classifier(
-        Z, epochs=config.epochs, lr=config.lr, seed=seed,
-        momentum=config.momentum, batch_size=config.batch_size,
-        test_dataset=Zt)
+    probe = train_frozen_classifier(Z, config, seed, test_dataset=Zt)
     losses, confidences, y_pred = per_sample_stats(probe.classifier, Z)
     scores = assess_credibility(losses, confidences)
-    transfer = transfer_labels(train.y_noisy, y_pred, scores,
-                               tau_clean=config.tau_clean,
-                               tau_right=config.tau_right,
-                               n_classes=train.n_classes)
+    transfer = transfer_labels(train.y_noisy, y_pred, scores, config,
+                               train.n_classes)
     for name, gmm in (("loss", scores.loss_gmm),
                       ("confidence", scores.confidence_gmm)):
         if gmm is not None and not gmm.converged:

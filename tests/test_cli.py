@@ -3,6 +3,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from noisylearn import io, numnet
 from util import child_env
 
 
@@ -79,12 +82,6 @@ def test_stagewise_flow(tmp_path):
                      "--ema", cwd=tmp_path)
     assert ev_ema.returncode == 0, ev_ema.stderr
 
-    hist = run_cli("histograms", "--encoder", "encoder.json", "--classifier",
-                   "classifier.json", "--data", "train.csv", "--transfer",
-                   "transfer.json", "--out-dir", "hists2", cwd=tmp_path)
-    assert hist.returncode == 0, hist.stderr
-    assert (tmp_path / "hists2" / "labeled_class_counts.csv").exists()
-
 
 def test_stage_commands_reproduce_the_pipeline(tmp_path):
     config = str(write_tiny_config(tmp_path / "config.json"))
@@ -93,7 +90,8 @@ def test_stage_commands_reproduce_the_pipeline(tmp_path):
             ("stage1", "--data", "train.csv", "--out", "encoder.json",
              "--loss-csv", "stage1.csv"),
             ("stage2", "--encoder", "encoder.json", "--data", "train.csv",
-             "--out", "transfer.json", "--classifier-out", "classifier.json"),
+             "--out", "transfer.json", "--classifier-out", "classifier.json",
+             "--hist-dir", "hists"),
             ("stage3", "--transfer", "transfer.json", "--encoder",
              "encoder.json", "--classifier", "classifier.json", "--data",
              "train.csv", "--test-data", "test.csv", "--out", "model.json",
@@ -105,6 +103,10 @@ def test_stage_commands_reproduce_the_pipeline(tmp_path):
                  "transfer.json", "model.json"):
         assert (tmp_path / name).read_bytes() == \
             (tmp_path / "run" / name).read_bytes(), name
+    for name in ("loss_histogram.csv", "confidence_histogram.csv",
+                 "labeled_class_counts.csv"):
+        assert (tmp_path / "hists" / name).read_bytes() == \
+            (tmp_path / "run" / "histograms" / name).read_bytes(), name
 
     def rows(name):
         with open(tmp_path / name, newline="") as fh:
@@ -149,6 +151,15 @@ def test_ablate_multi_seed_suffixes(tmp_path):
         run_ids = {row[0] for row in csv.reader(fh)} - {"run_id"}
     assert "cbs_on_gsr_on_s0" in run_ids
     assert "cbs_on_gsr_on_s1" in run_ids
+
+
+def test_ablate_rejects_fewer_than_one_seed(tmp_path):
+    config = write_tiny_config(tmp_path / "config.json")
+    out = run_cli("ablate", "--config", str(config), "--metrics",
+                  "ablate.csv", "--seeds", "0", cwd=tmp_path)
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert "--seeds" in out.stderr, out.stderr
+    assert not (tmp_path / "ablate.csv").exists()
 
 
 def test_stage1_learning_rate_below_default_floor(tmp_path):
@@ -266,3 +277,92 @@ def test_determinism_byte_identical_metrics(tmp_path):
     assert a == b
     assert (tmp_path / "a" / "model.json").read_bytes() == \
         (tmp_path / "b" / "model.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def stage2_dir(tmp_path_factory):
+    """The stage-2 outputs of the tiny config, plus `wide.csv`: data of the
+    same size with 8 features where the encoder reads 6."""
+    cwd = tmp_path_factory.mktemp("stage2")
+    config = str(write_tiny_config(cwd / "config.json"))
+    wide = str(write_tiny_config(cwd / "wide.json", dataset={
+        "n_classes": 3, "n_per_class": 40, "n_features": 8}))
+    for command, *paths in (
+            ("gen-data", "--config", config, "--out", "train.csv",
+             "--test-out", "test.csv"),
+            ("gen-data", "--config", wide, "--out", "wide.csv",
+             "--test-out", "wide_test.csv"),
+            ("stage1", "--config", config, "--data", "train.csv", "--out",
+             "encoder.json"),
+            ("stage2", "--config", config, "--encoder", "encoder.json",
+             "--data", "train.csv", "--out", "transfer.json",
+             "--classifier-out", "classifier.json")):
+        out = run_cli(command, *paths, cwd=cwd)
+        assert out.returncode == 0, (command, out.stderr)
+    return cwd
+
+
+def stage3_args(**files):
+    names = {"transfer": "transfer.json", "encoder": "encoder.json",
+             "classifier": "classifier.json", "data": "train.csv",
+             "test-data": "test.csv", **files}
+    args = ["stage3", "--config", "config.json", "--out", "model.json",
+            "--metrics", "stage3.csv"]
+    for flag, name in names.items():
+        args += [f"--{flag}", name]
+    return args
+
+
+def assert_refused(out, *names):
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert out.stderr.startswith("error: "), out.stderr
+    for name in names:
+        assert name in out.stderr, out.stderr
+
+
+def test_stage2_rejects_data_the_encoder_cannot_read(stage2_dir):
+    out = run_cli("stage2", "--config", "config.json", "--encoder",
+                  "encoder.json", "--data", "wide.csv", "--out", "t.json",
+                  cwd=stage2_dir)
+    assert_refused(out, "wide.csv", "encoder.json", "8 features", "takes 6")
+    assert not (stage2_dir / "t.json").exists()
+
+
+def test_stage3_rejects_test_data_the_encoder_cannot_read(stage2_dir):
+    out = run_cli(*stage3_args(**{"test-data": "wide_test.csv"}),
+                  cwd=stage2_dir)
+    assert_refused(out, "wide_test.csv", "encoder.json", "takes 6")
+    assert not (stage2_dir / "model.json").exists()
+
+
+def test_stage3_rejects_a_classifier_without_a_head(stage2_dir):
+    out = run_cli(*stage3_args(classifier="encoder.json"), cwd=stage2_dir)
+    assert_refused(out, "encoder.json has no head")
+    assert not (stage2_dir / "model.json").exists()
+
+
+def test_stage3_rejects_a_head_without_an_output_per_class(stage2_dir):
+    # a head of the encoder's width with 2 outputs, for data with 3 classes
+    io.save_checkpoint(stage2_dir / "two.json",
+                       numnet.init_mlp([], [64, 2], seed=0))
+    out = run_cli(*stage3_args(classifier="two.json"), cwd=stage2_dir)
+    assert_refused(out, "two.json has 2 outputs", "train.csv has 3 classes")
+    assert not (stage2_dir / "model.json").exists()
+
+
+def test_stage3_rejects_a_transfer_of_another_class_count(stage2_dir):
+    doc = json.loads((stage2_dir / "transfer.json").read_text())
+    doc["n_classes"] = 4
+    (stage2_dir / "four.json").write_text(json.dumps(doc))
+    out = run_cli(*stage3_args(transfer="four.json"), cwd=stage2_dir)
+    assert_refused(out, "four.json covers 96 samples of 4 classes",
+                   "train.csv has 96 of 3")
+    assert not (stage2_dir / "model.json").exists()
+
+
+def test_eval_rejects_data_the_model_cannot_read(stage2_dir):
+    io.save_checkpoint(stage2_dir / "six.json",
+                       numnet.init_mlp([6, 8], [8, 3], seed=0))
+    out = run_cli("eval", "--model", "six.json", "--data", "wide_test.csv",
+                  cwd=stage2_dir)
+    assert_refused(out, "wide_test.csv", "six.json", "8 features", "takes 6")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from noisylearn import credibility, data, harness, numnet
+from noisylearn.credibility import Stage2Config
 from noisylearn.errors import ConfigError, DegenerateMixtureError
 
 VAR_FLOOR = 1e-6
@@ -319,7 +320,8 @@ def test_transfer_thresholds_are_inclusive():
     y_noisy = np.array([0, 1, 2])
     y_pred = np.array([2, 2, 2])
     scores = make_scores([0.5, 0.2, 0.2], [0.1, 0.5, 0.2])
-    out = credibility.transfer_labels(y_noisy, y_pred, scores, n_classes=3)
+    out = credibility.transfer_labels(y_noisy, y_pred, scores,
+                                      Stage2Config(), n_classes=3)
     by_index = {e.index: e for e in out.labeled}
     assert by_index[0].origin == "kept" and by_index[0].label == 0
     assert by_index[1].origin == "corrected" and by_index[1].label == 2
@@ -330,7 +332,7 @@ def test_transfer_all_kept_when_fully_credible():
     y_noisy = np.array([1, 0, 2, 1])
     out = credibility.transfer_labels(
         y_noisy, np.zeros(4, dtype=int),
-        make_scores(np.ones(4), np.zeros(4)), n_classes=3)
+        make_scores(np.ones(4), np.zeros(4)), Stage2Config(), n_classes=3)
     assert len(out.labeled) == 4
     assert all(e.origin == "kept" for e in out.labeled)
     assert np.array_equal(out.labeled_targets().argmax(axis=1), y_noisy)
@@ -340,7 +342,7 @@ def test_transfer_all_kept_when_fully_credible():
 def test_transfer_all_unknown_when_nothing_credible():
     out = credibility.transfer_labels(
         np.array([0, 1]), np.array([1, 0]),
-        make_scores([0.0, 0.0], [0.0, 0.0]), n_classes=2)
+        make_scores([0.0, 0.0], [0.0, 0.0]), Stage2Config(), n_classes=2)
     assert len(out.labeled) == 0
     assert out.unlabeled.tolist() == [0, 1]
 
@@ -349,7 +351,7 @@ def test_transfer_kept_wins_over_corrected():
     # a sample passing both gates keeps its observed label
     out = credibility.transfer_labels(
         np.array([0]), np.array([1]),
-        make_scores([0.9], [0.9]), n_classes=2)
+        make_scores([0.9], [0.9]), Stage2Config(), n_classes=2)
     assert out.labeled[0].origin == "kept"
     assert out.labeled[0].label == 0
 
@@ -361,7 +363,8 @@ def test_transfer_partition_property(seed, n):
     y_noisy = rng.integers(0, 4, n)
     y_pred = rng.integers(0, 4, n)
     scores = make_scores(rng.random(n), rng.random(n))
-    out = credibility.transfer_labels(y_noisy, y_pred, scores, n_classes=4)
+    out = credibility.transfer_labels(y_noisy, y_pred, scores,
+                                      Stage2Config(), n_classes=4)
     labeled_idx = [e.index for e in out.labeled]
     combined = sorted(labeled_idx + list(out.unlabeled))
     assert combined == list(range(n))
@@ -408,7 +411,7 @@ def test_transfer_matches_per_row_rule(data_, tau_clean, tau_right, n):
     y_pred = data_.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     out = credibility.transfer_labels(
         np.array(y_noisy), np.array(y_pred), make_scores(p_clean, p_right),
-        tau_clean=tau_clean, tau_right=tau_right, n_classes=4)
+        Stage2Config(tau_clean=tau_clean, tau_right=tau_right), n_classes=4)
     labeled, unlabeled = reference_transfer(y_noisy, y_pred, p_clean, p_right,
                                             tau_clean, tau_right)
     assert out.labeled.tolist() == labeled
@@ -424,9 +427,9 @@ def test_transfer_monotone_in_thresholds():
     scores = make_scores(rng.random(40), rng.random(40))
     kept_sizes = []
     for tau in (0.2, 0.5, 0.8):
-        out = credibility.transfer_labels(y_noisy, y_pred, scores,
-                                          tau_clean=tau, tau_right=0.5,
-                                          n_classes=3)
+        out = credibility.transfer_labels(
+            y_noisy, y_pred, scores,
+            Stage2Config(tau_clean=tau, tau_right=0.5), n_classes=3)
         kept_sizes.append(sum(1 for e in out.labeled if e.origin == "kept"))
     assert kept_sizes[0] >= kept_sizes[1] >= kept_sizes[2]
 
@@ -450,8 +453,8 @@ def test_probe_on_uninformative_encoder_hits_class_prior(tiny_blobs):
         layer.weight[:] = 0.0
         layer.bias[:] = 0.0
     embedded = harness.embed_dataset(encoder, tiny_blobs)
-    res = credibility.train_frozen_classifier(embedded, epochs=5, seed=6,
-                                              test_dataset=embedded)
+    res = credibility.train_frozen_classifier(embedded, Stage2Config(epochs=5),
+                                              seed=6, test_dataset=embedded)
     # identical embeddings force a single predicted class
     assert res.test_accuracy[-1] == pytest.approx(1.0 / 3.0)
 
@@ -459,8 +462,9 @@ def test_probe_on_uninformative_encoder_hits_class_prior(tiny_blobs):
 def test_probe_learns_separable_data(tiny_blobs):
     encoder = numnet.init_mlp([6, 16, 8], [8, 3], seed=7)
     embedded = harness.embed_dataset(encoder, tiny_blobs)
-    res = credibility.train_frozen_classifier(embedded, epochs=30, lr=0.02,
-                                              seed=8, test_dataset=embedded)
+    res = credibility.train_frozen_classifier(
+        embedded, Stage2Config(epochs=30, lr=0.02), seed=8,
+        test_dataset=embedded)
     assert res.train_accuracy[-1] > 0.9
     assert len(res.loss_curve) == 30
 

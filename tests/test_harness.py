@@ -151,11 +151,14 @@ def test_config_rejects_unknown_keys():
     ("stage3", {"lambda_lu": -1.0}, "lambda_lu"),
     ("stage3", {"lambda_uu": -1.0}, "lambda_uu"),
     ("stage1", {"projection_width": 0}, "projection_width"),
+    ("seed", -1, "seed"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:
         harness.config_from_dict({"seed": 1, section: values})
-    assert f"config section {section}: " in str(err.value)
+    # the top-level seed has no section
+    where = "config: " if section == "seed" else f"config section {section}: "
+    assert where in str(err.value)
     assert field in str(err.value)
 
 

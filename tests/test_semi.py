@@ -399,7 +399,8 @@ def test_train_stage3_improves_on_easy_data(tiny_blobs):
                              ssrl.ContrastiveConfig(epochs=8, batch_size=32),
                              seed=5)
     probe = cred.train_frozen_classifier(
-        harness.embed_dataset(enc.encoder, noisy), epochs=20, seed=23,
+        harness.embed_dataset(enc.encoder, noisy),
+        cred.Stage2Config(epochs=20), seed=23,
         test_dataset=harness.embed_dataset(enc.encoder, tiny_blobs))
     rows = np.arange(0, 120, 2)
     labeled = credibility.labeled_records(rows, tiny_blobs.y_clean[rows],
