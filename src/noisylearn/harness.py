@@ -403,6 +403,10 @@ def run_stage2(encoder: MlpParams, train: LabeledDataset,
     if n_l == 0 or n_u == 0:
         print(f"warning: stage 2 left L or U empty: |L|={n_l}, |U|={n_u}",
               file=sys.stderr)
+    missing = np.setdiff1d(np.arange(train.n_classes), transfer.labeled.label)
+    if n_l and missing.size:
+        print(f"warning: stage 2 left classes {missing.tolist()} out of L",
+              file=sys.stderr)
     return Stage2Result(probe=probe, scores=scores, y_pred=y_pred,
                         transfer=transfer)
 

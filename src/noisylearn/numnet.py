@@ -3,12 +3,13 @@
 A small reverse-mode tape over float64 numpy arrays, MLP parameter
 containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
 parameter EMA, and the one training loop (`fit`) every stage runs. The
-tape supports exactly the compositions the training stages need: the
-fused `dense`, `softmax_rows` and `softmax_cross_entropy` nodes, `+`,
-`-`, `*`, `sum` and `mean`, plus the fused NT-Xent node in `ssrl` and the
-sharpening and graph-penalty nodes in `graphreg`. The per-op compositions
-the fused nodes are checked against live with the tests. It is not a
-general autodiff system.
+tape records fused nodes only, one per network forward and one per loss
+term: the `TapeMlp` forward, `softmax_rows` and `softmax_cross_entropy`
+here, NT-Xent in `ssrl`, sharpening and the graph penalty in `graphreg`,
+and the consistency term and the weighted total in `semi`. Each backward
+replays the chain rule of the per-op composition it replaced; the tests
+build those compositions and check the nodes against them bit for bit.
+It is not a general autodiff system.
 
 Everything is float64. Runs are deterministic for a fixed seed as long as
 execution stays single-threaded.
@@ -25,24 +26,15 @@ import numpy as np
 from .errors import NumericError
 
 Array = np.ndarray
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+_SPENT = object()  # the `_backward` of a node a sweep has run
 
 
 class Tensor:
     """Node in the reverse-mode tape.
 
-    Wraps a float64 ndarray. Nodes built from at least one gradient-requiring
-    parent record a backward closure; constant subexpressions stay off the
-    tape entirely.
+    Wraps a float64 ndarray. A node requires a gradient when it is a live
+    leaf or records a backward closure; constant subexpressions stay off
+    the tape entirely.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -59,67 +51,8 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: Array) -> None:
-        # Not in place: __add__/__sub__ hand one array to both parents.
+        # Not in place: tests/tape_ops.add hands one array to both parents.
         self.grad = g if self.grad is None else self.grad + g
-
-    # -- elementwise algebra -------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = _make(self.data + other.data, (self, other))
-        if out._parents:
-            def backward():
-                if _live(self):
-                    self._accumulate(_unbroadcast(out.grad, self.data.shape))
-                if _live(other):
-                    other._accumulate(_unbroadcast(out.grad, other.data.shape))
-            out._backward = backward
-        return out
-
-    def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = _make(self.data - other.data, (self, other))
-        if out._parents:
-            def backward():
-                if _live(self):
-                    self._accumulate(_unbroadcast(out.grad, self.data.shape))
-                if _live(other):
-                    other._accumulate(_unbroadcast(-out.grad, other.data.shape))
-            out._backward = backward
-        return out
-
-    def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = _make(self.data * other.data, (self, other))
-        if out._parents:
-            def backward():
-                if _live(self):
-                    self._accumulate(_unbroadcast(out.grad * other.data,
-                                                  self.data.shape))
-                if _live(other):
-                    other._accumulate(_unbroadcast(out.grad * self.data,
-                                                   other.data.shape))
-            out._backward = backward
-        return out
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            def backward():
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                _accum(self, np.broadcast_to(g, self.data.shape).copy())
-            out._backward = backward
-        return out
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    # -- backward pass ---------------------------------------------------------
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root; only leaves keep `.grad`.
@@ -140,7 +73,7 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._parents and node._backward is None:
+            if node._backward is _SPENT:
                 raise RuntimeError("backward() already ran on this tape")
             seen.add(id(node))
             stack.append((node, True))
@@ -153,7 +86,7 @@ class Tensor:
                 node._backward()
                 # Passed on. The closure refers to its node: dropping it
                 # breaks that cycle, so reference counts free the tape.
-                node.grad = node._backward = None
+                node.grad, node._backward = None, _SPENT
 
 
 def as_tensor(value) -> Tensor:
@@ -162,46 +95,16 @@ def as_tensor(value) -> Tensor:
 
 def _make(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
-    live = tuple(p for p in parents if _live(p))
+    live = tuple(p for p in parents if p.requires_grad)
     if live:
         out._parents = live
         out.requires_grad = True
     return out
 
 
-def _live(node: Tensor) -> bool:
-    return node.requires_grad or bool(node._parents)
-
-
 def _accum(node: Tensor, g: Array) -> None:
-    if _live(node):
+    if node.requires_grad:
         node._accumulate(g)
-
-
-def dense(X: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
-    """One layer, `X @ w + b`, rectified when `relu` is set, as one node.
-
-    The same ops as `relu(X @ w + b)`, so value and gradients match the
-    composition bit for bit, but the sum and the rectification are done in
-    place in the product's buffer. The backward forms a parent's product
-    only when that parent is live (frozen weights, constant inputs).
-    """
-    z = X.data @ w.data
-    z += b.data
-    if relu:
-        np.maximum(z, 0.0, out=z)
-    out = _make(z, (X, w, b))
-    if out._parents:
-        def backward():
-            g = out.grad * (out.data > 0.0) if relu else out.grad
-            if _live(X):
-                X._accumulate(g @ w.data.T)
-            if _live(w):
-                w._accumulate(X.data.T @ g)
-            if _live(b):
-                b._accumulate(g.sum(axis=0))
-        out._backward = backward
-    return out
 
 
 def _shifted_exp(logits: Array) -> tuple[Array, Array]:
@@ -387,7 +290,7 @@ def _check_input(layers: list[Layer], X: Array) -> None:
 def mlp_forward(params: MlpParams, X: Array) -> Array:
     """Class probabilities of the rows of `X`.
 
-    The tape forward on constants, so no node keeps parents or a backward.
+    The tape forward with both groups frozen, so it records no node.
     """
     X = np.asarray(X, dtype=np.float64)
     _check_input(params.encoder or params.classifier, X)
@@ -401,51 +304,80 @@ def accuracy(params: MlpParams, X: Array, y: Array) -> float:
 
 
 class TapeMlp:
-    """Tape-lifted view of an MlpParams used inside gradient closures."""
+    """Tape view of an MlpParams, whose arrays never become tape leaves.
+
+    `embed` and `logits` run on a constant input and record one node when
+    some group is live (not `frozen`); its backward adds into `gradients`.
+    """
 
     def __init__(self, params: MlpParams, frozen: Iterable[str] = ()):
         frozen = set(frozen)
         unknown = frozen - {"encoder", "classifier"}
         if unknown:
             raise ValueError(f"unknown frozen groups: {sorted(unknown)}")
-        self.encoder = [
-            (Tensor(l.weight, requires_grad="encoder" not in frozen),
-             Tensor(l.bias, requires_grad="encoder" not in frozen))
-            for l in params.encoder
-        ]
-        self.classifier = [
-            (Tensor(l.weight, requires_grad="classifier" not in frozen),
-             Tensor(l.bias, requires_grad="classifier" not in frozen))
-            for l in params.classifier
-        ]
-        self._frozen = frozen
+        self._params = params
+        self._live = {"encoder", "classifier"} - frozen
+        self._grads: GradDict = {}
+
+    def _layers(self, group: str, relu_last: bool) -> list[tuple]:
+        """(name, weight, bias, relu, live) for each layer of `group`."""
+        layers = getattr(self._params, group)
+        return [(f"{group}.{i}", l.weight, l.bias,
+                 relu_last or i < len(layers) - 1, group in self._live)
+                for i, l in enumerate(layers)]
+
+    def _forward(self, X, layers: list[tuple]) -> Tensor:
+        """`A = relu(A @ w + b)` per layer, bias and ReLU in place.
+
+        Layer inputs from the first live layer on are kept. The backward
+        replays each layer from the top: the ReLU mask, `Aᵀ g` and the
+        column sum for a live layer, then `g wᵀ` if a live layer lies
+        below. A frozen forward holds at most two layer outputs at once.
+        """
+        A = np.asarray(X, dtype=np.float64)
+        first = next((i for i, l in enumerate(layers) if l[4]), len(layers))
+        kept = []
+        for i, (_, w, b, relu, _) in enumerate(layers):
+            if i >= first:
+                kept.append(A)
+            A = A @ w
+            A += b
+            if relu:
+                np.maximum(A, 0.0, out=A)
+        out = Tensor(A, requires_grad=first < len(layers))
+        if out.requires_grad:
+            kept.append(A)
+
+            def backward():
+                g = out.grad
+                for i in range(len(layers) - 1, first - 1, -1):
+                    name, w, _, relu, live = layers[i]
+                    if relu:
+                        g = g * (kept[i - first + 1] > 0.0)
+                    if live:
+                        self._add(f"{name}.weight", kept[i - first].T @ g)
+                        self._add(f"{name}.bias", g.sum(axis=0))
+                    if i > first:
+                        g = g @ w.T
+            out._backward = backward
+        return out
+
+    def _add(self, name: str, g: Array) -> None:
+        self._grads[name] = self._grads[name] + g if name in self._grads else g
 
     def embed(self, X) -> Tensor:
-        Z = as_tensor(np.asarray(X, dtype=np.float64))
-        for w, b in self.encoder:
-            Z = dense(Z, w, b, relu=True)
-        return Z
+        return self._forward(X, self._layers("encoder", True))
 
     def logits(self, X) -> Tensor:
         """Head layers on the representation: ReLU between them, raw output."""
-        F = self.embed(X)
-        last = len(self.classifier) - 1
-        for i, (w, b) in enumerate(self.classifier):
-            F = dense(F, w, b, relu=i < last)
-        return F
+        return self._forward(X, self._layers("encoder", True)
+                             + self._layers("classifier", False))
 
     def gradients(self) -> GradDict:
-        grads: GradDict = {}
-        tensors = {"encoder": self.encoder, "classifier": self.classifier}
-        for group, layers in tensors.items():
-            if group in self._frozen:
-                continue
-            for i, (w, b) in enumerate(layers):
-                grads[f"{group}.{i}.weight"] = (
-                    w.grad if w.grad is not None else np.zeros_like(w.data))
-                grads[f"{group}.{i}.bias"] = (
-                    b.grad if b.grad is not None else np.zeros_like(b.data))
-        return grads
+        """Each live parameter's gradient, zero where no forward used it."""
+        return {name: self._grads[name] if name in self._grads
+                else np.zeros_like(a) for name, a in self._params.walk()
+                if name.split(".")[0] in self._live}
 
 
 def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],

@@ -196,6 +196,41 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
                       q_unsup=q_unsup, y_l=y_l, X_u_raw=X_u)
 
 
+def consistency_loss(p: Tensor, targets: Array) -> Tensor:
+    """`((p - targets)²).sum(axis=1).mean()` as one node.
+
+    The backward replays the composition op for op: the mean's scale, then
+    `g·d` from each factor of the square, added.
+    """
+    d = p.data - targets
+    n = d.shape[0]
+    out = numnet._make((d * d).sum(axis=1).sum() * (1.0 / n), (p,))
+    if out._parents:
+        def backward():
+            gd = out.grad * (1.0 / n) * d
+            p._accumulate(gd + gd)
+        out._backward = backward
+    return out
+
+
+def weighted_total(l_sup: Tensor, l_unsup: Tensor, r: Tensor,
+                   lambda_u: float) -> Tensor:
+    """`l_sup + l_unsup * lambda_u + r` as one node over the scalar parts.
+
+    The backward sweep visits the parts in that order, so the gradients of
+    the forwards under them add in that order too.
+    """
+    out = numnet._make(l_sup.data + l_unsup.data * lambda_u + r.data,
+                       (l_sup, l_unsup, r))
+    if out._parents:
+        def backward():
+            numnet._accum(l_sup, out.grad)
+            numnet._accum(l_unsup, out.grad * lambda_u)
+            numnet._accum(r, out.grad)
+        out._backward = backward
+    return out
+
+
 def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
                 config: MixMatchConfig) -> tuple[Tensor, dict[str, float]]:
     """The stage-3 objective L_sup + lambda_u * L_unsup + R on one batch.
@@ -208,20 +243,17 @@ def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
     of its three parts.
     """
     l_sup = numnet.softmax_cross_entropy(tape.logits(batch.X_sup), batch.y_sup)
-    if batch.X_unsup.shape[0]:
-        diff = numnet.softmax_rows(tape.logits(batch.X_unsup)) - batch.q_unsup
-        l_unsup = (diff * diff).sum(axis=1).mean()
-    else:                   # a mean over zero rows would divide by zero
-        l_unsup = numnet.as_tensor(0.0)
-    if graph is None:
-        r = numnet.as_tensor(0.0)
-    else:
+    l_unsup = r = numnet.as_tensor(0.0)
+    if batch.X_unsup.shape[0]:  # a mean over zero rows would divide by zero
+        l_unsup = consistency_loss(
+            numnet.softmax_rows(tape.logits(batch.X_unsup)), batch.q_unsup)
+    if graph is not None:
         p_hat = sharpen_t(numnet.softmax_rows(tape.logits(batch.X_u_raw)),
                           config.T)
         r = graph_regularizer(graph, p_hat, batch.y_l, config.lambda_lu,
                               config.lambda_uu,
                               count_ordered_pairs=config.count_ordered_pairs)
-    total = l_sup + l_unsup * config.lambda_u + r
+    total = weighted_total(l_sup, l_unsup, r, config.lambda_u)
     return total, {"l_sup": float(l_sup.data), "l_unsup": float(l_unsup.data),
                    "r_graph": float(r.data)}
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from noisylearn import graphreg, numnet
 from noisylearn.errors import ConfigError, NumericError
 
-from tape_ops import clip_min, div, power, reshape
+from tape_ops import add, clip_min, div, mul, power, reshape, sub, sum_
 
 
 def unit_rows(rows):
@@ -166,7 +166,7 @@ def test_sharpen_t_matches_numpy_version():
 def composed_sharpen_t(p, temperature):
     """The four-node sharpen (clamp, power, row sum, divide) `sharpen_t` fuses."""
     powered = power(clip_min(p, 1e-12), 1.0 / temperature)
-    return div(powered, powered.sum(axis=-1, keepdims=True))
+    return div(powered, sum_(powered, axis=-1, keepdims=True))
 
 
 @given(n=st.integers(1, 6), c=st.integers(1, 6),
@@ -188,7 +188,7 @@ def test_sharpen_t_equals_composition_bit_for_bit(n, c, spread, temperature,
     composed = composed_sharpen_t(leaves[1], temperature)
     assert fused._parents == (leaves[0],)    # one node
     for out in (fused, composed):
-        (out * upstream).sum().backward()
+        sum_(mul(out, upstream)).backward()
     assert np.array_equal(fused.data, composed.data)
     assert np.array_equal(leaves[0].grad, leaves[1].grad)
 
@@ -197,7 +197,7 @@ def test_sharpen_t_clamp_engages_and_matches():
     p = np.array([[1.0, 0.0, 1e-13, 1e-11], [0.5, 0.5, 0.0, 0.0]])
     leaves = [numnet.Tensor(p.copy(), requires_grad=True) for _ in range(2)]
     for leaf, fn in zip(leaves, (graphreg.sharpen_t, composed_sharpen_t)):
-        (fn(leaf, 0.5) * np.arange(8.0).reshape(2, 4)).sum().backward()
+        sum_(mul(fn(leaf, 0.5), np.arange(8.0).reshape(2, 4))).backward()
     assert np.array_equal(leaves[0].grad, leaves[1].grad)
     assert np.all(leaves[0].grad[p <= 1e-12] == 0.0)
 
@@ -294,19 +294,19 @@ def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
     p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
     if n_l and lam_lu > 0:
-        diff_ul = reshape(p, n_u, 1, -1) - labels_labeled[None, :, :]
-        lu_term = (as_tensor(graph.affinity[n_l:, :n_l])
-                   * (diff_ul * diff_ul).sum(axis=2)).sum()
+        diff_ul = sub(reshape(p, n_u, 1, -1), labels_labeled[None, :, :])
+        lu_term = sum_(mul(graph.affinity[n_l:, :n_l],
+                           sum_(mul(diff_ul, diff_ul), axis=2)))
     else:
         lu_term = as_tensor(0.0)
     if n_u > 1 and lam_uu > 0:
-        diff_uu = reshape(p, n_u, 1, -1) - reshape(p, 1, n_u, -1)
+        diff_uu = sub(reshape(p, n_u, 1, -1), reshape(p, 1, n_u, -1))
         W = np.triu(graph.affinity[n_l:, n_l:], 1) * (
             2.0 if count_ordered_pairs else 1.0)
-        uu_term = (as_tensor(W) * (diff_uu * diff_uu).sum(axis=2)).sum()
+        uu_term = sum_(mul(W, sum_(mul(diff_uu, diff_uu), axis=2)))
     else:
         uu_term = as_tensor(0.0)
-    return lu_term * lam_lu + uu_term * lam_uu
+    return add(mul(lu_term, lam_lu), mul(uu_term, lam_uu))
 
 
 def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu, ordered):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import noisylearn
-from noisylearn import credibility, data, harness, numnet
+from noisylearn import credibility, data, harness, io, numnet
 from noisylearn.errors import ConfigError
 
 
@@ -290,6 +291,46 @@ def test_run_stage2_warns_when_em_hits_max_iter(capsys, monkeypatch):
         assert re.fullmatch(
             f"warning: {name} GMM EM hit max_iter=2 without converging "
             r"\(last step [+-]\d\.\de[+-]\d\d, tol 1e-06\)", line), line
+
+
+def test_run_stage2_warns_when_a_class_has_no_L_row(capsys, monkeypatch):
+    config = tiny_config()
+    train, _ = harness.generate_data(config)
+    encoder = numnet.init_mlp([6, 8], [8, 3], seed=3)
+    transfer = harness.transfer_labels
+
+    def without_class_1(*args):
+        full = transfer(*args)
+        out = full.labeled.label == 1
+        assert out.any() and not out.all()
+        return dataclasses.replace(
+            full, labeled=full.labeled[~out],
+            unlabeled=np.union1d(full.unlabeled, full.labeled.index[out]))
+
+    monkeypatch.setattr(harness, "transfer_labels", without_class_1)
+    result = harness.run_stage2(encoder, train, config.stage2, seed=4)
+    assert 1 not in result.transfer.labeled.label
+    assert capsys.readouterr().err == (
+        "warning: stage 2 left classes [1] out of L\n")
+
+
+def test_encoder_bytes_do_not_depend_on_labels(tmp_path):
+    """Stage 1 reads the inputs only: no noise kind, ratio or later stage
+    changes the encoder it writes."""
+    settings = [
+        {"noise": {"kind": "none"}},
+        {"noise": {"kind": "symmetric", "ratio": 0.4}},
+        {"noise": {"kind": "asymmetric", "ratio": 0.4}},
+        {"noise": {"kind": "symmetric", "ratio": 0.9}, "run_stage3": False},
+    ]
+    labels, encoders = set(), set()
+    for i, overrides in enumerate(settings):
+        result = harness.run_pipeline(tiny_config(**overrides))
+        path = tmp_path / f"encoder_{i}.json"
+        io.save_checkpoint(path, result.stage1.encoder)
+        labels.add(result.train.y_noisy.tobytes())
+        encoders.add(path.read_bytes())
+    assert len(labels) == len(settings) and len(encoders) == 1
 
 
 def test_ablation_grid_runs_all_cells():

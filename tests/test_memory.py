@@ -42,13 +42,20 @@ def test_graph_build_allocates_the_affinity_and_normalized_rows():
     assert peak <= 1.5 * graph.affinity.nbytes
 
 
-def test_dense_forward_allocates_its_output_only():
+def test_frozen_forward_allocates_two_layer_outputs_at_most():
+    """The bias and the ReLU go in place in the product's buffer, so a
+    layer allocates its output only, recorded or not; a forward with every
+    group frozen drops each layer's input once the next output exists."""
     rng = np.random.default_rng(3)
-    X = numnet.Tensor(rng.normal(size=(2000, 64)))
-    w = numnet.Tensor(rng.normal(size=(64, 64)), requires_grad=True)
-    b = numnet.Tensor(rng.normal(size=64), requires_grad=True)
-    out, peak = traced_peak(lambda: numnet.dense(X, w, b, relu=True))
+    X = rng.normal(size=(2000, 64))
+    one_layer = numnet.MlpParams(numnet.init_layers([64, 64], rng), [])
+    out, peak = traced_peak(lambda: numnet.TapeMlp(one_layer).embed(X))
+    assert out._backward is not None
     assert peak <= 1.1 * out.data.nbytes
+    params = numnet.init_mlp([64, 64, 64], [64, 64, 64], seed=3)
+    frozen = numnet.TapeMlp(params, frozen=("encoder", "classifier"))
+    out, peak = traced_peak(lambda: frozen.logits(X))
+    assert peak <= 2.1 * out.data.nbytes
 
 
 def test_dataset_csv_load_allocates_about_the_array():

@@ -1,5 +1,6 @@
 import gc
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from noisylearn import graphreg, numnet, semi, ssrl
 from noisylearn.errors import NumericError
 
-from tape_ops import (clip_min, cross_entropy_rows, div, exp, log, matmul,
-                      relu, reshape)
+from tape_ops import (add, clip_min, cross_entropy_rows, div, exp, log,
+                      matmul, mean, mul, relu, reshape, sub, sum_)
 from util import central_diff, max_rel_err
 
 
@@ -46,13 +47,14 @@ def fd_scalar(build, arrays, h=1e-6):
 
 
 @pytest.mark.parametrize("name,build", [
-    ("add", lambda a, b: (a + b).sum()),
-    ("sub", lambda a, b: (a - b).sum()),
-    ("mul", lambda a, b: (a * b).sum()),
-    ("div", lambda a, b: div(a, b * b + 1.0).sum()),
-    ("matmul", lambda a, b: matmul(a, reshape(b, 4, 3)).sum()),
-    ("mean_axis", lambda a, b: (a * b).mean(axis=0).sum()),
-    ("chain", lambda a, b: log(relu(matmul(a, reshape(b, 4, 3))) + 0.3).mean()),
+    ("add", lambda a, b: sum_(add(a, b))),
+    ("sub", lambda a, b: sum_(sub(a, b))),
+    ("mul", lambda a, b: sum_(mul(a, b))),
+    ("div", lambda a, b: sum_(div(a, add(mul(b, b), 1.0)))),
+    ("matmul", lambda a, b: sum_(matmul(a, reshape(b, 4, 3)))),
+    ("mean_axis", lambda a, b: sum_(mean(mul(a, b), axis=0))),
+    ("chain", lambda a, b: mean(log(add(relu(matmul(a, reshape(b, 4, 3))),
+                                        0.3)))),
 ])
 def test_tape_ops_match_finite_differences(name, build):
     a = finite_rows(3, 4, 1) + 2.0
@@ -64,7 +66,7 @@ def test_tape_ops_match_finite_differences(name, build):
 
 def test_tape_exp_log_clip():
     a = np.abs(finite_rows(2, 3, 3)) + 0.5
-    analytic, numeric = fd_scalar(lambda t: clip_min(log(exp(t)), 0.8).sum(),
+    analytic, numeric = fd_scalar(lambda t: sum_(clip_min(log(exp(t)), 0.8)),
                                   [a])
     assert np.max(np.abs(analytic[0] - numeric[0])) < 1e-6
 
@@ -74,18 +76,18 @@ def test_tape_reshape():
 
     def build(t):
         flat = reshape(t, (15,))
-        rows = reshape(t, (3, 5)).sum(axis=1, keepdims=True)
-        return (reshape(flat * flat, (3, 5)) * rows).sum()
+        rows = sum_(reshape(t, (3, 5)), axis=1, keepdims=True)
+        return sum_(mul(reshape(mul(flat, flat), (3, 5)), rows))
 
     analytic, numeric = fd_scalar(build, [a])
     assert np.max(np.abs(analytic[0] - numeric[0])) < 1e-6
 
 
 @pytest.mark.parametrize("name,build", [
-    ("self_add", lambda a, b: ((a + a) * b).sum()),
-    ("self_mul", lambda a, b: (a * a * b).sum()),
-    ("add_then_reuse", lambda a, b: (((a + b) + a) * b).sum()),
-    ("sub_then_reuse", lambda a, b: (((a - b) - a) * a).sum()),
+    ("self_add", lambda a, b: sum_(mul(add(a, a), b))),
+    ("self_mul", lambda a, b: sum_(mul(mul(a, a), b))),
+    ("add_then_reuse", lambda a, b: sum_(mul(add(add(a, b), a), b))),
+    ("sub_then_reuse", lambda a, b: sum_(mul(sub(sub(a, b), a), a))),
 ])
 def test_reused_leaves_match_finite_differences(name, build):
     a = finite_rows(3, 4, 14)
@@ -97,8 +99,8 @@ def test_reused_leaves_match_finite_differences(name, build):
 
 def test_node_feeding_two_consumers_matches_finite_differences():
     def build(a, b):
-        h = relu(a * b)                 # one node, two consumers
-        return (exp(h).sum(axis=0) * (h + b).sum(axis=0)).sum()
+        h = relu(mul(a, b))             # one node, two consumers
+        return sum_(mul(sum_(exp(h), axis=0), sum_(add(h, b), axis=0)))
 
     analytic, numeric = fd_scalar(build, [finite_rows(3, 4, 16) + 0.5,
                                           finite_rows(3, 4, 17) + 0.5])
@@ -109,26 +111,31 @@ def test_node_feeding_two_consumers_matches_finite_differences():
 def test_later_accumulation_leaves_other_leaves_untouched():
     a = numnet.Tensor(finite_rows(2, 3, 18), requires_grad=True)
     b = numnet.Tensor(finite_rows(2, 3, 19), requires_grad=True)
-    ((a + b) + a).sum().backward()      # b receives the array a got first
+    sum_(add(add(a, b), a)).backward()  # b receives the array a got first
     b_grad = b.grad
     b_before = b_grad.copy()
     assert np.array_equal(a.grad, np.full((2, 3), 2.0))
-    (a * 3.0).sum().backward()          # a second sweep lands on a only
+    sum_(mul(a, 3.0)).backward()        # a second sweep lands on a only
     assert np.array_equal(a.grad, np.full((2, 3), 5.0))
     assert b.grad is b_grad and np.array_equal(b_grad, b_before)
 
 
 def test_second_backward_on_a_spent_tape_raises():
     a = numnet.Tensor(finite_rows(2, 3, 21), requires_grad=True)
-    h = a * 2.0
-    root = h.sum()
+    h = mul(a, 2.0)
+    root = sum_(h)
     root.backward()
     spent = a.grad
     with pytest.raises(RuntimeError, match="already ran on this tape"):
         root.backward()
     with pytest.raises(RuntimeError, match="already ran on this tape"):
-        (h * 3.0).sum().backward()      # a new root over a spent node
+        sum_(mul(h, 3.0)).backward()    # a new root over a spent node
     assert a.grad is spent and np.array_equal(spent, np.full((2, 3), 2.0))
+    logits = numnet.TapeMlp(numnet.init_mlp([3, 4], [4, 2], seed=22)).logits(
+        finite_rows(2, 3, 22))          # a forward records no parents
+    sum_(logits).backward()
+    with pytest.raises(RuntimeError, match="already ran on this tape"):
+        sum_(logits).backward()
 
 
 def test_constant_operand_gets_no_gradient_work():
@@ -136,14 +143,15 @@ def test_constant_operand_gets_no_gradient_work():
     # overflows, so computing it at all raises under errstate(all="raise").
     a = numnet.Tensor(finite_rows(2, 3, 20), requires_grad=True)
     with np.errstate(all="raise"):
-        div(a, np.full((2, 3), 1e200)).sum().backward()
+        sum_(div(a, np.full((2, 3), 1e200))).backward()
     assert np.array_equal(a.grad, 1.0 / np.full((2, 3), 1e200))
 
 
 def test_broadcast_gradients_reduce_correctly():
     a = finite_rows(3, 4, 7)
     bias = finite_rows(1, 4, 8)[0]
-    analytic, numeric = fd_scalar(lambda t, c: ((t + c) * (t + c)).sum(), [a, bias])
+    analytic, numeric = fd_scalar(
+        lambda t, c: sum_(mul(add(t, c), add(t, c))), [a, bias])
     assert np.max(np.abs(analytic[1] - numeric[1])) < 1e-6
 
 
@@ -157,8 +165,7 @@ def test_tensor_has_only_the_ops_the_stages_use():
     """Ops that only tests compose belong in `tape_ops`, not on the tape,
     and the tape MLP offers only the passes the stages run."""
     ops = public_members(numnet.Tensor)
-    assert ops - {"__init__"} == {"__add__", "__sub__", "__mul__", "sum",
-                                  "mean", "backward", "shape"}
+    assert ops - {"__init__"} == {"backward", "shape"}
     assert public_members(numnet.TapeMlp) - {"__init__"} == {
         "embed", "logits", "gradients"}
 
@@ -166,7 +173,7 @@ def test_tensor_has_only_the_ops_the_stages_use():
 def test_backward_rejects_nonfinite_root():
     t = numnet.Tensor(np.array([1.0]), requires_grad=True)
     with np.errstate(divide="ignore"):
-        bad = log(t * 0.0).sum()  # log(0) = -inf
+        bad = sum_(log(mul(t, 0.0)))  # log(0) = -inf
     with pytest.raises(NumericError):
         bad.backward()
 
@@ -246,15 +253,15 @@ def test_cross_entropy_shape_mismatch():
 
 
 def composed_dense(X, w, b, rectify):
-    out = matmul(X, w) + b
+    out = add(matmul(X, w), b)
     return relu(out) if rectify else out
 
 
 def composed_softmax_rows(logits):
     """The four-node softmax (shift, exp, row sum, divide) `softmax_rows` fuses."""
     shift = logits.data.max(axis=-1, keepdims=True)
-    e = exp(logits - shift)
-    return div(e, e.sum(axis=-1, keepdims=True))
+    e = exp(sub(logits, shift))
+    return div(e, sum_(e, axis=-1, keepdims=True))
 
 
 def composed_softmax_cross_entropy(logits, targets):
@@ -275,38 +282,87 @@ def assert_same_bits(fused, composed, leaves_f, leaves_c):
             assert np.array_equal(lf.grad, lc.grad)
 
 
-@given(n=st.integers(1, 6), d=st.integers(1, 5), h=st.integers(1, 5),
-       c=st.integers(1, 4), consumers=st.integers(1, 3), relu=st.booleans(),
-       x_live=st.booleans(), first_live=st.booleans(), w_live=st.booleans(),
-       b_live=st.booleans(), seed=st.integers(0, 10_000))
+def tape_leaves(params, frozen=()):
+    """A leaf per parameter, by `walk` name; those of `frozen` groups take
+    no gradient."""
+    return {name: numnet.Tensor(a.copy(),
+                                requires_grad=name.split(".")[0] not in frozen)
+            for name, a in params.walk()}
+
+
+def composed_forward(leaves, X, head=True):
+    """The per-layer composition that a `TapeMlp` forward fuses, on
+    `leaves`: `logits` with `head`, else `embed` (the encoder layers)."""
+    layers = [name[:-len(".weight")] for name in leaves
+              if name.endswith(".weight")
+              and (head or name.startswith("encoder."))]
+    Z = numnet.as_tensor(X)
+    for i, layer in enumerate(layers):
+        Z = composed_dense(Z, leaves[layer + ".weight"],
+                           leaves[layer + ".bias"],
+                           layer.startswith("encoder.") or i < len(layers) - 1)
+    return Z
+
+
+def composed_grad(leaves, root):
+    """Sweep `root`; the live leaves' gradients by name, zero where unused,
+    as `TapeMlp.gradients` gives them."""
+    root.backward()
+    return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+            for name, t in leaves.items() if t.requires_grad}
+
+
+def assert_same_grads(fused, composed):
+    assert fused.keys() == composed.keys()
+    for name in fused:
+        assert np.array_equal(fused[name], composed[name]), name
+
+
+def weighted_sum(outs, weights):
+    return reduce(add, [sum_(mul(o, k)) for o, k in zip(outs, weights)])
+
+
+@given(n=st.integers(1, 6), widths=st.lists(st.integers(1, 5), min_size=3,
+                                            max_size=5),
+       n_encoder=st.integers(1, 2), consumers=st.integers(1, 3),
+       head=st.booleans(),
+       frozen=st.sampled_from([(), ("encoder",), ("classifier",),
+                               ("encoder", "classifier")]),
+       seed=st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
-@example(n=4, d=3, h=5, c=2, consumers=3, relu=True, x_live=False,
-         first_live=True, w_live=True, b_live=True, seed=0)
-@example(n=4, d=3, h=5, c=2, consumers=1, relu=False, x_live=True,
-         first_live=False, w_live=False, b_live=False, seed=1)
-def test_dense_equals_composed_layer_bit_for_bit(n, d, h, c, consumers, relu,
-                                                 x_live, first_live, w_live,
-                                                 b_live, seed):
-    """Two layers whose weights feed `consumers` inputs each, as in stage 3."""
+@example(n=4, widths=[3, 5, 4, 2], n_encoder=2, consumers=3, head=True,
+         frozen=(), seed=0)
+@example(n=4, widths=[3, 5, 4, 2], n_encoder=1, consumers=2, head=True,
+         frozen=("encoder",), seed=1)
+@example(n=4, widths=[3, 5, 4, 2], n_encoder=1, consumers=1, head=True,
+         frozen=("classifier",), seed=2)
+def test_forward_equals_composed_layers_bit_for_bit(n, widths, n_encoder,
+                                                    consumers, head, frozen,
+                                                    seed):
+    """One network run on `consumers` inputs, as stage 3 runs it: each
+    forward's gradients add into the same parameters in turn."""
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(n, d)) for _ in range(consumers)] + [
-        rng.normal(size=(d, h)), rng.normal(size=h),
-        rng.normal(size=(h, c)), rng.normal(size=c)]
-    live = [x_live] * consumers + [first_live, first_live, w_live, b_live]
-    weights = [rng.normal(size=(n, c)) for _ in range(consumers)]
-    roots = []
-    leaves = twin_leaves(arrays, live)
-    for layer, ts in zip((numnet.dense, composed_dense), leaves):
-        *xs, w1, b1, w2, b2 = ts
-        outs = [layer(layer(x, w1, b1, True), w2, b2, relu) for x in xs]
-        first, *rest = [(o * k).sum() for o, k in zip(outs, weights)]
-        root = sum(rest, first)
-        root.backward()
-        roots.append((root, outs))
-    (root_f, outs_f), (root_c, outs_c) = roots
+    params = numnet.MlpParams(numnet.init_layers(widths[:n_encoder + 1], rng),
+                              numnet.init_layers(widths[n_encoder:], rng))
+    for _, a in params.walk():
+        a[...] = rng.normal(size=a.shape)
+    xs = [rng.normal(size=(n, widths[0])) for _ in range(consumers)]
+    out_width = widths[-1] if head else widths[n_encoder]
+    weights = [rng.normal(size=(n, out_width)) for _ in range(consumers)]
+    outs_f = []
+
+    def loss_fn(tape):
+        outs_f.extend(tape.logits(x) if head else tape.embed(x) for x in xs)
+        return weighted_sum(outs_f, weights)
+
+    value, grads = numnet.grad(params, loss_fn, frozen=frozen)
+    leaves = tape_leaves(params, frozen)
+    outs_c = [composed_forward(leaves, x, head) for x in xs]
+    root = weighted_sum(outs_c, weights)
+    assert_same_grads(grads, composed_grad(leaves, root))
+    assert value == float(root.data)
     for of, oc in zip(outs_f, outs_c):
         assert np.array_equal(of.data, oc.data)
-    assert_same_bits(root_f, root_c, *leaves)
 
 
 @given(n=st.integers(1, 6), c=st.integers(1, 6),
@@ -327,8 +383,8 @@ def test_softmax_cross_entropy_equals_composition_bit_for_bit(
     leaves = twin_leaves([logits], [True])
     fused = numnet.softmax_cross_entropy(leaves[0][0], targets)
     composed = composed_softmax_cross_entropy(leaves[1][0], targets)
-    (fused * upstream).backward()
-    (composed * upstream).backward()
+    mul(fused, upstream).backward()
+    mul(composed, upstream).backward()
     assert_same_bits(fused, composed, *leaves)
 
 
@@ -363,7 +419,7 @@ def test_softmax_rows_equals_composition_bit_for_bit(n, c, spread, vector,
     composed = composed_softmax_rows(leaves[1][0])
     assert fused._parents == (leaves[0][0],)    # one node
     for out in (fused, composed):
-        (out * upstream).sum().backward()
+        sum_(mul(out, upstream)).backward()
     assert_same_bits(fused, composed, *leaves)
 
 
@@ -373,19 +429,6 @@ def test_softmax_is_softmax_rows_on_a_constant():
                           numnet.softmax_rows(numnet.Tensor(logits)).data)
     assert np.array_equal(numnet.softmax(logits[0]),
                           composed_softmax_rows(numnet.Tensor(logits[0])).data)
-
-
-def composed_mlp_ce(X, targets):
-    """The CE step as the per-op composition the fused nodes replace."""
-    def fn(tape):
-        Z = numnet.as_tensor(X)
-        for w, b in tape.encoder:
-            Z = composed_dense(Z, w, b, True)
-        last = len(tape.classifier) - 1
-        for i, (w, b) in enumerate(tape.classifier):
-            Z = composed_dense(Z, w, b, i < last)
-        return composed_softmax_cross_entropy(Z, targets)
-    return fn
 
 
 @pytest.mark.parametrize("frozen", [(), ("encoder",), ("classifier",)])
@@ -398,12 +441,12 @@ def test_ce_step_equals_composed_step_bit_for_bit(frozen):
     # ce_batches shuffles; the same rng order keeps the composed batch equal
     order = np.random.default_rng(0).permutation(16)
     v_f, g_f = numnet.grad(params, fused_fn, frozen=frozen)
-    v_c, g_c = numnet.grad(params, composed_mlp_ce(X[order], targets[order]),
-                           frozen=frozen)
-    assert v_f == v_c
-    assert g_f.keys() == g_c.keys() and g_f
-    for name in g_f:
-        assert np.array_equal(g_f[name], g_c[name]), name
+    leaves = tape_leaves(params, frozen)
+    loss = composed_softmax_cross_entropy(composed_forward(leaves, X[order]),
+                                          targets[order])
+    assert g_f
+    assert_same_grads(g_f, composed_grad(leaves, loss))
+    assert v_f == float(loss.data)
 
 
 def tape_nodes(root):
@@ -411,20 +454,107 @@ def tape_nodes(root):
     seen, stack = set(), [root]
     while stack:
         node = stack.pop()
-        if node._parents and id(node) not in seen:
+        if node._backward is not None and id(node) not in seen:
             seen.add(id(node))
             stack.extend(node._parents)
     return len(seen)
 
 
-def test_ce_step_records_one_node_per_layer_plus_loss():
+def test_ce_step_records_one_node_per_forward_plus_loss():
     params = numnet.init_mlp([5, 8, 6], [6, 3], seed=32)
     X = finite_rows(8, 5, 33)
     targets = numnet.one_hot(np.arange(8) % 3, 3)
     loss_fn = next(iter(numnet.ce_batches(X, targets, 8,
                                           np.random.default_rng(0))()))
-    assert tape_nodes(loss_fn(numnet.TapeMlp(params))) == 4
-    assert tape_nodes(composed_mlp_ce(X, targets)(numnet.TapeMlp(params))) == 19
+    assert tape_nodes(loss_fn(numnet.TapeMlp(params))) == 2
+    composed = composed_softmax_cross_entropy(
+        composed_forward(tape_leaves(params), X), targets)
+    assert tape_nodes(composed) == 19
+
+
+@given(n=st.integers(1, 6), c=st.integers(1, 5),
+       upstream=st.floats(-60.0, 60.0), seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+@example(n=1, c=1, upstream=50.0, seed=0)
+def test_consistency_loss_equals_composition_bit_for_bit(n, c, upstream,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    p = numnet.softmax(rng.normal(scale=3.0, size=(n, c)))
+    targets = rng.dirichlet(np.ones(c), size=n)
+    leaves = twin_leaves([p], [True])
+    fused = semi.consistency_loss(leaves[0][0], targets)
+    diff = sub(leaves[1][0], targets)
+    composed = mean(sum_(mul(diff, diff), axis=1))
+    assert fused._parents == (leaves[0][0],)    # one node
+    for out in (fused, composed):
+        mul(out, upstream).backward()
+    assert_same_bits(fused, composed, *leaves)
+
+
+def mixed_batch(rng, B, n_u, K, d, C):
+    """Random stage-3 rows: B labeled, n_u unlabeled with K views each."""
+    return semi.MixedBatch(
+        X_sup=rng.normal(size=(B, d)), y_sup=rng.dirichlet(np.ones(C), size=B),
+        X_unsup=rng.normal(size=(n_u * K, d)),
+        q_unsup=rng.dirichlet(np.ones(C), size=n_u * K),
+        y_l=numnet.one_hot(rng.integers(0, C, size=B), C),
+        X_u_raw=rng.normal(size=(n_u, d)))
+
+
+def composed_stage3_loss(leaves, batch, graph, config):
+    """`semi.stage3_loss` with per-layer forwards, and its consistency and
+    total terms composed from `tape_ops`."""
+    l_sup = composed_softmax_cross_entropy(
+        composed_forward(leaves, batch.X_sup), batch.y_sup)
+    l_unsup = r = numnet.as_tensor(0.0)
+    if batch.X_unsup.shape[0]:
+        diff = sub(composed_softmax_rows(
+            composed_forward(leaves, batch.X_unsup)), batch.q_unsup)
+        l_unsup = mean(sum_(mul(diff, diff), axis=1))
+    if graph is not None:
+        p_hat = graphreg.sharpen_t(composed_softmax_rows(
+            composed_forward(leaves, batch.X_u_raw)), config.T)
+        r = graphreg.graph_regularizer(graph, p_hat, batch.y_l,
+                                       config.lambda_lu, config.lambda_uu)
+    return add(add(l_sup, mul(l_unsup, config.lambda_u)), r)
+
+
+@given(B=st.integers(1, 4), n_u=st.integers(0, 3), gsr=st.booleans(),
+       lambda_u=st.sampled_from([0.0, 1.0, 50.0]),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+@example(B=4, n_u=0, gsr=True, lambda_u=50.0, seed=0)    # zero U rows
+@example(B=4, n_u=3, gsr=True, lambda_u=50.0, seed=1)
+def test_stage3_step_equals_composed_step_bit_for_bit(B, n_u, gsr, lambda_u,
+                                                      seed):
+    """The three forwards' gradients add in the composition's order."""
+    rng = np.random.default_rng(seed)
+    config = semi.MixMatchConfig(K=2, lambda_u=lambda_u)
+    params = numnet.init_mlp([4, 6, 5], [5, 3], seed=seed)
+    batch = mixed_batch(rng, B, n_u, config.K, 4, 3)
+    graph = None
+    if gsr and n_u:
+        graph = graphreg.build_neighbor_graph(
+            np.abs(rng.normal(size=(B + n_u, 5))), tau=0.0, n_labeled=B)
+    value, grads = numnet.grad(params, lambda tape: semi.stage3_loss(
+        tape, batch, graph, config)[0])
+    leaves = tape_leaves(params)
+    total = composed_stage3_loss(leaves, batch, graph, config)
+    assert_same_grads(grads, composed_grad(leaves, total))
+    assert value == float(total.data)
+
+
+def test_stage3_step_records_one_node_per_forward_and_term():
+    """With the graph on: three forwards, the cross-entropy, two softmaxes,
+    the consistency term, the sharpening, the graph penalty and the total."""
+    rng = np.random.default_rng(40)
+    params = numnet.init_mlp([4, 6, 5], [5, 3], seed=40)
+    batch = mixed_batch(rng, 4, 3, 2, 4, 3)
+    graph = graphreg.build_neighbor_graph(np.abs(rng.normal(size=(7, 5))),
+                                          tau=0.0, n_labeled=4)
+    total, _ = semi.stage3_loss(numnet.TapeMlp(params), batch, graph,
+                                semi.MixMatchConfig(K=2))
+    assert tape_nodes(total) == 10
 
 
 def test_mlp_forward_is_the_tape_forward_on_constants():

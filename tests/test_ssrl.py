@@ -8,7 +8,7 @@ from scipy import special
 from noisylearn import data, numnet, ssrl
 from noisylearn.errors import ConfigError
 
-from tape_ops import div, exp, log, power, reshape
+from tape_ops import add, div, exp, log, mean, mul, power, reshape, sub, sum_
 from util import logistic_probe_predict
 
 
@@ -41,15 +41,15 @@ def composed_nt_xent(Z, temperature):
     """
     Z = numnet.as_tensor(Z)
     n, d = Z.shape
-    norms = power((Z * Z).sum(axis=1, keepdims=True), 0.5)
+    norms = power(sum_(mul(Z, Z), axis=1, keepdims=True), 0.5)
     Zn = div(Z, norms)
-    gram = (reshape(Zn, n, 1, d) * reshape(Zn, 1, n, d)).sum(axis=2)
-    S = gram * (1.0 / temperature) + np.eye(n) * ssrl.NEG_MASK
+    gram = sum_(mul(reshape(Zn, n, 1, d), reshape(Zn, 1, n, d)), axis=2)
+    S = add(mul(gram, 1.0 / temperature), np.eye(n) * ssrl.NEG_MASK)
     shift = S.data.max(axis=-1, keepdims=True)
-    lse = log(exp(S - shift).sum(axis=-1, keepdims=True)) + shift
+    lse = add(log(sum_(exp(sub(S, shift)), axis=-1, keepdims=True)), shift)
     lse = reshape(lse, n)
     partner = numnet.one_hot(np.arange(n) ^ 1, n)
-    return (lse - (S * partner).sum(axis=1)).mean()
+    return mean(sub(lse, sum_(mul(S, partner), axis=1)))
 
 
 def value_and_grad(loss_fn, Z, temperature):
