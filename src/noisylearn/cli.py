@@ -120,15 +120,14 @@ def _cmd_pipeline(args) -> int:
                        result.stage2.probe.classifier)
     io.save_transfer(out_dir / "transfer.json", result.stage2.transfer,
                      len(result.train))
-    if result.stage3 is not None:
-        io.save_checkpoint(out_dir / "model.json", result.stage3.params,
-                           ema=result.stage3.ema)
+    io.save_checkpoint(out_dir / "model.json", result.stage3.params,
+                       ema=result.stage3.ema)
     result.metrics.to_csv(out_dir / "metrics.csv")
     harness.emit_histograms(out_dir / "histograms", result.train,
                             result.stage2.scores.losses,
                             result.stage2.scores.confidences,
                             result.stage2.y_pred, result.stage2.transfer)
-    acc, _ = harness.evaluate(result.final_params(), result.test)
+    acc, _ = harness.evaluate(result.stage3.params, result.test)
     print(f"final test accuracy {acc:.4f}; artifacts in {out_dir}")
     return 0
 

@@ -96,8 +96,7 @@ def sharpen_t(p: Tensor, temperature: float) -> Tensor:
 
 
 def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
-                      lam_lu: float, lam_uu: float,
-                      count_ordered_pairs: bool = True) -> Tensor:
+                      lam_lu: float, lam_uu: float) -> Tensor:
     """Affinity-weighted disagreement penalty.
 
     p_unlabeled holds prediction rows for the graph's unlabeled nodes and
@@ -107,8 +106,7 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
         lam_lu * sum_{u in U, v in L} A_uv ||p_u - y_v||^2
       + lam_uu * sum_{u != v in U}    A_uv ||p_u - p_v||^2
 
-    with the unlabeled-unlabeled sum running over ordered pairs; pass
-    count_ordered_pairs=False to count each unordered pair once.
+    with the unlabeled-unlabeled sum running over ordered pairs.
     p_unlabeled is a tape Tensor or an array; the result is a scalar
     Tensor. It is one tape node: the value comes from the Gram form of the
     squared distances and the gradient from the graph-Laplacian form. It is
@@ -139,9 +137,9 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     Q -= P[0]
     sq = (Q * Q).sum(axis=1)
     K = sq[:n_u, None] + sq[None, :] - 2.0 * (Q[:n_u] @ Q.T)
-    # upper triangle only; each unordered pair is weighted once here
+    # upper triangle only, doubled: each unordered pair stands for both orders
     W = np.triu(graph.affinity[n_l:, n_l:], 1)
-    W *= 2.0 if count_ordered_pairs else 1.0
+    W *= 2.0
     A_ul = graph.affinity[n_l:, :n_l]
     value = (lam_lu * (A_ul * K[:, n_u:]).sum()
              + lam_uu * (W * K[:, :n_u]).sum())

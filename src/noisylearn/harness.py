@@ -173,7 +173,6 @@ class ExperimentConfig:
     stage2: Stage2Config = field(default_factory=Stage2Config)
     stage3: MixMatchConfig = field(default_factory=MixMatchConfig)
     supervised: SupervisedConfig = field(default_factory=SupervisedConfig)
-    run_stage3: bool = True
 
     def __post_init__(self):
         if self.seed < 0:
@@ -359,15 +358,8 @@ class PipelineResult:
     test: LabeledDataset
     stage1: EncoderTrainResult
     stage2: "Stage2Result"
-    stage3: Stage3Result | None
+    stage3: Stage3Result
     metrics: MetricsLog
-
-    def final_params(self) -> MlpParams:
-        """The pipeline's final model: stage-3 result, else the stage-2 probe."""
-        if self.stage3 is not None:
-            return self.stage3.params
-        return MlpParams(encoder=self.stage1.encoder.encoder,
-                         classifier=self.stage2.probe.classifier.classifier)
 
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> LabeledDataset:
@@ -444,7 +436,7 @@ def log_stage3(log: MetricsLog, stage3: Stage3Result) -> None:
 
 
 def run_pipeline(config: ExperimentConfig) -> PipelineResult:
-    """Stage-1 -> Stage-2 -> optional Stage-3 under one derived seed tree."""
+    """Stage-1 -> Stage-2 -> Stage-3 under one derived seed tree."""
     train, test, stage1, stage2 = _data_and_stages_1_2(config)
     log = MetricsLog()
     log_stage1(log, stage1)
@@ -455,14 +447,12 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     for epoch, value in enumerate(stage2.probe.test_accuracy):
         log.add("stage2", epoch, "test", "accuracy", value)
 
-    stage3 = None
-    if config.run_stage3:
-        stage3 = train_stage3(stage1.encoder, stage2.probe.classifier,
-                              stage2.transfer, train, config.stage3,
-                              derive_seed(config.seed, STREAM_STAGE3),
-                              test_dataset=test)
-        _release_freed_memory()
-        log_stage3(log, stage3)
+    stage3 = train_stage3(stage1.encoder, stage2.probe.classifier,
+                          stage2.transfer, train, config.stage3,
+                          derive_seed(config.seed, STREAM_STAGE3),
+                          test_dataset=test)
+    _release_freed_memory()
+    log_stage3(log, stage3)
 
     return PipelineResult(train=train, test=test, stage1=stage1,
                           stage2=stage2, stage3=stage3, metrics=log)

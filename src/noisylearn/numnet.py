@@ -512,9 +512,9 @@ def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpPa
 
 @dataclass
 class EmaState:
-    """Exponential moving average of a parameter set."""
+    """Exponential moving average of a parameter set, kept as a model."""
 
-    shadow: dict[str, Array]
+    params: MlpParams
     decay: float
 
     def __post_init__(self):
@@ -523,13 +523,13 @@ class EmaState:
 
 
 def ema_init(params: MlpParams, decay: float) -> EmaState:
-    return EmaState(shadow={name: a.copy() for name, a in params.walk()}, decay=decay)
+    return EmaState(params=params.clone(), decay=decay)
 
 
 def ema_update(ema: EmaState, params: MlpParams) -> EmaState:
-    """shadow <- decay * shadow + (1 - decay) * params, elementwise."""
-    for name, a in params.walk():
-        s = ema.shadow[name]
+    """ema.params <- decay * ema.params + (1 - decay) * params, elementwise."""
+    for (name, a), (_, s) in zip(params.walk(), ema.params.walk(),
+                                 strict=True):
         if s.shape != a.shape:
             raise ValueError(f"EMA shape mismatch for {name}")
         s *= ema.decay
@@ -537,12 +537,9 @@ def ema_update(ema: EmaState, params: MlpParams) -> EmaState:
     return ema
 
 
-def ema_params(ema: EmaState, template: MlpParams) -> MlpParams:
-    """Materialize the shadow as an MlpParams shaped like `template`."""
-    out = template.clone()
-    for name, a in out.walk():
-        a[...] = ema.shadow[name]
-    return out
+def ema_params(ema: EmaState) -> MlpParams:
+    """A copy of the averaged model, apart from later updates."""
+    return ema.params.clone()
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class MixMatchConfig:
     ema_decay: float = 0.999
     lr: float = 0.001
     eta_min: float = 0.0002
-    count_ordered_pairs: bool = True
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
 
     def __post_init__(self):
@@ -251,8 +250,7 @@ def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
         p_hat = sharpen_t(numnet.softmax_rows(tape.logits(batch.X_u_raw)),
                           config.T)
         r = graph_regularizer(graph, p_hat, batch.y_l, config.lambda_lu,
-                              config.lambda_uu,
-                              count_ordered_pairs=config.count_ordered_pairs)
+                              config.lambda_uu)
     total = weighted_total(l_sup, l_unsup, r, config.lambda_u)
     return total, {"l_sup": float(l_sup.data), "l_unsup": float(l_unsup.data),
                    "r_graph": float(r.data)}
@@ -319,8 +317,8 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
                 u_idx = sample_U_candidates(ds, config.batch_size, rng)
             else:
                 u_idx = U[rng.integers(0, U.size, size=config.batch_size)]
-            batch = prepare_mixmatch_batch(numnet.ema_params(ema, params),
-                                           X_l, y_l, ds.X[u_idx], config, rng)
+            batch = prepare_mixmatch_batch(ema.params, X_l, y_l, ds.X[u_idx],
+                                           config, rng)
             graph = None
             if config.use_gsr and u_idx.size:
                 # the batch's rows only, not a table of every row; with
@@ -342,9 +340,8 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
             row["test_acc"] = numnet.accuracy(params, test_dataset.X,
                                               test_dataset.y_clean)
             row["test_acc_ema"] = numnet.accuracy(
-                numnet.ema_params(ema, params), test_dataset.X,
-                test_dataset.y_clean)
+                ema.params, test_dataset.X, test_dataset.y_clean)
         history.append(row)
 
-    return Stage3Result(params=params, ema=numnet.ema_params(ema, params),
+    return Stage3Result(params=params, ema=numnet.ema_params(ema),
                         history=history)

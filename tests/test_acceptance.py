@@ -6,12 +6,14 @@ survive pytest's capture. The heavyweight cases (6, 7, 8, 9) run full
 experiment harness entry points at their default settings.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
 import time
 
 import numpy as np
+import pytest
 
 from noisylearn import credibility, graphreg, harness, numnet, semi
 from noisylearn.credibility import TransferredLabels, labeled_records
@@ -21,6 +23,27 @@ from noisylearn.data import (DatasetSpec, default_pair_map,
 from tape_ops import cross_entropy_rows
 from test_credibility import bimodal_sample, reference_em
 from util import central_diff, child_env, max_rel_err
+
+
+@pytest.fixture(scope="module", autouse=True)
+def train_each_encoder_once():
+    """Stage 1 reads only X, its config and its seed (see
+    test_harness::test_encoder_bytes_do_not_depend_on_labels), so runs that
+    differ only in noise or in later stages share one encoder. Each caller
+    gets its own copy."""
+    train, memo = harness.train_encoder, {}
+
+    def memoized(X, config, seed):
+        key = (X.tobytes(), repr(config), seed)
+        if key not in memo:
+            memo[key] = train(X, config, seed)
+        result = memo[key]
+        return dataclasses.replace(result, encoder=result.encoder.clone(),
+                                   loss_curve=list(result.loss_curve))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "train_encoder", memoized)
+        yield
 
 
 def _report(capsys, n, ok, detail):
@@ -203,11 +226,12 @@ def test_criterion_07_pipeline_ordering(capsys):
 
     full = harness.run_pipeline(
         harness.config_from_dict({"seed": 0, "noise": noise}))
-    acc_full, _ = harness.evaluate(full.final_params(), full.test)
+    acc_full, _ = harness.evaluate(full.stage3.params, full.test)
 
-    no_s3 = harness.run_pipeline(harness.config_from_dict(
-        {"seed": 0, "noise": noise, "run_stage3": False}))
-    acc_no_s3, _ = harness.evaluate(no_s3.final_params(), no_s3.test)
+    # stage 3 retrains copies, so the run still holds the stage-2 model
+    no_s3 = numnet.MlpParams(full.stage1.encoder.encoder,
+                             full.stage2.probe.classifier.classifier)
+    acc_no_s3, _ = harness.evaluate(no_s3, full.test)
 
     # cross-entropy baseline on the identical noisy data and architecture
     d = full.train.X.shape[1]
@@ -230,13 +254,12 @@ def test_criterion_07_pipeline_ordering(capsys):
 
 def test_criterion_08_transfer_quality(capsys):
     config = harness.config_from_dict(
-        {"seed": 0, "noise": {"kind": "symmetric", "ratio": 0.5},
-         "run_stage3": False})
-    result = harness.run_pipeline(config)
-    transfer = result.stage2.transfer
-    y_clean = result.train.y_clean
+        {"seed": 0, "noise": {"kind": "symmetric", "ratio": 0.5}})
+    train, _, _, stage2 = harness._data_and_stages_1_2(config)
+    transfer = stage2.transfer
+    y_clean = train.y_clean
 
-    n = len(result.train)
+    n = len(train)
     size = len(transfer.labeled)
     hits = sum(1 for e in transfer.labeled if e.label == y_clean[e.index])
     precision = hits / size if size else 0.0

@@ -55,6 +55,8 @@ def test_stagewise_flow(tmp_path):
                  "--classifier-out", "classifier.json", "--hist-dir", "hists",
                  cwd=tmp_path)
     assert s2.returncode == 0, s2.stderr
+    assert s2.stderr.splitlines() == [
+        "warning: stage 2 left classes [2] out of L"]
     transfer = json.loads((tmp_path / "transfer.json").read_text())
     assert transfer["n_samples"] == 96
     assert len(transfer["L"]) + len(transfer["U"]) == 96
@@ -85,6 +87,7 @@ def test_stagewise_flow(tmp_path):
 
 def test_stage_commands_reproduce_the_pipeline(tmp_path):
     config = str(write_tiny_config(tmp_path / "config.json"))
+    warnings = {}
     for command, *paths in (
             ("gen-data", "--out", "train.csv", "--test-out", "test.csv"),
             ("stage1", "--data", "train.csv", "--out", "encoder.json",
@@ -99,6 +102,11 @@ def test_stage_commands_reproduce_the_pipeline(tmp_path):
             ("pipeline", "--out-dir", "run")):
         out = run_cli(command, "--config", config, *paths, cwd=tmp_path)
         assert out.returncode == 0, (command, out.stderr)
+        warnings[command] = [line for line in out.stderr.splitlines()
+                             if line.startswith("warning: ")]
+    # the tiny config's L lacks class 2; both runs of stage 2 say so
+    assert warnings["stage2"] == warnings["pipeline"] == [
+        "warning: stage 2 left classes [2] out of L"]
     for name in ("train.csv", "test.csv", "encoder.json", "classifier.json",
                  "transfer.json", "model.json"):
         assert (tmp_path / name).read_bytes() == \
@@ -206,6 +214,12 @@ def test_bad_config_exits_two(tmp_path):
         assert out.returncode == 2, (section, values, out.stderr)
         assert f"config section {section}: " in out.stderr, out.stderr
         assert field in out.stderr, out.stderr
+    # a removed switch is an unknown key like any other
+    config = write_tiny_config(tmp_path / "removed.json", run_stage3=False)
+    out = run_cli("pipeline", "--config", str(config), "--out-dir", "run",
+                  cwd=tmp_path)
+    assert out.returncode == 2, (out.returncode, out.stderr)
+    assert "unknown keys ['run_stage3']" in out.stderr, out.stderr
 
 
 def test_mistyped_config_value_exits_two(tmp_path):

@@ -240,8 +240,8 @@ def test_regularizer_hand_value():
     expected = 0.01 * (0.5 * 0.02 + 0.5 * 0.0) + 0.005 * (2 * 0.5 * 0.02)
     got = float(graphreg.graph_regularizer(g, p, y, 0.01, 0.005).data)
     assert got == pytest.approx(expected, rel=1e-12)
-    unordered = float(graphreg.graph_regularizer(
-        g, p, y, 0.01, 0.005, count_ordered_pairs=False).data)
+    # counting each unordered pair once is half the U-U weight
+    unordered = float(graphreg.graph_regularizer(g, p, y, 0.01, 0.0025).data)
     assert unordered == pytest.approx(0.01 * 0.5 * 0.02 + 0.005 * 0.5 * 0.02,
                                       rel=1e-12)
 
@@ -282,7 +282,7 @@ def test_regularizer_gradient_matches_finite_differences():
 
 
 def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
-                                 lam_uu, count_ordered_pairs=True):
+                                 lam_uu):
     """The penalty as (u, l, C) and (u, u, C) difference stacks on the tape.
 
     This is the form the fused node replaced, kept as its reference: it
@@ -301,17 +301,16 @@ def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
         lu_term = as_tensor(0.0)
     if n_u > 1 and lam_uu > 0:
         diff_uu = sub(reshape(p, n_u, 1, -1), reshape(p, 1, n_u, -1))
-        W = np.triu(graph.affinity[n_l:, n_l:], 1) * (
-            2.0 if count_ordered_pairs else 1.0)
+        W = np.triu(graph.affinity[n_l:, n_l:], 1) * 2.0
         uu_term = sum_(mul(W, sum_(mul(diff_uu, diff_uu), axis=2)))
     else:
         uu_term = as_tensor(0.0)
     return add(mul(lu_term, lam_lu), mul(uu_term, lam_uu))
 
 
-def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu, ordered):
+def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu):
     t = numnet.Tensor(p.copy(), requires_grad=True)
-    out = penalty(graph, t, y, lam_lu, lam_uu, count_ordered_pairs=ordered)
+    out = penalty(graph, t, y, lam_lu, lam_uu)
     out.backward()
     return float(out.data), (t.grad if t.grad is not None
                              else np.zeros_like(p))
@@ -321,19 +320,18 @@ def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu, ordered):
        tau=st.sampled_from([0.0, 0.3, 0.8]),
        lam_lu=st.sampled_from([0.0, 0.01, 1.0]),
        lam_uu=st.sampled_from([0.0, 0.005, 2.0]),
-       ordered=st.booleans(), soft_labels=st.booleans(),
-       seed=st.integers(0, 2**16))
-@example(n_l=0, n_u=1, c=3, tau=0.0, lam_lu=0.01, lam_uu=0.005, ordered=True,
+       soft_labels=st.booleans(), seed=st.integers(0, 2**16))
+@example(n_l=0, n_u=1, c=3, tau=0.0, lam_lu=0.01, lam_uu=0.005,
          soft_labels=False, seed=0)
 @example(n_l=0, n_u=5, c=4, tau=0.0, lam_lu=0.01, lam_uu=0.005,
-         ordered=False, soft_labels=False, seed=1)
-@example(n_l=4, n_u=5, c=4, tau=0.3, lam_lu=0.0, lam_uu=0.005, ordered=True,
+         soft_labels=False, seed=1)
+@example(n_l=4, n_u=5, c=4, tau=0.3, lam_lu=0.0, lam_uu=0.005,
          soft_labels=True, seed=2)
-@example(n_l=4, n_u=5, c=4, tau=0.3, lam_lu=0.01, lam_uu=0.0, ordered=True,
+@example(n_l=4, n_u=5, c=4, tau=0.3, lam_lu=0.01, lam_uu=0.0,
          soft_labels=True, seed=3)
 @settings(max_examples=150, deadline=None)
 def test_regularizer_node_matches_difference_stacks(
-        n_l, n_u, c, tau, lam_lu, lam_uu, ordered, soft_labels, seed):
+        n_l, n_u, c, tau, lam_lu, lam_uu, soft_labels, seed):
     rng = np.random.default_rng(seed)
     Z = rng.normal(size=(n_l + n_u, 3)) + 0.5
     g = graphreg.build_neighbor_graph(Z, tau=tau, n_labeled=n_l)
@@ -341,15 +339,15 @@ def test_regularizer_node_matches_difference_stacks(
     y = (rng.dirichlet(np.ones(c), size=n_l) if soft_labels
          else np.eye(c)[rng.integers(0, c, size=n_l)])
     got, got_grad = value_and_grad(graphreg.graph_regularizer, g, p, y,
-                                   lam_lu, lam_uu, ordered)
+                                   lam_lu, lam_uu)
     ref, ref_grad = value_and_grad(difference_stack_regularizer, g, p, y,
-                                   lam_lu, lam_uu, ordered)
+                                   lam_lu, lam_uu)
     # The Gram form cancels ||p||^2 + ||q||^2 against 2 p.q, so its rounding
     # error is relative to those squared norms, not to the (possibly tiny)
     # distances. Scale both bounds by the weighted sums of norms.
     A = g.affinity
     sq_p, sq_y = (p * p).sum(axis=1), (y * y).sum(axis=1)
-    W = np.triu(A[n_l:, n_l:], 1) * (2.0 if ordered else 1.0)
+    W = np.triu(A[n_l:, n_l:], 1) * 2.0
     scale = (lam_lu * (A[n_l:, :n_l] * (sq_p[:, None] + sq_y[None, :])).sum()
              + lam_uu * (W * (sq_p[:, None] + sq_p[None, :])).sum())
     assert abs(got - ref) <= 1e-12 * scale
@@ -365,14 +363,15 @@ def test_regularizer_node_matches_difference_stacks(
 def test_regularizer_exactly_zero_when_all_rows_agree(rows, ordered, n_l, n_u,
                                                       c):
     # The shapes include ones where a BLAS product of identical rows differs
-    # in its last bit from entry to entry.
+    # in its last bit from entry to entry. Counting each unordered U-U pair
+    # once is the same penalty at half the U-U weight.
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(n_l + n_u, 6)) + 0.5
     g = graphreg.build_neighbor_graph(Z, tau=0.0, n_labeled=n_l)
     q = np.eye(c)[3] if rows == "one_hot" else rng.dirichlet(np.ones(c))
     t = numnet.Tensor(np.tile(q, (n_u, 1)), requires_grad=True)
-    out = graphreg.graph_regularizer(g, t, np.tile(q, (n_l, 1)), 0.01, 0.005,
-                                     count_ordered_pairs=ordered)
+    out = graphreg.graph_regularizer(g, t, np.tile(q, (n_l, 1)), 0.01,
+                                     0.005 if ordered else 0.0025)
     assert out.requires_grad and float(out.data) == 0.0
     out.backward()
     assert not np.any(t.grad)

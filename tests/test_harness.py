@@ -122,11 +122,15 @@ def test_config_requires_seed():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError) as err:
-        harness.config_from_dict({"seed": 1, "dataset": {"n_clases": 3}})
-    assert "n_clases" in str(err.value)
-    with pytest.raises(ConfigError):
-        harness.config_from_dict({"seed": 1, "mystery": True})
+    # the last two are switches that no longer exist
+    for doc, key in (({"seed": 1, "dataset": {"n_clases": 3}}, "n_clases"),
+                     ({"seed": 1, "mystery": True}, "mystery"),
+                     ({"seed": 1, "run_stage3": False}, "run_stage3"),
+                     ({"seed": 1, "stage3": {"count_ordered_pairs": False}},
+                      "count_ordered_pairs")):
+        with pytest.raises(ConfigError) as err:
+            harness.config_from_dict(doc)
+        assert key in str(err.value)
 
 
 @pytest.mark.parametrize("section, values, field", [
@@ -178,7 +182,6 @@ def test_config_defaults_and_coercions(tmp_path):
     assert config.stage3.augmentation.scale_range == (0.9, 1.1)
     assert config.stage2.tau_clean == 0.5
     assert config.stage3.lambda_u == 50.0
-    assert config.run_stage3 is True
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +247,12 @@ def test_decoupling_logs_all_regimes():
 
 def test_pipeline_tiny_end_to_end():
     result = harness.run_pipeline(tiny_config())
-    assert result.stage3 is not None
     assert len(result.stage3.history) == 3
     assert result.stage2.transfer.n_classes == 3
     labeled = {e.index for e in result.stage2.transfer.labeled}
     assert labeled.union(result.stage2.transfer.unlabeled) == set(range(96))
     rows = result.metrics.series("stage3", "accuracy")
     assert len(rows) == 3
-
-
-def test_pipeline_skips_stage3_when_disabled():
-    result = harness.run_pipeline(tiny_config(run_stage3=False))
-    assert result.stage3 is None
-    # composed fallback still answers evaluate()
-    top1, _ = harness.evaluate(result.final_params(),
-                               result.test)
-    assert 0.0 <= top1 <= 1.0
 
 
 def test_run_stage2_warns_when_a_set_is_empty(capsys):
@@ -321,7 +314,7 @@ def test_encoder_bytes_do_not_depend_on_labels(tmp_path):
         {"noise": {"kind": "none"}},
         {"noise": {"kind": "symmetric", "ratio": 0.4}},
         {"noise": {"kind": "asymmetric", "ratio": 0.4}},
-        {"noise": {"kind": "symmetric", "ratio": 0.9}, "run_stage3": False},
+        {"noise": {"kind": "symmetric", "ratio": 0.9}},
     ]
     labels, encoders = set(), set()
     for i, overrides in enumerate(settings):

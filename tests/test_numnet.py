@@ -922,7 +922,7 @@ def test_ema_update_blends_toward_params():
     for _, arr in params.walk():
         arr += 1.0
     numnet.ema_update(ema, params)
-    shadow = numnet.ema_params(ema, params)
+    shadow = numnet.ema_params(ema)
     # shadow = 0.9 * old + 0.1 * (old + 1) = live - 0.9
     for (_, live), (_, avg) in zip(params.walk(), shadow.walk()):
         assert np.allclose(avg, live - 0.9, atol=1e-12)
@@ -933,9 +933,21 @@ def test_ema_converges_to_constant_params():
     ema = numnet.ema_init(params, decay=0.5)
     for _ in range(60):
         numnet.ema_update(ema, params)
-    shadow = numnet.ema_params(ema, params)
+    shadow = numnet.ema_params(ema)
     for (_, live), (_, avg) in zip(params.walk(), shadow.walk()):
         assert np.allclose(avg, live, atol=1e-12)
+    # the copy stays apart from later updates
+    for _, arr in params.walk():
+        arr += 1.0
+    numnet.ema_update(ema, params)
+    for (_, live), (_, avg) in zip(params.walk(), shadow.walk()):
+        assert np.allclose(avg, live - 1.0, atol=1e-12)
+
+
+def test_ema_update_rejects_params_of_another_shape():
+    ema = numnet.ema_init(numnet.init_mlp([2, 2], [2, 2], seed=10), decay=0.5)
+    with pytest.raises(ValueError, match="EMA shape mismatch"):
+        numnet.ema_update(ema, numnet.init_mlp([2, 3], [3, 2], seed=10))
 
 
 # ---------------------------------------------------------------------------
@@ -952,13 +964,14 @@ def fit_setup(seed):
 def test_fit_yields_epochs_of_step_losses():
     params, batches = fit_setup(20)
     ema = numnet.ema_init(params, decay=0.5)
-    start = {n: a.copy() for n, a in ema.shadow.items()}
+    start = ema.params.clone()
     epochs = list(numnet.fit(params, numnet.adam(0.01), 3, 3, batches, 0.001,
                              ema=ema))
     assert len(epochs) == 3
     assert all(len(losses) == 3 for losses in epochs)
     assert all(np.isfinite(v) for losses in epochs for v in losses)
-    assert all(not np.array_equal(ema.shadow[n], a) for n, a in start.items())
+    assert all(not np.array_equal(a, b) for (_, a), (_, b)
+               in zip(ema.params.walk(), start.walk()))
 
 
 def test_fit_leaves_frozen_group_bit_unchanged():
