@@ -66,9 +66,7 @@ def _cmd_stage2(args) -> int:
     if args.classifier_out is not None:
         io.save_checkpoint(args.classifier_out, result.probe.classifier)
     if args.hist_dir is not None:
-        harness.emit_histograms(args.hist_dir, ds, result.scores.losses,
-                                result.scores.confidences, result.y_pred,
-                                result.transfer)
+        harness.emit_histograms(args.hist_dir, ds, result)
     n_l = len(result.transfer.labeled)
     print(f"wrote {args.out} (|L|={n_l}, |U|={len(ds) - n_l})")
     return 0
@@ -124,9 +122,7 @@ def _cmd_pipeline(args) -> int:
                        ema=result.stage3.ema)
     result.metrics.to_csv(out_dir / "metrics.csv")
     harness.emit_histograms(out_dir / "histograms", result.train,
-                            result.stage2.scores.losses,
-                            result.stage2.scores.confidences,
-                            result.stage2.y_pred, result.stage2.transfer)
+                            result.stage2)
     acc, _ = harness.evaluate(result.stage3.params, result.test)
     print(f"final test accuracy {acc:.4f}; artifacts in {out_dir}")
     return 0

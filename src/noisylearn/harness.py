@@ -25,15 +25,15 @@ import numpy as np
 
 from . import numnet
 from .credibility import (EM_TOL, Stage2Config, Stage2Result,
-                          TransferredLabels, assess_credibility,
-                          per_sample_stats, train_frozen_classifier,
-                          transfer_labels)
+                          assess_credibility, per_sample_stats,
+                          train_frozen_classifier, transfer_labels)
 from .data import (DatasetSpec, LabeledDataset, NoiseSpec, apply_noise,
                    make_blobs, train_test_split)
 from .errors import ConfigError
 from .numnet import MlpParams
 from .semi import MixMatchConfig, Stage3Result, train_stage3
-from .ssrl import ContrastiveConfig, EncoderTrainResult, embed, train_encoder
+from .ssrl import (ENCODER_WIDTHS, ContrastiveConfig, EncoderTrainResult,
+                   embed, train_encoder)
 
 Array = np.ndarray
 
@@ -312,7 +312,7 @@ def run_decoupling_experiment(config: ExperimentConfig) -> MetricsLog:
         raise ConfigError("decoupling experiment requires a noise spec")
     train, test = generate_data(config)
     d, C = train.n_features, train.n_classes
-    init = numnet.init_mlp([d, 64, 64], [64, C],
+    init = numnet.init_mlp([d, *ENCODER_WIDTHS], [ENCODER_WIDTHS[-1], C],
                            seed=derive_seed(config.seed, STREAM_INIT))
     loop_seed = derive_seed(config.seed, STREAM_SUPERVISED)
     log = MetricsLog()
@@ -328,15 +328,15 @@ def run_decoupling_experiment(config: ExperimentConfig) -> MetricsLog:
                              test_dataset=test)
     record(REGIME_CLEAN, clean)
 
-    retrain_repr = MlpParams(encoder=init.clone().encoder,
-                             classifier=clean.params.clone().classifier)
+    retrain_repr = MlpParams(encoder=init.encoder,
+                             classifier=clean.params.classifier)
     record(REGIME_RETRAIN_REPRESENTATION,
            train_supervised(retrain_repr, train.X, train.y_noisy, C,
                             config.supervised, loop_seed,
                             frozen=("classifier",), test_dataset=test))
 
-    retrain_cls = MlpParams(encoder=clean.params.clone().encoder,
-                            classifier=init.clone().classifier)
+    retrain_cls = MlpParams(encoder=clean.params.encoder,
+                            classifier=init.classifier)
     record(REGIME_RETRAIN_CLASSIFIER,
            train_supervised(retrain_cls, train.X, train.y_noisy, C,
                             config.supervised, loop_seed,
@@ -523,10 +523,10 @@ def _split_histogram(path, values: Array, mask: Array,
                                  repr(float(edges[b + 1])), int(counts[b])])
 
 
-def emit_histograms(out_dir, train: LabeledDataset, losses: Array,
-                    confidences: Array, y_pred: Array,
-                    transfer: TransferredLabels) -> dict[str, Path]:
-    """Diagnostic CSVs: loss and confidence histograms plus L class counts.
+def emit_histograms(out_dir, train: LabeledDataset,
+                    stage2: Stage2Result) -> dict[str, Path]:
+    """Diagnostic CSVs of a stage-2 run on `train`: loss and confidence
+    histograms plus L class counts.
 
     The loss histogram is split by the hidden clean/noisy ground truth and
     the confidence histogram by prediction correctness, both against
@@ -540,11 +540,12 @@ def emit_histograms(out_dir, train: LabeledDataset, losses: Array,
         "class_counts": out_dir / "labeled_class_counts.csv",
     }
     clean_mask = train.y_noisy == train.y_clean
-    _split_histogram(paths["loss"], np.asarray(losses), clean_mask,
+    _split_histogram(paths["loss"], stage2.scores.losses, clean_mask,
                      "clean", "noisy")
-    correct_mask = np.asarray(y_pred) == train.y_clean
-    _split_histogram(paths["confidence"], np.asarray(confidences),
+    correct_mask = stage2.y_pred == train.y_clean
+    _split_histogram(paths["confidence"], stage2.scores.confidences,
                      correct_mask, "correct", "wrong")
+    transfer = stage2.transfer
     counts = np.bincount(transfer.labeled.label, minlength=transfer.n_classes)
     with open(paths["class_counts"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,23 @@ def _encode_params(params: MlpParams) -> tuple[dict, dict]:
     return shapes, blobs
 
 
+def _decode_values(blob: dict, key: str, size: int, field: str) -> np.ndarray:
+    """`blob[key]`, a list of `size` finite numbers (JSON may hold NaN)."""
+    values = blob.get(key)
+    if not isinstance(values, list):
+        raise CheckpointError(f"checkpoint field {field}.{key}: expected a "
+                              f"list of numbers, got {type(values).__name__}")
+    for j, v in enumerate(values):
+        if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                or not math.isfinite(v)):
+            raise CheckpointError(f"checkpoint field {field}.{key}[{j}]: "
+                                  f"expected a finite number, got {v!r}")
+    if len(values) != size:
+        raise CheckpointError(f"checkpoint field {field}.{key}: expected "
+                              f"{size} values, got {len(values)}")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _decode_layers(shapes, blobs, field: str) -> list[Layer]:
     if not isinstance(shapes, list) or not isinstance(blobs, list):
         raise CheckpointError(f"checkpoint field {field}: malformed")
@@ -72,17 +90,12 @@ def _decode_layers(shapes, blobs, field: str) -> list[Layer]:
                 or not all(isinstance(s, int) and s > 0 for s in shape)):
             raise CheckpointError(f"checkpoint field shapes.{field}[{i}]: "
                                   f"expected [fan_in, fan_out], got {shape!r}")
+        if not isinstance(blob, dict):
+            raise CheckpointError(f"checkpoint field {field}[{i}]: expected "
+                                  f"an object, got {type(blob).__name__}")
         fan_in, fan_out = shape
-        w = np.asarray(blob.get("weight"), dtype=np.float64)
-        b = np.asarray(blob.get("bias"), dtype=np.float64)
-        if w.size != fan_in * fan_out:
-            raise CheckpointError(
-                f"checkpoint field {field}[{i}].weight: expected "
-                f"{fan_in * fan_out} values, got {w.size}")
-        if b.shape != (fan_out,):
-            raise CheckpointError(
-                f"checkpoint field {field}[{i}].bias: expected {fan_out} "
-                f"values, got {b.size}")
+        w = _decode_values(blob, "weight", fan_in * fan_out, f"{field}[{i}]")
+        b = _decode_values(blob, "bias", fan_out, f"{field}[{i}]")
         layers.append(Layer(w.reshape(fan_in, fan_out), b))
     return layers
 
@@ -112,6 +125,9 @@ def load_checkpoint(path) -> tuple[MlpParams, MlpParams | None]:
         raise CheckpointError(f"checkpoint file {path}: missing shapes")
     params = _decode_params(shapes, doc)
     ema = doc.get("ema")
+    if not isinstance(ema, (dict, type(None))):
+        raise CheckpointError(f"checkpoint field ema: expected an object or "
+                              f"null, got {type(ema).__name__}")
     return params, None if ema is None else _decode_params(shapes, ema, "ema.")
 
 

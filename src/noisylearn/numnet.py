@@ -222,21 +222,35 @@ class MlpParams:
     ReLU between its layers but emits raw outputs. An empty encoder makes
     the representation the identity, which is how a standalone head is
     trained on precomputed embeddings.
+
+    Building one copies the layers into one float64 buffer, `flat`, in
+    `walk` order, and every weight and bias is a view into it. Gradients,
+    optimizer state and the EMA all work on that buffer.
     """
 
     encoder: list[Layer]
     classifier: list[Layer]
+    flat: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        widths = []
-        for layer in list(self.encoder) + list(self.classifier):
-            w, b = layer.weight, layer.bias
+        layers = list(self.encoder) + list(self.classifier)
+        for w, b in layers:
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ValueError("layer weight/bias shapes inconsistent")
-            widths.append((w.shape[0], w.shape[1]))
-        for (_, out_w), (in_w, _) in zip(widths, widths[1:]):
-            if out_w != in_w:
-                raise ValueError(f"layer widths do not chain: {out_w} -> {in_w}")
+        for (w, _), (above, _) in zip(layers, layers[1:]):
+            if w.shape[1] != above.shape[0]:
+                raise ValueError(f"layer widths do not chain: "
+                                 f"{w.shape[1]} -> {above.shape[0]}")
+        arrays = [a for layer in layers for a in layer]
+        self.flat = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)],
+                                   dtype=np.float64)
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.flat[start:start + a.size].reshape(a.shape))
+            start += a.size
+        bound = [Layer(w, b) for w, b in zip(views[0::2], views[1::2])]
+        n = len(self.encoder)
+        self.encoder, self.classifier = bound[:n], bound[n:]
 
     def walk(self) -> Iterator[tuple[str, Array]]:
         """Yield (name, array) for every parameter, in a fixed order."""
@@ -246,13 +260,7 @@ class MlpParams:
                 yield f"{group}.{i}.bias", layer.bias
 
     def clone(self) -> "MlpParams":
-        return MlpParams(
-            encoder=[Layer(l.weight.copy(), l.bias.copy()) for l in self.encoder],
-            classifier=[Layer(l.weight.copy(), l.bias.copy()) for l in self.classifier],
-        )
-
-
-GradDict = dict[str, Array]
+        return MlpParams(self.encoder, self.classifier)
 
 
 def init_layers(widths: Sequence[int], rng: np.random.Generator) -> list[Layer]:
@@ -307,7 +315,7 @@ class TapeMlp:
     """Tape view of an MlpParams, whose arrays never become tape leaves.
 
     `embed` and `logits` run on a constant input and record one node when
-    some group is live (not `frozen`); its backward adds into `gradients`.
+    some group is live (not `frozen`); its backward adds into `gradients()`.
     """
 
     def __init__(self, params: MlpParams, frozen: Iterable[str] = ()):
@@ -316,15 +324,17 @@ class TapeMlp:
         if unknown:
             raise ValueError(f"unknown frozen groups: {sorted(unknown)}")
         self._params = params
-        self._live = {"encoder", "classifier"} - frozen
-        self._grads: GradDict = {}
+        # the live groups' layout in one buffer, zeroed for the backward's +=
+        self._grads = MlpParams(*([] if group in frozen else getattr(params, group)
+                                  for group in ("encoder", "classifier")))
+        self._grads.flat.fill(0.0)
 
     def _layers(self, group: str, relu_last: bool) -> list[tuple]:
-        """(name, weight, bias, relu, live) for each layer of `group`."""
+        """(weight, bias, relu, gradient layer or None) for each layer of `group`."""
         layers = getattr(self._params, group)
-        return [(f"{group}.{i}", l.weight, l.bias,
-                 relu_last or i < len(layers) - 1, group in self._live)
-                for i, l in enumerate(layers)]
+        grads = getattr(self._grads, group) or [None] * len(layers)
+        return [(l.weight, l.bias, relu_last or i < len(layers) - 1, g)
+                for i, (l, g) in enumerate(zip(layers, grads))]
 
     def _forward(self, X, layers: list[tuple]) -> Tensor:
         """`A = relu(A @ w + b)` per layer, bias and ReLU in place.
@@ -335,9 +345,10 @@ class TapeMlp:
         below. A frozen forward holds at most two layer outputs at once.
         """
         A = np.asarray(X, dtype=np.float64)
-        first = next((i for i, l in enumerate(layers) if l[4]), len(layers))
+        first = next((i for i, l in enumerate(layers) if l[3] is not None),
+                     len(layers))
         kept = []
-        for i, (_, w, b, relu, _) in enumerate(layers):
+        for i, (w, b, relu, _) in enumerate(layers):
             if i >= first:
                 kept.append(A)
             A = A @ w
@@ -351,19 +362,17 @@ class TapeMlp:
             def backward():
                 g = out.grad
                 for i in range(len(layers) - 1, first - 1, -1):
-                    name, w, _, relu, live = layers[i]
+                    w, _, relu, grad = layers[i]
                     if relu:
                         g = g * (kept[i - first + 1] > 0.0)
-                    if live:
-                        self._add(f"{name}.weight", kept[i - first].T @ g)
-                        self._add(f"{name}.bias", g.sum(axis=0))
+                    if grad is not None:
+                        gw, gb = grad
+                        gw += kept[i - first].T @ g
+                        gb += g.sum(axis=0)
                     if i > first:
                         g = g @ w.T
             out._backward = backward
         return out
-
-    def _add(self, name: str, g: Array) -> None:
-        self._grads[name] = self._grads[name] + g if name in self._grads else g
 
     def embed(self, X) -> Tensor:
         return self._forward(X, self._layers("encoder", True))
@@ -373,19 +382,18 @@ class TapeMlp:
         return self._forward(X, self._layers("encoder", True)
                              + self._layers("classifier", False))
 
-    def gradients(self) -> GradDict:
-        """Each live parameter's gradient, zero where no forward used it."""
-        return {name: self._grads[name] if name in self._grads
-                else np.zeros_like(a) for name, a in self._params.walk()
-                if name.split(".")[0] in self._live}
+    def gradients(self) -> MlpParams:
+        """The live groups' gradients, zero where no forward used them; a
+        frozen group is an empty list."""
+        return self._grads
 
 
 def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
-         frozen: Iterable[str] = ()) -> tuple[float, GradDict]:
+         frozen: Iterable[str] = ()) -> tuple[float, MlpParams]:
     """Evaluate `loss_fn` on a tape view of `params` and return gradients.
 
     `loss_fn` must build a scalar from tape operations. Parameter groups
-    named in `frozen` are omitted from the result.
+    named in `frozen` are empty in the result.
     """
     tape = TapeMlp(params, frozen=frozen)
     loss = loss_fn(tape)
@@ -403,22 +411,19 @@ def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
 class OptState:
     """SGD (optionally with momentum) or Adam state for an MlpParams.
 
-    Adam runs with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
-
-    The state lives in flat float64 buffers laid out at the first step in
-    the key order of its `grads`; `buffers` (momentum or Adam's first
-    moment) and `second_moments` map each name to a view into them.
+    Adam runs with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. `moments`
+    holds SGD's momentum, or Adam's first and second moments, as flat
+    buffers in the layout of the first step's gradient `flat`; plain SGD
+    keeps none.
     """
 
     kind: str
     learning_rate: float
     momentum: float = 0.0
     step_count: int = 0
-    buffers: dict[str, Array] = field(default_factory=dict, repr=False)
-    second_moments: dict[str, Array] = field(default_factory=dict, repr=False)
-    _flat: list[Array] = field(default_factory=list, init=False, repr=False)
-    _updates: dict[str, Array] = field(default_factory=dict, init=False,
-                                       repr=False)
+    moments: list[Array] = field(default_factory=list, init=False, repr=False)
+    _scratch: list[Array] = field(default_factory=list, init=False, repr=False)
+    _start: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -435,54 +440,36 @@ def adam(learning_rate: float) -> OptState:
     return OptState(kind="adam", learning_rate=learning_rate)
 
 
-def _lay_out(state: OptState, grads: GradDict) -> list[Array]:
-    """The flat buffers: gradient, update, then any kept state.
+def optimizer_step(state: OptState, params: MlpParams, grads: MlpParams) -> MlpParams:
+    """Apply one update in place to the parameters `grads` holds.
 
-    The first call fixes the layout from `grads`; later calls must pass
-    the same names in the same order.
+    `grads` is a gradient from `grad`: its live groups are the encoder
+    prefix of `params.flat`, the head suffix, or all of it. The arithmetic
+    runs once over flat buffers, in the same operation order as a
+    per-parameter update, so every bit matches one. Every step must cover
+    the values the first step covered.
     """
-    if state._flat:
-        if list(grads) != list(state._updates):
-            raise ValueError(f"optimizer_step: gradient names {list(grads)} "
-                             f"differ from the first step's "
-                             f"{list(state._updates)}")
-        return state._flat
-    size = sum(g.size for g in grads.values())
-    kept = ([state.buffers, state.second_moments] if state.kind == "adam"
-            else [state.buffers] if state.momentum > 0.0 else [])
-    flat = [np.empty(size), np.empty(size)] + [np.zeros(size) for _ in kept]
-    for store, buf in zip(kept, flat[2:]):
-        store.update(_views(buf, grads))
-    state._flat, state._updates = flat, _views(flat[1], grads)
-    return flat
-
-
-def _views(buf: Array, grads: GradDict) -> dict[str, Array]:
-    """`buf` split into one view per gradient, each shaped like it."""
-    views, start = {}, 0
-    for name, g in grads.items():
-        views[name] = buf[start:start + g.size].reshape(g.shape)
-        start += g.size
-    return views
-
-
-def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpParams:
-    """Apply one update in place; parameters missing from `grads` are frozen.
-
-    The arithmetic runs once over the flat buffers, in the same operation
-    order as the per-parameter update it replaces, so every bit matches.
-    """
-    if not grads:
+    g = grads.flat
+    if not g.size:
         state.step_count += 1
         return params
-    g, a, *kept = _lay_out(state, grads)
-    np.concatenate([x.reshape(-1) for x in grads.values()], out=g)
+    start = 0 if grads.encoder else params.flat.size - g.size
+    if not state._scratch:
+        state._scratch = [np.empty(g.size), np.empty(g.size)]
+        kept = 2 if state.kind == "adam" else int(state.momentum > 0.0)
+        state.moments = [np.zeros(g.size) for _ in range(kept)]
+        state._start = start
+    a, s = state._scratch
+    if (start, g.size) != (state._start, a.size):
+        raise ValueError(f"optimizer_step: gradient of parameter values "
+                         f"[{start}, {start + g.size}), but the first step's "
+                         f"was of [{state._start}, {state._start + a.size})")
     if not np.isfinite(g).all():
-        bad = next(n for n, x in grads.items() if not np.all(np.isfinite(x)))
+        bad = next(n for n, x in grads.walk() if not np.isfinite(x).all())
         raise NumericError(f"non-finite gradient for {bad}")
     state.step_count += 1
     if state.kind == "adam":
-        m, v = kept
+        m, v = state.moments
         beta1, beta2 = 0.9, 0.999
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=a)
@@ -493,20 +480,18 @@ def optimizer_step(state: OptState, params: MlpParams, grads: GradDict) -> MlpPa
         v += a
         np.divide(m, 1.0 - beta1 ** state.step_count, out=a)
         a *= state.learning_rate
-        np.divide(v, 1.0 - beta2 ** state.step_count, out=g)  # g spent
-        np.sqrt(g, out=g)
-        g += 1e-8
-        a /= g
-    elif kept:
-        v, = kept
+        np.divide(v, 1.0 - beta2 ** state.step_count, out=s)
+        np.sqrt(s, out=s)
+        s += 1e-8
+        a /= s
+    elif state.moments:
+        v, = state.moments
         v *= state.momentum
         v += g
         np.multiply(v, state.learning_rate, out=a)
     else:
         np.multiply(g, state.learning_rate, out=a)
-    arrays = dict(params.walk())
-    for name, step in state._updates.items():
-        arrays[name] -= step
+    params.flat[start:start + g.size] -= a
     return params
 
 
@@ -528,12 +513,12 @@ def ema_init(params: MlpParams, decay: float) -> EmaState:
 
 def ema_update(ema: EmaState, params: MlpParams) -> EmaState:
     """ema.params <- decay * ema.params + (1 - decay) * params, elementwise."""
-    for (name, a), (_, s) in zip(params.walk(), ema.params.walk(),
-                                 strict=True):
-        if s.shape != a.shape:
-            raise ValueError(f"EMA shape mismatch for {name}")
-        s *= ema.decay
-        s += (1.0 - ema.decay) * a
+    s = ema.params.flat
+    if s.size != params.flat.size:
+        raise ValueError(f"EMA shape mismatch: {s.size} values against "
+                         f"{params.flat.size}")
+    s *= ema.decay
+    s += (1.0 - ema.decay) * params.flat
     return ema
 
 

@@ -285,8 +285,8 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     if len(transfer.labeled) == 0:
         raise ConfigError("train_stage3: transfer has an empty L set")
     rng = np.random.default_rng(seed)
-    params = MlpParams(encoder=encoder_init.clone().encoder,
-                       classifier=classifier_init.clone().classifier)
+    params = MlpParams(encoder=encoder_init.encoder,
+                       classifier=classifier_init.classifier)
 
     sampler = make_balanced_sampler(transfer) if config.use_cbs else None
     L_idx, L_targets = transfer.labeled.index, transfer.labeled_targets()
@@ -322,8 +322,8 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
             graph = None
             if config.use_gsr and u_idx.size:
                 # the batch's rows only, not a table of every row; with
-                # the pipeline's [n_features, 64, 64] encoder they are the
-                # table's rows bit for bit (see tests/test_ssrl.py)
+                # the pipeline's encoder (`ssrl.ENCODER_WIDTHS`) they are
+                # the table's rows bit for bit (see tests/test_ssrl.py)
                 graph = build_neighbor_graph(
                     embed(encoder_init, ds.X[np.concatenate([l_idx, u_idx])]),
                     config.tau_c, n_labeled=l_idx.size)

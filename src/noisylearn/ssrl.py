@@ -22,6 +22,7 @@ from .numnet import MlpParams, Tensor
 Array = np.ndarray
 
 NEG_MASK = -1e12  # self-similarity score; its exp underflows to 0
+ENCODER_WIDTHS = (64, 64)  # output widths of the encoder's layers
 
 
 def nt_xent_loss(Z, temperature: float) -> Tensor:
@@ -110,14 +111,14 @@ def train_encoder(X: Array, config: ContrastiveConfig,
     Each step draws a batch without labels, produces two augmented views of
     every element, interleaves them, and optimizes encoder + projection
     head jointly with Adam under a cosine schedule. Labels never enter.
-    The encoder has two 64-wide layers.
+    The encoder's layers have the widths `ENCODER_WIDTHS`.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ConfigError("train_encoder: X must be 2-D with at least 2 rows")
     rng = np.random.default_rng(seed)
-    params = numnet.init_mlp([X.shape[1], 64, 64],
-                             [64, config.projection_width],
+    params = numnet.init_mlp([X.shape[1], *ENCODER_WIDTHS],
+                             [ENCODER_WIDTHS[-1], config.projection_width],
                              seed=int(rng.integers(2**31)))
     n = X.shape[0]
     batch = min(config.batch_size, n if n % 2 == 0 else n - 1)

@@ -380,3 +380,14 @@ def test_eval_rejects_data_the_model_cannot_read(stage2_dir):
     out = run_cli("eval", "--model", "six.json", "--data", "wide_test.csv",
                   cwd=stage2_dir)
     assert_refused(out, "wide_test.csv", "six.json", "8 features", "takes 6")
+
+
+def test_eval_rejects_a_malformed_checkpoint(stage2_dir):
+    path = stage2_dir / "bad.json"
+    io.save_checkpoint(path, numnet.init_mlp([6, 8], [8, 3], seed=0))
+    doc = json.loads(path.read_text())
+    doc["ema"] = []
+    path.write_text(json.dumps(doc))
+    out = run_cli("eval", "--model", "bad.json", "--data", "test.csv",
+                  cwd=stage2_dir)
+    assert_refused(out, "checkpoint field ema: expected an object or null")

@@ -368,8 +368,11 @@ def test_emit_histograms_layout(tmp_path):
                                           ["kept"] * rows.size)
     transfer = credibility.TransferredLabels(
         labeled, np.arange(1, n, 2), 0.5, 0.5, 3)
-    paths = harness.emit_histograms(tmp_path, train, losses, confs, y_pred,
-                                    transfer)
+    scores = credibility.CredibilityScores(p_clean=None, p_right=None,
+                                           losses=losses, confidences=confs)
+    stage2 = credibility.Stage2Result(probe=None, scores=scores,
+                                      y_pred=y_pred, transfer=transfer)
+    paths = harness.emit_histograms(tmp_path, train, stage2)
     assert set(paths) == {"loss", "confidence", "class_counts"}
     assert paths["loss"].name == "loss_histogram.csv"
     with open(paths["loss"]) as fh:

@@ -62,6 +62,43 @@ def test_checkpoint_rejects_corrupt_shapes(tmp_path):
     assert "weight" in str(err.value)
 
 
+def corrupted(tmp_path, params, corrupt):
+    """A checkpoint of `params` with an EMA, after `corrupt` edits its JSON."""
+    path = tmp_path / "model.json"
+    io.save_checkpoint(path, params, ema=params.clone())
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("corrupt,field", [
+    (lambda doc: doc.update(ema=[]), "field ema:"),
+    (lambda doc: doc["encoder"].__setitem__(0, "layer"), "field encoder[0]:"),
+    (lambda doc: doc["classifier"][0]["weight"].__setitem__(2, "0.5"),
+     "field classifier[0].weight[2]:"),
+    (lambda doc: doc["ema"]["encoder"][0]["bias"].__setitem__(0, None),
+     "field ema.encoder[0].bias[0]:"),
+    (lambda doc: doc["encoder"][0]["bias"].__setitem__(1, math.nan),
+     "field encoder[0].bias[1]: expected a finite number, got nan"),
+], ids=["ema_list", "layer_string", "weight_string", "ema_bias_null",
+        "bias_nan"])
+def test_checkpoint_rejects_malformed_layers_naming_the_field(tmp_path,
+                                                              corrupt, field):
+    with pytest.raises(CheckpointError) as err:
+        io.load_checkpoint(corrupted(tmp_path, sample_params(), corrupt))
+    assert field in str(err.value)
+
+
+def test_checkpoint_rejects_a_layer_without_weights(tmp_path):
+    # a 1x1 layer, where np.asarray(None) would give the one value expected
+    path = corrupted(tmp_path, numnet.init_mlp([], [1, 1], seed=0),
+                     lambda doc: doc["classifier"][0].pop("weight"))
+    with pytest.raises(CheckpointError,
+                       match=r"classifier\[0\]\.weight: expected a list"):
+        io.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_corrupt_ema_naming_its_field(tmp_path):
     path = tmp_path / "model.json"
     params = sample_params()

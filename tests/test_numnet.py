@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisylearn import graphreg, numnet, semi, ssrl
+from noisylearn import graphreg, io, numnet, semi, ssrl
 from noisylearn.errors import NumericError
 
 from tape_ops import (add, clip_min, cross_entropy_rows, div, exp, log,
@@ -313,6 +313,7 @@ def composed_grad(leaves, root):
 
 
 def assert_same_grads(fused, composed):
+    fused = dict(fused.walk())
     assert fused.keys() == composed.keys()
     for name in fused:
         assert np.array_equal(fused[name], composed[name]), name
@@ -444,7 +445,7 @@ def test_ce_step_equals_composed_step_bit_for_bit(frozen):
     leaves = tape_leaves(params, frozen)
     loss = composed_softmax_cross_entropy(composed_forward(leaves, X[order]),
                                           targets[order])
-    assert g_f
+    assert g_f.flat.size
     assert_same_grads(g_f, composed_grad(leaves, loss))
     assert v_f == float(loss.data)
 
@@ -692,21 +693,54 @@ def test_frozen_groups_absent_from_gradients():
     X = finite_rows(6, 5, 13)
     y = np.array([0, 1, 2, 0, 1, 2])
     _, grads = numnet.grad(params, loss_on(params, X, y), frozen=("encoder",))
-    assert all(not k.startswith("encoder.") for k in grads)
-    assert any(k.startswith("classifier.") for k in grads)
+    assert grads.encoder == []
+    assert [w.shape for w, _ in grads.classifier] == [(8, 3)]
+
+
+def test_parameters_are_views_of_one_flat_buffer(tmp_path):
+    """`init_mlp`, `clone` and a loaded checkpoint lay every array out in
+    `flat`, in `walk` order; a clone shares no memory with its source."""
+    params = numnet.init_mlp([3, 4, 5], [5, 2], seed=11)
+    io.save_checkpoint(tmp_path / "model.json", params)
+    loaded, _ = io.load_checkpoint(tmp_path / "model.json")
+    copy = params.clone()
+    assert not np.shares_memory(copy.flat, params.flat)
+    for p in (params, copy, loaded):
+        arrays = [a for _, a in p.walk()]
+        assert all(a.base is p.flat for a in arrays)
+        p.flat[:] = np.arange(p.flat.size)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                              np.arange(p.flat.size))
+
+
+def test_frozen_gradient_holds_only_the_live_group():
+    params = numnet.init_mlp([5, 8], [8, 4, 3], seed=12)
+    X = finite_rows(6, 5, 13)
+    y = np.array([0, 1, 2, 0, 1, 2])
+    _, full = numnet.grad(params, loss_on(params, X, y))
+    n_encoder = sum(w.size + b.size for w, b in params.encoder)
+    for frozen, live in ((("encoder",), full.flat[n_encoder:]),
+                         (("classifier",), full.flat[:n_encoder])):
+        _, grads = numnet.grad(params, loss_on(params, X, y), frozen=frozen)
+        assert getattr(grads, frozen[0]) == []
+        assert np.array_equal(grads.flat, live)
 
 
 # ---------------------------------------------------------------------------
 # optimizers
 
 
+def one_unit(weight, bias=0.0):
+    """A head of one 1x1 layer, as parameters or as their gradient."""
+    return numnet.MlpParams(
+        encoder=[], classifier=[numnet.Layer(np.array([[weight]]),
+                                             np.array([bias]))])
+
+
 def test_sgd_momentum_hand_step():
-    params = numnet.MlpParams(
-        encoder=[],
-        classifier=[numnet.Layer(np.array([[1.0]]), np.array([0.0]))])
+    params = one_unit(1.0)
     opt = numnet.sgd(learning_rate=0.1, momentum=0.9)
-    grads = {"classifier.0.weight": np.array([[2.0]]),
-             "classifier.0.bias": np.array([0.0])}
+    grads = one_unit(2.0)
     numnet.optimizer_step(opt, params, grads)
     assert params.classifier[0].weight[0, 0] == pytest.approx(1.0 - 0.1 * 2.0)
     numnet.optimizer_step(opt, params, grads)
@@ -715,27 +749,21 @@ def test_sgd_momentum_hand_step():
 
 
 def test_adam_first_step_is_learning_rate_sized():
-    params = numnet.MlpParams(
-        encoder=[],
-        classifier=[numnet.Layer(np.array([[0.5]]), np.array([0.0]))])
+    params = one_unit(0.5)
     opt = numnet.adam(learning_rate=0.01)
-    grads = {"classifier.0.weight": np.array([[3.0]]),
-             "classifier.0.bias": np.array([0.0])}
-    numnet.optimizer_step(opt, params, grads)
+    numnet.optimizer_step(opt, params, one_unit(3.0))
     # bias-corrected first step moves by ~lr regardless of gradient scale
     assert params.classifier[0].weight[0, 0] == pytest.approx(0.5 - 0.01, abs=1e-6)
 
 
 def test_adam_second_step_matches_hand_arithmetic():
-    params = numnet.MlpParams(
-        encoder=[],
-        classifier=[numnet.Layer(np.array([[0.5]]), np.array([0.0]))])
+    params = one_unit(0.5)
     opt = numnet.adam(learning_rate=0.01)
     g1, g2 = np.array([[3.0]]), np.array([[-1.25]])
-    numnet.optimizer_step(opt, params, {"classifier.0.weight": g1})
-    m = opt.buffers["classifier.0.weight"]
-    numnet.optimizer_step(opt, params, {"classifier.0.weight": g2})
-    assert opt.buffers["classifier.0.weight"] is m  # state kept, not re-made
+    numnet.optimizer_step(opt, params, one_unit(3.0))
+    m = opt.moments[0]
+    numnet.optimizer_step(opt, params, one_unit(-1.25))
+    assert opt.moments[0] is m  # state kept, not re-made
     m1, v1 = 0.1 * g1, 0.001 * g1 * g1
     m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 * g2
     p1 = 0.5 - 0.01 * (m1 / (1 - 0.9)) / (np.sqrt(v1 / (1 - 0.999)) + 1e-8)
@@ -743,33 +771,46 @@ def test_adam_second_step_matches_hand_arithmetic():
                                              + 1e-8)
     assert params.classifier[0].weight[0, 0] == pytest.approx(p2[0, 0],
                                                               rel=1e-14)
-    assert "classifier.0.bias" not in opt.buffers
+    assert params.classifier[0].bias[0] == 0.0    # zero gradient, zero step
+    assert [a.size for a in opt.moments] == [2, 2]
 
 
 def test_optimizer_rejects_nonfinite_gradients():
     params = numnet.init_mlp([2, 2], [2, 2], seed=6)
     opt = numnet.sgd(learning_rate=0.1)
-    grads = {name: np.full_like(arr, np.nan) for name, arr in params.walk()}
+    grads = params.clone()
+    grads.flat[:] = np.nan
     with pytest.raises(NumericError):
         numnet.optimizer_step(opt, params, grads)
 
 
-def test_optimizer_skips_missing_keys():
+@pytest.mark.parametrize("frozen", ["encoder", "classifier"])
+def test_optimizer_leaves_a_frozen_group_unchanged(frozen):
     params = numnet.init_mlp([2, 3], [3, 2], seed=7)
-    before = {n: a.copy() for n, a in params.walk()}
+    before = params.clone()
     opt = numnet.sgd(learning_rate=0.5)
-    grads = {"classifier.0.weight": np.ones((3, 2))}
+    grads = live_groups(params, (frozen,))
+    grads.flat[:] = 1.0
     numnet.optimizer_step(opt, params, grads)
-    assert np.array_equal(params.encoder[0].weight, before["encoder.0.weight"])
-    assert not np.array_equal(params.classifier[0].weight,
-                              before["classifier.0.weight"])
+    for group in ("encoder", "classifier"):
+        for (w, b), (w0, b0) in zip(getattr(params, group),
+                                    getattr(before, group)):
+            assert np.array_equal(w, w0) == (group == frozen)
+            assert np.array_equal(b, b0 - 0.5 * (group != frozen))
+
+
+def live_groups(params, frozen):
+    """A copy of `params` with the `frozen` groups emptied, shaped like the
+    gradient `grad` returns for them."""
+    return numnet.MlpParams(*([] if group in frozen else getattr(params, group)
+                              for group in ("encoder", "classifier")))
 
 
 def reference_step(state, params, grads):
     """The per-parameter update the flat buffers replace, state in dicts."""
     arrays = dict(params.walk())
     state["t"] += 1
-    for name, g in grads.items():
+    for name, g in grads.walk():
         p = arrays[name]
         if state["kind"] == "sgd":
             if state["momentum"] > 0.0:
@@ -804,55 +845,59 @@ def test_flat_optimizer_equals_per_parameter_reference(kind, frozen, steps,
     opt = (numnet.adam(1e-3) if kind == "adam" else
            numnet.sgd(0.05, momentum=0.9 if kind == "sgd_momentum" else 0.0))
     ref = {"kind": opt.kind, "momentum": opt.momentum, "t": 0, "m": {}, "v": {}}
-    names = [n for n, _ in flat_params.walk() if n.split(".")[0] not in frozen]
+    grads = live_groups(flat_params, frozen)
     for _ in range(steps):
         opt.learning_rate = ref["lr"] = float(rng.uniform(1e-4, 0.1))
-        grads = {n: rng.normal(scale=10.0 ** log_scale, size=a.shape)
-                 for n, a in flat_params.walk() if n in names}
+        grads.flat[:] = rng.normal(scale=10.0 ** log_scale,
+                                   size=grads.flat.size)
         numnet.optimizer_step(opt, flat_params, grads)
         reference_step(ref, ref_params, grads)
     for (name, a), (_, b) in zip(flat_params.walk(), ref_params.walk()):
         assert np.array_equal(a, b), name
     assert opt.step_count == ref["t"]
-    assert sorted(opt.buffers) == sorted(ref["m"])
-    assert sorted(opt.second_moments) == sorted(ref["v"])
-    for name in ref["m"]:
-        assert np.array_equal(opt.buffers[name], ref["m"][name]), name
-    for name in ref["v"]:
-        assert np.array_equal(opt.second_moments[name], ref["v"][name]), name
+    names = [name for name, _ in grads.walk()]
+    kept = [np.concatenate([ref[k][n].ravel() for n in names])
+            for k in ("m", "v") if ref[k]]
+    assert len(opt.moments) == len(kept)
+    for got, want in zip(opt.moments, kept):
+        assert np.array_equal(got, want)
 
 
 def test_optimizer_step_on_empty_grads_only_counts():
     params = numnet.init_mlp([2, 3], [3, 2], seed=8)
     before = {n: a.copy() for n, a in params.walk()}
     opt = numnet.adam(0.01)
-    numnet.optimizer_step(opt, params, {})
-    assert opt.step_count == 1 and not opt.buffers and not opt.second_moments
+    numnet.optimizer_step(opt, params, numnet.MlpParams([], []))
+    assert opt.step_count == 1 and not opt.moments
     for name, arr in params.walk():
         assert np.array_equal(arr, before[name])
-    numnet.optimizer_step(opt, params, {"classifier.0.bias": np.ones(2)})
-    assert list(opt.buffers) == ["classifier.0.bias"]
+    numnet.optimizer_step(opt, params, live_groups(params, ("encoder",)))
+    assert [a.size for a in opt.moments] == [8, 8]
 
 
-def test_optimizer_rejects_gradient_names_that_change():
+def test_optimizer_rejects_a_gradient_of_other_values():
     params = numnet.init_mlp([2, 3], [3, 2], seed=9)
-    grads = {name: np.ones_like(arr) for name, arr in params.walk()}
     opt = numnet.adam(0.01)
-    numnet.optimizer_step(opt, params, grads)
-    fewer = dict(list(grads.items())[1:])
-    reordered = dict(reversed(list(grads.items())))
-    for changed in (fewer, reordered):
-        with pytest.raises(ValueError, match="differ from the first step"):
-            numnet.optimizer_step(opt, params, changed)
+    numnet.optimizer_step(opt, params, live_groups(params, ()))
+    for frozen in ("encoder", "classifier"):
+        with pytest.raises(ValueError, match=r"the first step's was of \[0, 17\)"):
+            numnet.optimizer_step(opt, params, live_groups(params, (frozen,)))
     assert opt.step_count == 1
+    # a head and an encoder of equal size: same size, other values
+    params = numnet.init_mlp([2, 2], [2, 2], seed=9)
+    opt = numnet.adam(0.01)
+    numnet.optimizer_step(opt, params, live_groups(params, ("classifier",)))
+    with pytest.raises(ValueError, match=r"\[6, 12\), but .* \[0, 6\)"):
+        numnet.optimizer_step(opt, params, live_groups(params, ("encoder",)))
 
 
 def test_nonfinite_gradient_message_names_the_first_bad_parameter():
     params = numnet.init_mlp([2, 3], [3, 2], seed=10)
     before = {n: a.copy() for n, a in params.walk()}
-    grads = {name: np.ones_like(arr) for name, arr in params.walk()}
-    grads["encoder.0.bias"][1] = np.inf
-    grads["classifier.0.weight"][0, 0] = np.nan
+    grads = params.clone()
+    grads.flat[:] = 1.0
+    grads.encoder[0].bias[1] = np.inf
+    grads.classifier[0].weight[0, 0] = np.nan
     opt = numnet.adam(0.01)
     with pytest.raises(NumericError, match=r"for encoder\.0\.bias$"):
         numnet.optimizer_step(opt, params, grads)

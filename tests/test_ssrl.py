@@ -198,13 +198,15 @@ def test_embed_is_the_representation_of_the_full_forward(widths):
 def test_embed_of_a_row_subset_is_those_rows_of_the_table(n_features):
     """Stage 3 embeds each graph batch on its own, not a table of all rows.
 
-    Bit for bit with the encoder the pipeline builds, [n_features, 64, 64].
+    Bit for bit with the encoder the pipeline builds, of widths
+    `[n_features, *ssrl.ENCODER_WIDTHS]`.
     Its batches have 2 * batch_size >= 2 rows: numpy sends a lone row
     through gemv instead of gemm, and other layer widths can take another
     OpenBLAS kernel for a short product than for a long one, so either
     may differ in the last bits.
     """
-    params = numnet.init_mlp([n_features, 64, 64], [64, 32], seed=0)
+    params = numnet.init_mlp([n_features, *ssrl.ENCODER_WIDTHS],
+                             [ssrl.ENCODER_WIDTHS[-1], 32], seed=0)
     X = np.random.default_rng(1).normal(size=(4500, n_features))
     table = ssrl.embed(params, X)
     rng = np.random.default_rng(2)

@@ -52,7 +52,12 @@ def central_diff(params, loss_fn, h=1e-6, max_coords=None, rng=None):
 
 
 def max_rel_err(analytic, numeric):
-    """Worst relative disagreement over all probed coordinates."""
+    """Worst relative disagreement over all probed coordinates.
+
+    `analytic` is the gradient `MlpParams` that `numnet.grad` returns,
+    `numeric` the name-keyed output of `central_diff`.
+    """
+    analytic = dict(analytic.walk())
     worst = 0.0
     for name, fd in numeric.items():
         a = analytic[name]
