@@ -16,8 +16,8 @@ class ConfigError(PipelineError):
 class CheckpointError(ConfigError):
     """A checkpoint or artifact file is corrupt or incompatible.
 
-    The message names the offending field so broken files can be diagnosed
-    without a debugger.
+    A field's message starts with the file's path and names the field, so
+    broken files can be diagnosed without a debugger.
     """
 
 

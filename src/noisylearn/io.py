@@ -30,18 +30,50 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _load_document(path, kind: str) -> dict:
+def _load_document(path, kind: str) -> tuple[dict, str]:
+    """The JSON object in `path`, and the `where` that names its fields."""
+    name = f"{kind} file {path}"
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
-        raise CheckpointError(f"{kind} file {path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{kind} file {path}: top level must be an object")
-    version = doc.get("format_version")
+        raise CheckpointError(f"{name}: not valid JSON ({e})") from e
+    version = _object(f"{name}: top level", doc).get("format_version")
     if version != FORMAT_VERSION:
+        raise CheckpointError(f"{name}: unknown format_version {version!r}")
+    return doc, f"{path}: {kind} field "
+
+
+def _number(where: str, value, integer=False, j: int | None = None):
+    """`value` if it is an integer of size below 2**63 (not a bool) or, unless
+    `integer`, a finite number, returned as a float. `where`, "<path>: <kind>
+    field <name>", starts each error, with `[j]` after it for element `j`."""
+    if (type(value) is int and abs(value) < 2 ** 63
+            or not integer and type(value) is float and math.isfinite(value)):
+        return value if integer else float(value)
+    raise CheckpointError(
+        f"{where}{'' if j is None else f'[{j}]'}: expected "
+        f"{'an integer' if integer else 'a finite number'}, got {value!r}")
+
+
+def _numbers(where: str, values, size: int | None = None,
+             integer: bool = False) -> np.ndarray:
+    """A list of `_number`s (`size` of them if given) as an array."""
+    if not isinstance(values, list):
         raise CheckpointError(
-            f"{kind} file {path}: unsupported format_version {version!r}")
-    return doc
+            f"{where}: expected a list, got {type(values).__name__}")
+    for j, v in enumerate(values):
+        _number(where, v, integer, j)
+    if size is not None and len(values) != size:
+        raise CheckpointError(
+            f"{where}: expected {size} values, got {len(values)}")
+    return np.asarray(values, dtype=np.int64 if integer else np.float64)
+
+
+def _object(where: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise CheckpointError(
+            f"{where}: expected an object, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -60,51 +92,32 @@ def _encode_params(params: MlpParams) -> tuple[dict, dict]:
     return shapes, blobs
 
 
-def _decode_values(blob: dict, key: str, size: int, field: str) -> np.ndarray:
-    """`blob[key]`, a list of `size` finite numbers (JSON may hold NaN)."""
-    values = blob.get(key)
-    if not isinstance(values, list):
-        raise CheckpointError(f"checkpoint field {field}.{key}: expected a "
-                              f"list of numbers, got {type(values).__name__}")
-    for j, v in enumerate(values):
-        if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                or not math.isfinite(v)):
-            raise CheckpointError(f"checkpoint field {field}.{key}[{j}]: "
-                                  f"expected a finite number, got {v!r}")
-    if len(values) != size:
-        raise CheckpointError(f"checkpoint field {field}.{key}: expected "
-                              f"{size} values, got {len(values)}")
-    return np.asarray(values, dtype=np.float64)
-
-
-def _decode_layers(shapes, blobs, field: str) -> list[Layer]:
-    if not isinstance(shapes, list) or not isinstance(blobs, list):
-        raise CheckpointError(f"checkpoint field {field}: malformed")
-    if len(shapes) != len(blobs):
-        raise CheckpointError(
-            f"checkpoint field {field}: {len(shapes)} shapes for "
-            f"{len(blobs)} layers")
+def _decode_layers(shapes, blobs, where: str, field: str) -> list[Layer]:
+    if not (isinstance(shapes, list) and isinstance(blobs, list)
+            and len(shapes) == len(blobs)):
+        raise CheckpointError(f"{where}{field}: expected one layer per shape")
     layers = []
     for i, (shape, blob) in enumerate(zip(shapes, blobs)):
-        if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(s, int) and s > 0 for s in shape)):
-            raise CheckpointError(f"checkpoint field shapes.{field}[{i}]: "
-                                  f"expected [fan_in, fan_out], got {shape!r}")
-        if not isinstance(blob, dict):
-            raise CheckpointError(f"checkpoint field {field}[{i}]: expected "
-                                  f"an object, got {type(blob).__name__}")
-        fan_in, fan_out = shape
-        w = _decode_values(blob, "weight", fan_in * fan_out, f"{field}[{i}]")
-        b = _decode_values(blob, "bias", fan_out, f"{field}[{i}]")
+        at = f"{where}shapes.{field}[{i}]"
+        fan_in, fan_out = _numbers(at, shape, 2, integer=True)
+        if min(fan_in, fan_out) < 1:
+            raise CheckpointError(f"{at}: expected sizes >= 1, got {shape!r}")
+        blob = _object(f"{where}{field}[{i}]", blob)
+        w = _numbers(f"{where}{field}[{i}].weight", blob.get("weight"),
+                     fan_in * fan_out)
+        b = _numbers(f"{where}{field}[{i}].bias", blob.get("bias"), fan_out)
         layers.append(Layer(w.reshape(fan_in, fan_out), b))
     return layers
 
 
-def _decode_params(shapes: dict, blobs: dict, prefix: str = "") -> MlpParams:
-    """The MlpParams whose groups `blobs` holds; errors name `prefix`+group."""
-    return MlpParams(**{group: _decode_layers(shapes.get(group),
-                                              blobs.get(group), prefix + group)
-                        for group in ("encoder", "classifier")})
+def _decode_params(shapes: dict, blobs: dict, where: str) -> MlpParams:
+    """The MlpParams whose groups `blobs` holds; errors name `where`+group."""
+    groups = {g: _decode_layers(shapes.get(g), blobs.get(g), where, g)
+              for g in ("encoder", "classifier")}
+    try:
+        return MlpParams(**groups)
+    except ValueError as e:     # layer widths that do not chain
+        raise CheckpointError(f"{where}shapes: {e}") from e
 
 
 def save_checkpoint(path, params: MlpParams, ema: MlpParams | None = None) -> None:
@@ -119,16 +132,14 @@ def save_checkpoint(path, params: MlpParams, ema: MlpParams | None = None) -> No
 
 
 def load_checkpoint(path) -> tuple[MlpParams, MlpParams | None]:
-    doc = _load_document(path, "checkpoint")
-    shapes = doc.get("shapes")
-    if not isinstance(shapes, dict):
-        raise CheckpointError(f"checkpoint file {path}: missing shapes")
-    params = _decode_params(shapes, doc)
-    ema = doc.get("ema")
+    doc, where = _load_document(path, "checkpoint")
+    shapes = _object(where + "shapes", doc.get("shapes"))
+    params, ema = _decode_params(shapes, doc, where), doc.get("ema")
     if not isinstance(ema, (dict, type(None))):
-        raise CheckpointError(f"checkpoint field ema: expected an object or "
-                              f"null, got {type(ema).__name__}")
-    return params, None if ema is None else _decode_params(shapes, ema, "ema.")
+        raise CheckpointError(f"{where}ema: expected an object or null, got "
+                              f"{type(ema).__name__}")
+    return params, (None if ema is None
+                    else _decode_params(shapes, ema, where + "ema."))
 
 
 # ---------------------------------------------------------------------------
@@ -150,42 +161,35 @@ def save_transfer(path, transfer: TransferredLabels, n_samples: int) -> None:
 
 
 def load_transfer(path) -> tuple[TransferredLabels, int]:
-    doc = _load_document(path, "transfer")
-    n_classes = doc.get("n_classes")
-    n_samples = doc.get("n_samples")
-    if not isinstance(n_classes, int) or n_classes < 2:
-        raise CheckpointError(f"transfer file {path}: bad n_classes")
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise CheckpointError(f"transfer file {path}: bad n_samples")
-    thresholds = doc.get("thresholds") or {}
-    index, label, origin = [], [], []
-    for row in doc.get("L", []):
-        try:
-            i, y, o = int(row["index"]), int(row["label"]), str(row["origin"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(f"transfer file {path}: bad L entry "
-                                  f"{row!r}") from e
+    doc, where = _load_document(path, "transfer")
+    n_classes, n_samples = (_number(where + name, doc.get(name), True)
+                            for name in ("n_classes", "n_samples"))
+    if n_classes < 2 or n_samples < 1:
+        raise CheckpointError(f"{where}n_classes, n_samples: expected at "
+                              f"least 2 and 1, got {n_classes}, {n_samples}")
+    thresholds = _object(where + "thresholds", doc.get("thresholds", {}))
+    tau = [_number(f"{where}thresholds.{name}", thresholds.get(name, 0.5))
+           for name in ("tau_clean", "tau_right")]
+    rows, entry = doc.get("L", []), f"{path}: bad L entry: transfer field L"
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise CheckpointError(f"{entry}: expected a list of objects")
+    index, label = (_numbers(f"{entry}.{key}", [row.get(key) for row in rows],
+                             integer=True) for key in ("index", "label"))
+    origin = [row.get("origin") for row in rows]
+    for o in origin:
         if o not in ("kept", "corrected"):
-            raise CheckpointError(f"transfer file {path}: bad origin {o!r}")
-        if not 0 <= y < n_classes:
-            raise CheckpointError(f"transfer file {path}: label out of range "
-                                  f"in entry {row!r}")
-        index.append(i)
-        label.append(y)
-        origin.append(o)
-    unlabeled = [int(i) for i in doc.get("U", [])]
-    seen = set(index) | set(unlabeled)
-    if len(seen) != len(index) + len(unlabeled) or seen != set(range(n_samples)):
+            raise CheckpointError(f"{entry}.origin: bad origin {o!r}")
+    out = (label < 0) | (label >= n_classes)
+    if out.any():
+        raise CheckpointError(f"{entry}.label: label out of range in entry "
+                              f"{rows[np.argmax(out)]!r}")
+    unlabeled = _numbers(where + "U", doc.get("U", []), integer=True)
+    if len(index) + len(unlabeled) != n_samples or not np.array_equal(
+            np.sort(np.concatenate([index, unlabeled])), np.arange(n_samples)):
         raise CheckpointError(
-            f"transfer file {path}: L and U must partition [0, {n_samples})")
-    transfer = TransferredLabels(
-        labeled=labeled_records(index, label, origin),
-        unlabeled=np.array(unlabeled, dtype=np.int64),
-        tau_clean=float(thresholds.get("tau_clean", 0.5)),
-        tau_right=float(thresholds.get("tau_right", 0.5)),
-        n_classes=n_classes,
-    )
-    return transfer, n_samples
+            f"{where}L, U: L and U must partition [0, {n_samples})")
+    labeled = labeled_records(index, label, origin)
+    return TransferredLabels(labeled, unlabeled, *tau, n_classes), n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +210,19 @@ def save_gmm(path, gmm: Gmm1D) -> None:
 
 def load_gmm(path) -> Gmm1D:
     """Read a mixture; files without the EM fields load as converged."""
-    doc = _load_document(path, "gmm")
+    doc, where = _load_document(path, "gmm")
     converged = doc.get("converged", True)
-    trace = doc.get("log_likelihood_trace", [])
     if not isinstance(converged, bool):
-        raise CheckpointError(f"gmm file {path}: converged must be a boolean")
-    if not (isinstance(trace, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in trace)):
-        raise CheckpointError(
-            f"gmm file {path}: log_likelihood_trace must be a list of numbers")
+        raise CheckpointError(f"{where}converged: expected a boolean, got "
+                              f"{converged!r}")
+    trace = doc.get("log_likelihood_trace", [])
     try:
-        return Gmm1D(means=np.asarray(doc["means"], dtype=np.float64),
-                     variances=np.asarray(doc["variances"], dtype=np.float64),
-                     weights=np.asarray(doc["weights"], dtype=np.float64),
-                     log_likelihood_trace=[float(v) for v in trace],
-                     converged=converged)
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"gmm file {path}: {e}") from e
+        return Gmm1D(*(_numbers(where + name, doc.get(name), 2)
+                       for name in ("means", "variances", "weights")),
+                     _numbers(where + "log_likelihood_trace", trace).tolist(),
+                     converged)
+    except ValueError as e:     # components out of mean order
+        raise CheckpointError(f"{where}means: {e}") from e
 
 
 # ---------------------------------------------------------------------------

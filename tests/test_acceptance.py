@@ -2,11 +2,12 @@
 
 Each test checks one release criterion and emits a single
 "ACCEPTANCE n PASS/FAIL: ..." line on the real stdout so the verdicts
-survive pytest's capture. The heavyweight cases (6, 7, 8, 9) run full
+survive pytest's capture. The heavyweight cases (6, 7, 8, 9, 11) run full
 experiment harness entry points at their default settings.
 """
 
 import dataclasses
+import functools
 import json
 import subprocess
 import sys
@@ -220,9 +221,11 @@ def test_criterion_06_decoupled_retraining_trends(capsys):
                    f"{dt:.0f}s (<600s)")
 
 
-def test_criterion_07_pipeline_ordering(capsys):
-    t0 = time.perf_counter()
-    noise = {"kind": "symmetric", "ratio": 0.8}
+@functools.cache
+def seed_0_accuracies(ratio: float) -> tuple[float, float, float]:
+    """Test accuracy at seed 0 under symmetric `ratio` noise of the full
+    pipeline, of its stage-2 model, and of a cross-entropy baseline."""
+    noise = {"kind": "symmetric", "ratio": ratio}
 
     full = harness.run_pipeline(
         harness.config_from_dict({"seed": 0, "noise": noise}))
@@ -243,6 +246,12 @@ def test_criterion_07_pipeline_ordering(capsys):
                              harness.derive_seed(0, harness.STREAM_SUPERVISED),
                              test_dataset=full.test)
     acc_ce, _ = harness.evaluate(ce_params, full.test)
+    return acc_full, acc_no_s3, acc_ce
+
+
+def test_criterion_07_pipeline_ordering(capsys):
+    t0 = time.perf_counter()
+    acc_full, acc_no_s3, acc_ce = seed_0_accuracies(0.8)
 
     dt = time.perf_counter() - t0
     ok = (acc_full >= acc_no_s3 >= acc_ce
@@ -332,3 +341,24 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
     ok = all(outputs.values())
     _report(capsys, 10, ok, "byte-identical metrics CSVs on repeated runs: "
                     + ", ".join(f"{k}={v}" for k, v in outputs.items()))
+
+
+def test_criterion_11_noise_table_margins(capsys):
+    # the paper's noise table: the gain of the full pipeline over plain
+    # cross-entropy grows with the noise ratio (seed 0; the 0.8 run is
+    # acceptance 7's)
+    t0 = time.perf_counter()
+    ratios = (0.2, 0.5, 0.8, 0.9)
+    margins = []
+    for ratio in ratios:
+        acc_full, _, acc_ce = seed_0_accuracies(ratio)
+        margins.append(acc_full - acc_ce)
+
+    dt = time.perf_counter() - t0
+    ok = (all(a <= b for a, b in zip(margins, margins[1:]))
+          and dt < 1200.0)
+    _report(capsys, 11, ok, "final - CE test acc margin does not decrease "
+                    "over symmetric noise "
+                    + " / ".join(f"{r}" for r in ratios) + ": "
+                    + " / ".join(f"{m:+.3f}" for m in margins)
+                    + f", {dt:.0f}s (<1200s)")

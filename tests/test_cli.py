@@ -374,6 +374,22 @@ def test_stage3_rejects_a_transfer_of_another_class_count(stage2_dir):
     assert not (stage2_dir / "model.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(U=7), "transfer field U: expected a list"),
+    (lambda doc: doc.update(U=[i + 0.5 for i in doc["U"]]),
+     "transfer field U[0]: expected an integer"),
+], ids=["U_int", "U_shifted_by_half"])
+def test_stage3_rejects_a_malformed_transfer_naming_the_file(stage2_dir, edit,
+                                                             message):
+    doc = json.loads((stage2_dir / "transfer.json").read_text())
+    assert doc["U"]
+    edit(doc)
+    (stage2_dir / "odd.json").write_text(json.dumps(doc))
+    out = run_cli(*stage3_args(transfer="odd.json"), cwd=stage2_dir)
+    assert_refused(out, f"odd.json: {message}")
+    assert not (stage2_dir / "model.json").exists()
+
+
 def test_eval_rejects_data_the_model_cannot_read(stage2_dir):
     io.save_checkpoint(stage2_dir / "six.json",
                        numnet.init_mlp([6, 8], [8, 3], seed=0))
@@ -390,4 +406,5 @@ def test_eval_rejects_a_malformed_checkpoint(stage2_dir):
     path.write_text(json.dumps(doc))
     out = run_cli("eval", "--model", "bad.json", "--data", "test.csv",
                   cwd=stage2_dir)
-    assert_refused(out, "checkpoint field ema: expected an object or null")
+    assert_refused(out, "checkpoint field ema: expected an object or null",
+                   "bad.json")

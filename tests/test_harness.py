@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import noisylearn
 from noisylearn import credibility, data, harness, io, numnet
 from noisylearn.errors import ConfigError
+from util import child_env
 
 
 def tiny_config(**overrides):
@@ -392,8 +396,12 @@ def test_emit_histograms_layout(tmp_path):
         sum(1 for e in labeled if e.label == c) for c in range(3)]
 
 
-def test_package_exports_resolve_once():
-    names = noisylearn.__all__
-    assert len(names) == len(set(names))
-    missing = [name for name in names if not hasattr(noisylearn, name)]
-    assert not missing
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(noisylearn.__path__)
+    if m.name != "__main__"))   # importing __main__ runs the CLI
+def test_each_module_imports_on_its_own(module):
+    """A fresh interpreter imports `noisylearn.<module>` first and alone: the
+    package imports nothing eagerly, so an import cycle would show here."""
+    out = subprocess.run([sys.executable, "-c", f"import noisylearn.{module}"],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr

@@ -228,6 +228,80 @@ def test_gmm_rejects_bad_em_fields(tmp_path, field, value):
         io.load_gmm(path)
 
 
+def save_sample_transfer(path):
+    labeled = credibility.labeled_records([0, 2], [2, 1],
+                                          ["kept", "corrected"])
+    transfer = credibility.TransferredLabels(labeled, np.array([1, 3]), 0.5,
+                                             0.6, 3)
+    io.save_transfer(path, transfer, n_samples=4)
+
+
+def save_sample_gmm(path):
+    io.save_gmm(path, credibility.Gmm1D(means=np.array([0.1, 1.9]),
+                                        variances=np.array([0.004, 0.09]),
+                                        weights=np.array([0.44, 0.56])))
+
+
+ARTIFACTS = {  # kind: (write a valid file, load one)
+    "transfer": (save_sample_transfer, io.load_transfer),
+    "gmm": (save_sample_gmm, io.load_gmm),
+    "checkpoint": (lambda path: io.save_checkpoint(
+        path, sample_params(), ema=sample_params()), io.load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("kind, corrupt, message", [
+    ("transfer", lambda doc: doc.update(U=7),
+     "transfer field U: expected a list, got int"),
+    ("transfer", lambda doc: doc["U"].__setitem__(0, 2.5),
+     "transfer field U[0]: expected an integer, got 2.5"),
+    ("transfer", lambda doc: doc["U"].__setitem__(1, 2 ** 64),
+     "transfer field U[1]: expected an integer, got 18446744073709551616"),
+    ("transfer", lambda doc: doc["L"][1].update(index=0.7),
+     "bad L entry: transfer field L.index[1]: expected an integer, got 0.7"),
+    ("transfer", lambda doc: doc["L"][0].update(label=True),
+     "bad L entry: transfer field L.label[0]: expected an integer, got True"),
+    ("transfer", lambda doc: doc.update(L={"index": 0}),
+     "bad L entry: transfer field L: expected a list of objects"),
+    ("transfer", lambda doc: doc.update(n_samples=4.0),
+     "transfer field n_samples: expected an integer, got 4.0"),
+    ("transfer", lambda doc: doc.update(thresholds=[0.5, 0.6]),
+     "transfer field thresholds: expected an object, got list"),
+    ("transfer", lambda doc: doc["thresholds"].update(tau_clean="abc"),
+     "transfer field thresholds.tau_clean: expected a finite number, "
+     "got 'abc'"),
+    ("gmm", lambda doc: doc.update(means={"low": 0.1, "high": 1.9}),
+     "gmm field means: expected a list, got dict"),
+    ("gmm", lambda doc: doc.update(weights=[0.44, 0.56, 0.0]),
+     "gmm field weights: expected 2 values, got 3"),
+    ("gmm", lambda doc: doc.update(means=[1.9, 0.1]),
+     "gmm field means: components must be ordered by mean"),
+    ("checkpoint", lambda doc: doc.update(ema=[]),
+     "checkpoint field ema: expected an object or null, got list"),
+    ("checkpoint", lambda doc: doc["shapes"]["encoder"][0].__setitem__(1, 0),
+     "checkpoint field shapes.encoder[0]: expected sizes >= 1, got [4, 0]"),
+    ("checkpoint", lambda doc: (
+        doc["shapes"]["classifier"].__setitem__(0, [7, 3]),
+        doc["classifier"][0].update(weight=[0.5] * 21)),
+     "checkpoint field shapes: layer widths do not chain: 6 -> 7"),
+], ids=["U_int", "U_fraction", "U_huge", "L_index_fraction", "L_label_bool",
+        "L_object", "n_samples_float", "thresholds_list", "tau_string",
+        "means_object", "weights_three", "means_unordered", "ema_list",
+        "shape_zero", "widths_unchained"])
+def test_artifact_errors_start_with_the_file_and_name_the_field(
+        tmp_path, kind, corrupt, message):
+    save, load = ARTIFACTS[kind]
+    path = tmp_path / f"{kind}.json"
+    save(path)
+    load(path)                                  # the uncorrupted file loads
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: {message}"), str(err.value)
+
+
 def test_dataset_csv_round_trip_exact(tmp_path):
     path = tmp_path / "data.csv"
     ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=8,
