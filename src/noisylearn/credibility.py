@@ -118,16 +118,6 @@ class Gmm1D:
     log_likelihood_trace: list[float] = field(default_factory=list, repr=False)
     converged: bool = True       # False when EM ran out of iterations
 
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not (self.means.shape == self.variances.shape
-                == self.weights.shape == (2,)):
-            raise ValueError("Gmm1D holds exactly two components")
-        if self.means[0] > self.means[1]:
-            raise ValueError("components must be ordered by mean")
-
 
 def _log_gauss(values: Array, mean: float, var: float) -> Array:
     return -0.5 * (np.log(2.0 * np.pi * var) + (values - mean) ** 2 / var)
@@ -201,20 +191,12 @@ def _log_joint(values: Array, weights, means, variances
     return log_joint, log_norm
 
 
-def gmm_posterior(gmm: Gmm1D, values, component: str):
-    """Posterior probability of one component, evaluated in log space.
-
-    `component` selects "low_mean" or "high_mean". A scalar input yields
-    a float; an array yields an array of the same shape.
-    """
-    if component not in ("low_mean", "high_mean"):
-        raise ConfigError(f"unknown component selector: {component!r}")
-    k = 0 if component == "low_mean" else 1
-    arr = np.asarray(values, dtype=np.float64)
-    log_joint, log_norm = _log_joint(arr, gmm.weights, gmm.means,
+def gmm_posterior(gmm: Gmm1D, values: Array, k: int) -> Array:
+    """Posterior probability of component `k` (0 = low mean, 1 = high mean)
+    at each of `values`, evaluated in log space."""
+    log_joint, log_norm = _log_joint(values, gmm.weights, gmm.means,
                                      gmm.variances)
-    post = np.exp(log_joint[k] - log_norm)
-    return float(post) if np.isscalar(values) or arr.ndim == 0 else post
+    return np.exp(log_joint[k] - log_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +279,21 @@ def assess_credibility(losses: Array, confidences: Array) -> CredibilityScores:
     """
     losses = np.asarray(losses, dtype=np.float64)
     confidences = np.asarray(confidences, dtype=np.float64)
-    loss_gmm, p_clean = _fit_and_score(_minmax(losses), "low_mean")
-    confidence_gmm, p_right = _fit_and_score(confidences, "high_mean")
+    loss_gmm, p_clean = _fit_and_score(_minmax(losses), 0)
+    confidence_gmm, p_right = _fit_and_score(confidences, 1)
     return CredibilityScores(p_clean=p_clean, p_right=p_right,
                              losses=losses, confidences=confidences,
                              loss_gmm=loss_gmm, confidence_gmm=confidence_gmm)
 
 
-def _fit_and_score(values: Array, component: str
-                   ) -> tuple[Gmm1D | None, Array]:
-    """The mixture fit of `values` and each value's `component` posterior;
-    no mixture and all-ones posteriors when `values` is constant."""
+def _fit_and_score(values: Array, k: int) -> tuple[Gmm1D | None, Array]:
+    """The mixture fit of `values` and each value's posterior of component
+    `k`; no mixture and all-ones posteriors when `values` is constant."""
     try:
         gmm = fit_gmm_em(values)
     except DegenerateMixtureError:
         return None, np.ones_like(values)
-    return gmm, gmm_posterior(gmm, values, component)
+    return gmm, gmm_posterior(gmm, values, k)
 
 
 def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,

@@ -186,12 +186,19 @@ class NoiseSpec:
         if self.kind not in ("symmetric", "asymmetric", "none"):
             raise ConfigError(f"unknown noise kind: {self.kind!r}")
         check_noise_ratio(self.ratio)
+        ignored = {"none": ("ratio", "exclude_true_class", "pair_map"),
+                   "symmetric": ("pair_map",),
+                   "asymmetric": ("exclude_true_class",)}[self.kind]
+        for name in ignored:
+            if value := getattr(self, name):
+                raise ConfigError(f"noise kind {self.kind!r} ignores {name}, "
+                                  f"got {value!r}")
 
 
 def apply_noise(dataset: LabeledDataset, spec: NoiseSpec,
                 rng: np.random.Generator) -> LabeledDataset:
     """Run the corruption a NoiseSpec describes, drawing from `rng`."""
-    if spec.kind == "none" or spec.ratio == 0.0:
+    if spec.ratio == 0.0:
         return dataset.with_labels(dataset.y_clean)
     if spec.kind == "symmetric":
         return inject_symmetric_noise(dataset, spec.ratio, rng,

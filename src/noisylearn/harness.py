@@ -308,7 +308,7 @@ def run_decoupling_experiment(config: ExperimentConfig) -> MetricsLog:
     labels (the other half frozen); the noisy regime trains everything on
     noisy labels from scratch.
     """
-    if config.noise.kind == "none" or config.noise.ratio == 0.0:
+    if config.noise.ratio == 0.0:
         raise ConfigError("decoupling experiment requires a noise spec")
     train, test = generate_data(config)
     d, C = train.n_features, train.n_classes

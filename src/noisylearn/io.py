@@ -1,4 +1,4 @@
-"""Artifact serialization: checkpoints, transfer partitions, mixtures, datasets.
+"""Artifact serialization: checkpoints, transfer partitions, datasets.
 
 All JSON artifacts are written canonically (sorted keys, no whitespace,
 shortest round-trip float repr), so save -> load -> save is byte-identical.
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .credibility import Gmm1D, TransferredLabels, labeled_records
+from .credibility import TransferredLabels, labeled_records
 from .data import LabeledDataset
 from .errors import CheckpointError
 from .numnet import Layer, MlpParams
@@ -190,39 +190,6 @@ def load_transfer(path) -> tuple[TransferredLabels, int]:
             f"{where}L, U: L and U must partition [0, {n_samples})")
     labeled = labeled_records(index, label, origin)
     return TransferredLabels(labeled, unlabeled, *tau, n_classes), n_samples
-
-
-# ---------------------------------------------------------------------------
-# Mixture snapshots
-# ---------------------------------------------------------------------------
-
-def save_gmm(path, gmm: Gmm1D) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "means": gmm.means.tolist(),
-        "variances": gmm.variances.tolist(),
-        "weights": gmm.weights.tolist(),
-        "converged": bool(gmm.converged),
-        "log_likelihood_trace": [float(v) for v in gmm.log_likelihood_trace],
-    }
-    _write_text(path, canonical_json(doc))
-
-
-def load_gmm(path) -> Gmm1D:
-    """Read a mixture; files without the EM fields load as converged."""
-    doc, where = _load_document(path, "gmm")
-    converged = doc.get("converged", True)
-    if not isinstance(converged, bool):
-        raise CheckpointError(f"{where}converged: expected a boolean, got "
-                              f"{converged!r}")
-    trace = doc.get("log_likelihood_trace", [])
-    try:
-        return Gmm1D(*(_numbers(where + name, doc.get(name), 2)
-                       for name in ("means", "variances", "weights")),
-                     _numbers(where + "log_likelihood_trace", trace).tolist(),
-                     converged)
-    except ValueError as e:     # components out of mean order
-        raise CheckpointError(f"{where}means: {e}") from e
 
 
 # ---------------------------------------------------------------------------

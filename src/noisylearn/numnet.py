@@ -450,9 +450,6 @@ def optimizer_step(state: OptState, params: MlpParams, grads: MlpParams) -> MlpP
     the values the first step covered.
     """
     g = grads.flat
-    if not g.size:
-        state.step_count += 1
-        return params
     start = 0 if grads.encoder else params.flat.size - g.size
     if not state._scratch:
         state._scratch = [np.empty(g.size), np.empty(g.size)]

@@ -185,11 +185,11 @@ def assert_em_matches_stacked_reference(values):
         assert getattr(gmm, name).tobytes() == getattr(ref, name).tobytes()
     assert gmm.log_likelihood_trace == ref.log_likelihood_trace
     assert gmm.converged == ref.converged
-    for k, component in enumerate(("low_mean", "high_mean")):
-        post = credibility.gmm_posterior(gmm, values, component)
+    for k in (0, 1):
+        post = credibility.gmm_posterior(gmm, values, k)
         assert post.tobytes() == stacked_gmm_posterior(ref, values, k).tobytes()
-        assert credibility.gmm_posterior(gmm, float(values[0]), component) \
-            == float(stacked_gmm_posterior(ref, float(values[0]), k))
+        assert credibility.gmm_posterior(gmm, values[:1], k).tobytes() \
+            == stacked_gmm_posterior(ref, values[:1], k).tobytes()
     return gmm
 
 
@@ -234,10 +234,17 @@ def symmetric_gmm():
                              log_likelihood_trace=[0.0])
 
 
+def posterior_at(gmm, value, k):
+    """Component k's posterior at one value, through a 1-element array."""
+    post = credibility.gmm_posterior(gmm, np.array([value]), k)
+    assert post.shape == (1,)
+    return float(post[0])
+
+
 def test_posterior_midpoint_is_half():
     g = symmetric_gmm()
-    assert credibility.gmm_posterior(g, 0.0, "low_mean") == pytest.approx(0.5)
-    assert credibility.gmm_posterior(g, 0.0, "high_mean") == pytest.approx(0.5)
+    assert posterior_at(g, 0.0, 0) == pytest.approx(0.5)
+    assert posterior_at(g, 0.0, 1) == pytest.approx(0.5)
 
 
 def test_posterior_sums_to_one_everywhere():
@@ -246,8 +253,8 @@ def test_posterior_sums_to_one_everywhere():
                           weights=np.array([0.7, 0.3]),
                           log_likelihood_trace=[0.0])
     for v in np.linspace(-2.0, 4.0, 25):
-        low = credibility.gmm_posterior(g, float(v), "low_mean")
-        high = credibility.gmm_posterior(g, float(v), "high_mean")
+        low = posterior_at(g, v, 0)
+        high = posterior_at(g, v, 1)
         assert low + high == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= low <= 1.0
 
@@ -257,13 +264,13 @@ def test_posterior_confident_at_component_mean():
                           variances=np.array([0.01, 0.01]),
                           weights=np.array([0.5, 0.5]),
                           log_likelihood_trace=[0.0])
-    assert credibility.gmm_posterior(g, 0.0, "low_mean") > 0.99
-    assert credibility.gmm_posterior(g, 10.0, "high_mean") > 0.99
+    assert posterior_at(g, 0.0, 0) > 0.99
+    assert posterior_at(g, 10.0, 1) > 0.99
 
 
 def test_posterior_vectorized():
     g = symmetric_gmm()
-    out = credibility.gmm_posterior(g, np.array([-1.0, 0.0, 1.0]), "low_mean")
+    out = credibility.gmm_posterior(g, np.array([-1.0, 0.0, 1.0]), 0)
     assert out.shape == (3,)
     assert out[0] > 0.99 and out[2] < 0.01
 

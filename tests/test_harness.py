@@ -161,6 +161,15 @@ def test_config_rejects_unknown_keys():
     ("stage3", {"lambda_uu": -1.0}, "lambda_uu"),
     ("stage1", {"projection_width": 0}, "projection_width"),
     ("seed", -1, "seed"),
+    # fields that the noise kind would ignore
+    ("noise", {"kind": "none", "ratio": 0.4}, "ratio"),
+    ("noise", {"kind": "none", "exclude_true_class": True},
+     "exclude_true_class"),
+    ("noise", {"kind": "none", "pair_map": {"0": 1}}, "pair_map"),
+    ("noise", {"kind": "symmetric", "ratio": 0.4, "pair_map": {"0": 1}},
+     "pair_map"),
+    ("noise", {"kind": "asymmetric", "ratio": 0.4,
+               "exclude_true_class": True}, "exclude_true_class"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:
@@ -394,6 +403,28 @@ def test_emit_histograms_layout(tmp_path):
     assert sum(int(r[3]) for r in label_rows) == len(labeled)
     assert [int(r[3]) for r in label_rows] == [
         sum(1 for e in labeled if e.label == c) for c in range(3)]
+
+
+def test_emit_histograms_of_a_constant_statistic_span_one_unit(tmp_path):
+    train = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=10),
+                            seed=9)
+    n = len(train)
+    rows = np.arange(n)
+    transfer = credibility.TransferredLabels(
+        credibility.labeled_records(rows, train.y_noisy, ["kept"] * n),
+        np.arange(0), 0.5, 0.5, 3)
+    scores = credibility.CredibilityScores(
+        p_clean=None, p_right=None, losses=np.full(n, 0.25),
+        confidences=np.full(n, 0.25))
+    stage2 = credibility.Stage2Result(probe=None, scores=scores,
+                                      y_pred=train.y_clean, transfer=transfer)
+    paths = harness.emit_histograms(tmp_path, train, stage2)
+    for kind, series in (("loss", "clean"), ("confidence", "correct")):
+        with open(paths[kind]) as fh:
+            body = [r for r in list(csv.reader(fh))[1:] if r[0] == series]
+        assert len(body) == harness.N_BINS
+        assert float(body[0][1]) == 0.25 and float(body[-1][2]) == 1.25
+        assert [int(r[3]) for r in body] == [n] + [0] * (harness.N_BINS - 1)
 
 
 @pytest.mark.parametrize("module", sorted(

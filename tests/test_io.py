@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from noisylearn import credibility, data, io, numnet
 from noisylearn.errors import CheckpointError
@@ -169,65 +168,6 @@ def test_transfer_rejects_bad_entries(tmp_path, row, message):
         io.load_transfer(path)
 
 
-def test_gmm_round_trip(tmp_path):
-    path = tmp_path / "gmm.json"
-    gmm = credibility.Gmm1D(means=np.array([0.1, 1.9]),
-                            variances=np.array([0.004, 0.09]),
-                            weights=np.array([0.44, 0.56]),
-                            log_likelihood_trace=[-2.0, -1.5, -1.49])
-    io.save_gmm(path, gmm)
-    loaded = io.load_gmm(path)
-    assert np.array_equal(loaded.means, gmm.means)
-    assert np.array_equal(loaded.variances, gmm.variances)
-    assert np.array_equal(loaded.weights, gmm.weights)
-    assert loaded.log_likelihood_trace == gmm.log_likelihood_trace
-    assert loaded.converged
-    first = path.read_bytes()
-    io.save_gmm(path, loaded)
-    assert path.read_bytes() == first
-
-
-def test_gmm_round_trip_keeps_non_convergence(tmp_path):
-    # the nested-component sample of test_em_flags_nested_components_as_
-    # unconverged: EM runs out of iterations, and the file must say so
-    def quantiles(mean, var, k):
-        return stats.norm.ppf((np.arange(k) + 0.5) / k, mean, math.sqrt(var))
-
-    nested = np.concatenate([quantiles(0.43, 0.022, 3600),
-                             quantiles(0.478, 0.005, 900)])
-    gmm = credibility.fit_gmm_em(nested)
-    assert not gmm.converged
-    path = tmp_path / "gmm.json"
-    io.save_gmm(path, gmm)
-    loaded = io.load_gmm(path)
-    assert loaded.converged is False
-    assert loaded.log_likelihood_trace == gmm.log_likelihood_trace
-    assert len(loaded.log_likelihood_trace) == 200
-    assert np.array_equal(loaded.means, gmm.means)
-
-
-def test_gmm_without_em_fields_loads_as_converged(tmp_path):
-    path = tmp_path / "gmm.json"
-    path.write_text(json.dumps({"format_version": 1, "means": [0.1, 1.9],
-                                "variances": [0.004, 0.09],
-                                "weights": [0.44, 0.56]}))
-    loaded = io.load_gmm(path)
-    assert loaded.converged and loaded.log_likelihood_trace == []
-
-
-@pytest.mark.parametrize("field,value", [("converged", "no"),
-                                         ("converged", 0),
-                                         ("log_likelihood_trace", [1.0, "x"]),
-                                         ("log_likelihood_trace", 3.0)])
-def test_gmm_rejects_bad_em_fields(tmp_path, field, value):
-    path = tmp_path / "gmm.json"
-    path.write_text(json.dumps({"format_version": 1, "means": [0.1, 1.9],
-                                "variances": [0.004, 0.09],
-                                "weights": [0.44, 0.56], field: value}))
-    with pytest.raises(CheckpointError, match=field):
-        io.load_gmm(path)
-
-
 def save_sample_transfer(path):
     labeled = credibility.labeled_records([0, 2], [2, 1],
                                           ["kept", "corrected"])
@@ -236,15 +176,8 @@ def save_sample_transfer(path):
     io.save_transfer(path, transfer, n_samples=4)
 
 
-def save_sample_gmm(path):
-    io.save_gmm(path, credibility.Gmm1D(means=np.array([0.1, 1.9]),
-                                        variances=np.array([0.004, 0.09]),
-                                        weights=np.array([0.44, 0.56])))
-
-
 ARTIFACTS = {  # kind: (write a valid file, load one)
     "transfer": (save_sample_transfer, io.load_transfer),
-    "gmm": (save_sample_gmm, io.load_gmm),
     "checkpoint": (lambda path: io.save_checkpoint(
         path, sample_params(), ema=sample_params()), io.load_checkpoint),
 }
@@ -270,12 +203,6 @@ ARTIFACTS = {  # kind: (write a valid file, load one)
     ("transfer", lambda doc: doc["thresholds"].update(tau_clean="abc"),
      "transfer field thresholds.tau_clean: expected a finite number, "
      "got 'abc'"),
-    ("gmm", lambda doc: doc.update(means={"low": 0.1, "high": 1.9}),
-     "gmm field means: expected a list, got dict"),
-    ("gmm", lambda doc: doc.update(weights=[0.44, 0.56, 0.0]),
-     "gmm field weights: expected 2 values, got 3"),
-    ("gmm", lambda doc: doc.update(means=[1.9, 0.1]),
-     "gmm field means: components must be ordered by mean"),
     ("checkpoint", lambda doc: doc.update(ema=[]),
      "checkpoint field ema: expected an object or null, got list"),
     ("checkpoint", lambda doc: doc["shapes"]["encoder"][0].__setitem__(1, 0),
@@ -286,7 +213,7 @@ ARTIFACTS = {  # kind: (write a valid file, load one)
      "checkpoint field shapes: layer widths do not chain: 6 -> 7"),
 ], ids=["U_int", "U_fraction", "U_huge", "L_index_fraction", "L_label_bool",
         "L_object", "n_samples_float", "thresholds_list", "tau_string",
-        "means_object", "weights_three", "means_unordered", "ema_list",
+        "ema_list",
         "shape_zero", "widths_unchained"])
 def test_artifact_errors_start_with_the_file_and_name_the_field(
         tmp_path, kind, corrupt, message):
