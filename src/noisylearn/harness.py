@@ -53,30 +53,43 @@ def derive_seed(master: int, stream: int) -> int:
     return int(np.random.SeedSequence([master, stream]).generate_state(1)[0])
 
 
-def _find_malloc_trim():
-    """The C library's `malloc_trim`, or None where it has none (not glibc)."""
+def _find_libc(name: str, *argtypes):
+    """The C library's int function `name`, or None where it has none
+    (not glibc)."""
     try:
-        trim = ctypes.CDLL(None).malloc_trim
+        fn = getattr(ctypes.CDLL(None), name)
     except (AttributeError, OSError, TypeError):
         return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
+    fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
+    return fn
 
 
-_MALLOC_TRIM = _find_malloc_trim()
+_MALLOC_TRIM = _find_libc("malloc_trim", ctypes.c_size_t)
+_MALLOPT = _find_libc("mallopt", ctypes.c_int, ctypes.c_int)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's <malloc.h>
+
+# glibc moves both thresholds with the largest block freed so far: the
+# mmap threshold to that block's size and the trim threshold to twice it.
+# Stage 1's 1 MB NT-Xent score buffer then set a 2 MB trim threshold, so
+# every step gave about 2 MB of heap back to the kernel and faulted it in
+# again (490 page faults a step at 512 rows). Fixed values stop that: the
+# score buffer stays on the heap, and the 2.3 MB embedding tables are
+# still mapped on their own and returned when freed.
+if _MALLOPT is not None:
+    _MALLOPT(M_TRIM_THRESHOLD, 16 << 20)
+    _MALLOPT(M_MMAP_THRESHOLD, 1536 << 10)
 
 
 def _release_freed_memory() -> None:
     """Hand the heap pages a finished stage freed back to the OS.
 
     The runners call this between stages. glibc keeps freed heap pages
-    resident until the free block at the top of the heap outgrows a
-    threshold that rises with the largest array freed so far (about
-    4.6 MB once a 4,500×64 embedding table has come and gone). Without
-    the trim, whether a stage's tables stay resident through the next
-    stage depends on where a few small long-lived allocations landed,
-    and a run's peak RSS can move by 3 MB with nothing but the length of
-    its output path. A no-op where the C library has no `malloc_trim`.
+    resident until the free block at the top of the heap outgrows the
+    trim threshold pinned above (16 MB). Without the trim, whether a
+    stage's tables stay resident through the next stage depends on where
+    a few small long-lived allocations landed, and a run's peak RSS can
+    move by 3 MB with nothing but the length of its output path. A no-op
+    where the C library has no `malloc_trim`.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)

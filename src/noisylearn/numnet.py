@@ -11,8 +11,10 @@ replays the chain rule of the per-op composition it replaced; the tests
 build those compositions and check the nodes against them bit for bit.
 It is not a general autodiff system.
 
-Everything is float64. Runs are deterministic for a fixed seed as long as
-execution stays single-threaded.
+Everything is float64 except inside `ssrl.nt_xent_loss`, whose n-by-n
+scores and the two products of its backward are float32; what it hands
+the tape is float64 again. Runs are deterministic for a fixed seed as long
+as execution stays single-threaded.
 """
 
 from __future__ import annotations
@@ -316,18 +318,22 @@ class TapeMlp:
 
     `embed` and `logits` run on a constant input and record one node when
     some group is live (not `frozen`); its backward adds into `gradients()`.
+    `grads`, the `gradients()` of an earlier tape over the same params and
+    frozen groups, is zeroed and reused instead of building a new one.
     """
 
-    def __init__(self, params: MlpParams, frozen: Iterable[str] = ()):
+    def __init__(self, params: MlpParams, frozen: Iterable[str] = (),
+                 grads: MlpParams | None = None):
         frozen = set(frozen)
         unknown = frozen - {"encoder", "classifier"}
         if unknown:
             raise ValueError(f"unknown frozen groups: {sorted(unknown)}")
         self._params = params
-        # the live groups' layout in one buffer, zeroed for the backward's +=
-        self._grads = MlpParams(*([] if group in frozen else getattr(params, group)
-                                  for group in ("encoder", "classifier")))
-        self._grads.flat.fill(0.0)
+        if grads is None:   # the live groups' layout in one buffer
+            grads = MlpParams(*([] if group in frozen else getattr(params, group)
+                                for group in ("encoder", "classifier")))
+        grads.flat.fill(0.0)    # for the backward's +=
+        self._grads = grads
 
     def _layers(self, group: str, relu_last: bool) -> list[tuple]:
         """(weight, bias, relu, gradient layer or None) for each layer of `group`."""
@@ -389,13 +395,16 @@ class TapeMlp:
 
 
 def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
-         frozen: Iterable[str] = ()) -> tuple[float, MlpParams]:
+         frozen: Iterable[str] = (), out: MlpParams | None = None
+         ) -> tuple[float, MlpParams]:
     """Evaluate `loss_fn` on a tape view of `params` and return gradients.
 
     `loss_fn` must build a scalar from tape operations. Parameter groups
-    named in `frozen` are empty in the result.
+    named in `frozen` are empty in the result. `out`, a result of an
+    earlier call with the same params and `frozen`, is overwritten and
+    returned instead of a new gradient.
     """
-    tape = TapeMlp(params, frozen=frozen)
+    tape = TapeMlp(params, frozen=frozen, grads=out)
     loss = loss_fn(tape)
     if not isinstance(loss, Tensor):
         raise TypeError("loss_fn must return a tape Tensor")
@@ -544,10 +553,11 @@ def fit(params: MlpParams, opt: OptState, epochs: int, steps: int,
     applies the update, and folds the weights into `ema` when given.
     """
     lr0 = opt.learning_rate
+    grads = None    # built by the first step, refilled by every later one
     for epoch in range(epochs):
         losses = []
         for step, loss_fn in enumerate(batches(), epoch * steps):
-            value, grads = grad(params, loss_fn, frozen=frozen)
+            value, grads = grad(params, loss_fn, frozen=frozen, out=grads)
             opt.learning_rate = cosine_lr(step, steps * epochs, lr0, eta_min)
             optimizer_step(opt, params, grads)
             if ema is not None:

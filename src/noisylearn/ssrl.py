@@ -36,10 +36,13 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     backward pass is the closed form: softmax minus the partner one-hot,
     taken back through the similarity product and the row normalization.
 
-    One n-by-n buffer holds the scores, shifted by each row's maximum,
-    and then their exponentials `E`. The backward is two products,
-    `(E Zn)/total + Eᵀ (Zn/total)`, which never assume `E` is bitwise
-    symmetric.
+    One n-by-n float32 buffer holds the scores, shifted by each row's
+    maximum, and then their exponentials `E`. The backward is two float32
+    products, `(E Zn)/total + Eᵀ (Zn/total)`, which never assume `E` is
+    symmetric. Everything else runs in float64: the norms, the partner
+    term (taken from the rows), the row sums, the log-sum-exp and the
+    projection back through the normalization. So the loss and its
+    gradient carry float32 rounding of the scores, about 1e-7 / t.
     """
     Z = numnet.as_tensor(Z)
     n = Z.shape[0]
@@ -52,21 +55,22 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     inv_t = 1.0 / temperature
     norms = (Z.data * Z.data).sum(axis=1, keepdims=True) ** 0.5
     Zn = Z.data / norms
-    # A plain gemm: numpy sends `Zn @ Zn.T` through syrk and then mirrors
-    # the triangle element by element, which costs more than the product.
-    E = Zn @ np.ascontiguousarray(Zn.T)
-    E *= inv_t
+    Zs = Zn.astype(np.float32)
+    # Two distinct operands make a plain gemm; `Zs @ Zs.T` would go through
+    # syrk and an element-wise mirror of the triangle, which costs more.
+    E = (Zs * np.float32(inv_t)) @ Zs.T
     E[idx, idx] = NEG_MASK
-    positive = E[idx, partner]
     shift = E.max(axis=1, keepdims=True)
     E -= shift
     np.exp(E, out=E)
-    total = E.sum(axis=1, keepdims=True)
+    total = E.sum(axis=1, keepdims=True, dtype=np.float64)
     lse = np.log(total) + shift
+    positive = (Zn * Zn[partner]).sum(axis=1) / temperature
     out = numnet._make((lse[:, 0] - positive).sum() * (1.0 / n), (Z,))
     if out._parents:
         def backward():
-            dZn = (E @ Zn) / total + E.T @ (Zn / total) - 2.0 * Zn[partner]
+            rt = (1.0 / total).astype(np.float32)
+            dZn = (E @ Zs) / total + E.T @ (Zs * rt) - 2.0 * Zn[partner]
             dZn *= out.grad * (1.0 / n) * inv_t
             numnet._accum(Z, (dZn - Zn * (dZn * Zn).sum(axis=1, keepdims=True))
                           / norms)

@@ -3,11 +3,14 @@
 Each bound is a multiple of the bytes of the call's result, measured with
 `tracemalloc` (numpy reports its array buffers to it). The inputs are made
 before tracing starts, so only what the call allocates counts. Stage 2
-must embed each dataset once. The last test checks the release of freed
-heap pages that the runners make between stages.
+must embed each dataset once. The last two tests check glibc's heap: the
+thresholds `harness` pins, and the release of freed heap pages that the
+runners make between stages.
 """
 
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -15,6 +18,8 @@ import numpy as np
 import pytest
 
 from noisylearn import data, graphreg, harness, io, numnet, ssrl
+
+from util import child_env
 
 
 def traced_peak(call):
@@ -113,3 +118,36 @@ def test_release_returns_free_heap_pages_between_live_blocks():
     assert held - freed < 5.0
     assert freed - resident_mb() > 15.0
     del pins
+
+
+# Counts in a fresh interpreter: there, glibc's thresholds start where a
+# user's run starts them, not where other tests' arrays have moved them.
+STAGE1_FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from noisylearn import harness, numnet, ssrl
+faults, fit = [], numnet.fit
+def counting_fit(*args, **kwargs):
+    for losses in fit(*args, **kwargs):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        yield losses
+numnet.fit = counting_fit
+X = np.random.default_rng(5).normal(size=(2048, 16))
+config = ssrl.ContrastiveConfig(epochs=2)   # 256 pairs, 512 rows a step
+ssrl.train_encoder(X, config, seed=5)
+print((faults[1] - faults[0]) / (len(X) // config.batch_size))
+"""
+
+
+@pytest.mark.skipif(harness._MALLOPT is None, reason="needs glibc's mallopt")
+def test_stage1_steps_keep_their_heap_resident():
+    """A stage-1 step at the bench's shape (512 rows) frees a 1 MB float32
+    score buffer. Under glibc's moving thresholds that sets a 2 MB trim
+    threshold, and each step gave the top of the heap back to the kernel
+    and faulted it in again: about 500 page faults a step. Under the
+    thresholds `harness` pins, a step of the second epoch faults in almost
+    nothing."""
+    out = subprocess.run([sys.executable, "-c", STAGE1_FAULTS_PER_STEP],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 50

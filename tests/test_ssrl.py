@@ -12,6 +12,14 @@ from tape_ops import add, div, exp, log, mean, mul, power, reshape, sub, sum_
 from util import logistic_probe_predict
 
 
+# The kernel rounds its scores Zn·Zn/t to float32, an error of about
+# EPS32/t each, and every value or per-row gradient it forms from them
+# inherits an error of that order. Its bounds against the float64
+# references below are 4 such units; the worst errors seen were 0.8 (value)
+# and 0.3 (gradient) over 1,500 draws of the property test's inputs.
+EPS32 = float(np.finfo(np.float32).eps)
+
+
 def reference_nt_xent(Z, temperature):
     """Loop-based re-derivation: mean over anchors of -log softmax(partner)."""
     Z = np.asarray(Z, dtype=np.float64)
@@ -60,15 +68,22 @@ def value_and_grad(loss_fn, Z, temperature):
 
 
 def test_nt_xent_gradient_matches_finite_differences():
+    """Central differences anchor the float64 composition, which the
+    kernel is bounded against below; they cannot resolve a float32
+    forward at h = 1e-6."""
     Z = np.random.default_rng(3).normal(size=(8, 5)) + 0.3
-    _, analytic = value_and_grad(ssrl.nt_xent_loss, Z, 0.5)
+    _, analytic = value_and_grad(composed_nt_xent, Z, 0.5)
+
+    def composed(Z):
+        return float(composed_nt_xent(Z, 0.5).data)
+
     numeric = np.zeros_like(Z)
     h = 1e-6
     for i, j in np.ndindex(*Z.shape):
         up, down = Z.copy(), Z.copy()
         up[i, j] += h
         down[i, j] -= h
-        numeric[i, j] = (nt_xent(up, 0.5) - nt_xent(down, 0.5)) / (2 * h)
+        numeric[i, j] = (composed(up) - composed(down)) / (2 * h)
     scale = max(1.0, np.abs(numeric).max())
     assert np.max(np.abs(analytic - numeric)) < 1e-7 * scale
 
@@ -89,25 +104,27 @@ def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
         -1.0, 1.0, size=(2 * pairs, 1)) * 10.0 ** log_scale
     fused, g_fused = value_and_grad(ssrl.nt_xent_loss, Z, temperature)
     composed, g_composed = value_and_grad(composed_nt_xent, Z, temperature)
-    assert abs(fused - composed) <= 1e-12 * max(1.0, abs(composed))
+    assert abs(fused - composed) <= 4 * EPS32 / temperature
     # The normalisation backward divides row i by t * ||z_i||, so both the
     # gradient and the rounding error of either form grow like that; state
     # the bound per row in that unit. (With d = 1 every normalised row is
     # +-1 and the true gradient is 0, which an absolute bound cannot cover.)
     unit = 1.0 / (temperature * np.linalg.norm(Z, axis=1, keepdims=True))
-    assert np.max(np.abs(g_fused - g_composed) / unit) <= 1e-12
+    assert np.max(np.abs(g_fused - g_composed) / unit) <= 4 * EPS32 / temperature
 
 
 def test_nt_xent_low_temperature_keeps_row_sums_finite():
     # Orthonormal rows: every anchor sees three candidates at similarity 0,
     # its partner among them. A shift of 1/t would underflow each row's sum
     # to 0 at this temperature; the row-max shift keeps the loss exact.
+    # Every score is exact in float32 here, so the gradient's only rounding
+    # is that of 1/3, one EPS32 per unit, without the 1/t.
     Z = np.eye(4)
     value, grad = value_and_grad(ssrl.nt_xent_loss, Z, 1e-3)
     assert abs(value - math.log(3)) <= 1e-12
     _, g_composed = value_and_grad(composed_nt_xent, Z, 1e-3)
     unit = 1.0 / (1e-3 * np.linalg.norm(Z, axis=1, keepdims=True))
-    assert np.max(np.abs(grad - g_composed) / unit) <= 1e-12
+    assert np.max(np.abs(grad - g_composed) / unit) <= EPS32
 
 
 def test_nt_xent_logsumexp_matches_scipy():
@@ -117,7 +134,7 @@ def test_nt_xent_logsumexp_matches_scipy():
     np.fill_diagonal(S, -np.inf)
     partner = S[np.arange(10), np.arange(10) ^ 1]
     expected = np.mean(special.logsumexp(S, axis=1) - partner)
-    assert nt_xent(Z, 0.1) == pytest.approx(expected, rel=1e-12)
+    assert nt_xent(Z, 0.1) == pytest.approx(expected, rel=0, abs=4 * EPS32 / 0.1)
 
 
 def test_nt_xent_matches_reference_on_random_rows():
@@ -126,7 +143,8 @@ def test_nt_xent_matches_reference_on_random_rows():
         Z = rng.normal(size=(8, 5)) + 0.1
         for temp in (0.2, 0.5, 1.0):
             ours = nt_xent(Z, temp)
-            assert ours == pytest.approx(reference_nt_xent(Z, temp), rel=1e-10)
+            assert ours == pytest.approx(reference_nt_xent(Z, temp), rel=0,
+                                         abs=4 * EPS32 / temp)
             assert ours >= 0.0
 
 
