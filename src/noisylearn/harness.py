@@ -66,18 +66,17 @@ def _find_libc(name: str, *argtypes):
 
 _MALLOC_TRIM = _find_libc("malloc_trim", ctypes.c_size_t)
 _MALLOPT = _find_libc("mallopt", ctypes.c_int, ctypes.c_int)
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's <malloc.h>
 
 # glibc moves both thresholds with the largest block freed so far: the
 # mmap threshold to that block's size and the trim threshold to twice it.
 # Stage 1's 1 MB NT-Xent score buffer then set a 2 MB trim threshold, so
 # every step gave about 2 MB of heap back to the kernel and faulted it in
-# again (490 page faults a step at 512 rows). Fixed values stop that: the
-# score buffer stays on the heap, and the 2.3 MB embedding tables are
+# again (550-720 page faults a step at 512 rows). Fixed values stop that:
+# the score buffer stays on the heap, and the 2.3 MB embedding tables are
 # still mapped on their own and returned when freed.
 if _MALLOPT is not None:
-    _MALLOPT(M_TRIM_THRESHOLD, 16 << 20)
-    _MALLOPT(M_MMAP_THRESHOLD, 1536 << 10)
+    _MALLOPT(-1, 16 << 20)      # M_TRIM_THRESHOLD, in glibc's <malloc.h>
+    _MALLOPT(-3, 1536 << 10)    # M_MMAP_THRESHOLD
 
 
 def _release_freed_memory() -> None:

@@ -144,7 +144,7 @@ def test_stage1_steps_keep_their_heap_resident():
     """A stage-1 step at the bench's shape (512 rows) frees a 1 MB float32
     score buffer. Under glibc's moving thresholds that sets a 2 MB trim
     threshold, and each step gave the top of the heap back to the kernel
-    and faulted it in again: about 500 page faults a step. Under the
+    and faulted it in again: 550-720 page faults a step. Under the
     thresholds `harness` pins, a step of the second epoch faults in almost
     nothing."""
     out = subprocess.run([sys.executable, "-c", STAGE1_FAULTS_PER_STEP],

@@ -110,7 +110,8 @@ def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
     # the bound per row in that unit. (With d = 1 every normalised row is
     # +-1 and the true gradient is 0, which an absolute bound cannot cover.)
     unit = 1.0 / (temperature * np.linalg.norm(Z, axis=1, keepdims=True))
-    assert np.max(np.abs(g_fused - g_composed) / unit) <= 4 * EPS32 / temperature
+    assert (np.max(np.abs(g_fused - g_composed) / unit)
+            <= 4 * EPS32 / temperature)
 
 
 def test_nt_xent_low_temperature_keeps_row_sums_finite():
@@ -134,7 +135,8 @@ def test_nt_xent_logsumexp_matches_scipy():
     np.fill_diagonal(S, -np.inf)
     partner = S[np.arange(10), np.arange(10) ^ 1]
     expected = np.mean(special.logsumexp(S, axis=1) - partner)
-    assert nt_xent(Z, 0.1) == pytest.approx(expected, rel=0, abs=4 * EPS32 / 0.1)
+    assert nt_xent(Z, 0.1) == pytest.approx(expected, rel=0,
+                                            abs=4 * EPS32 / 0.1)
 
 
 def test_nt_xent_matches_reference_on_random_rows():
