@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numnet
 from .errors import ConfigError, NumericError
 from .numnet import Tensor, as_tensor
 
@@ -84,15 +83,12 @@ def sharpen_t(p: Tensor, temperature: float) -> Tensor:
     clamped = np.maximum(p.data, SHARPEN_FLOOR)
     powered = clamped ** e
     s = powered.sum(axis=-1, keepdims=True)
-    out = numnet._make(powered / s, (p,))
-    if out._parents:
-        def backward():
-            g = out.grad
-            ds = (-g * powered / (s * s)).sum(axis=-1, keepdims=True)
-            dpow = (g / s + ds) * e * clamped ** (e - 1.0)   # divide, sum, pow
-            p._accumulate(dpow * (p.data > SHARPEN_FLOOR))    # clamp
-        out._backward = backward
-    return out
+
+    def push(g):
+        ds = (-g * powered / (s * s)).sum(axis=-1, keepdims=True)
+        dpow = (g / s + ds) * e * clamped ** (e - 1.0)   # divide, sum, pow
+        return [(p, dpow * (p.data > SHARPEN_FLOOR))]     # clamp
+    return Tensor(powered / s, push if p._push else None)
 
 
 def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
@@ -143,18 +139,17 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     A_ul = graph.affinity[n_l:, :n_l]
     value = (lam_lu * (A_ul * K[:, n_u:]).sum()
              + lam_uu * (W * K[:, :n_u]).sum())
-    out = numnet._make(value, (p,))
-    if out._parents:
-        # B = [lam_uu (W + W^T) | lam_lu A_UL]: the weights of each
-        # unlabeled row against every row of Q, in one buffer
-        B = np.empty((n_u, Q.shape[0]))
-        np.add(W, W.T, out=B[:, :n_u])
-        B[:, :n_u] *= lam_uu
-        np.multiply(A_ul, lam_lu, out=B[:, n_u:])
+    if not p._push:
+        return Tensor(value)
+    # B = [lam_uu (W + W^T) | lam_lu A_UL]: the weights of each unlabeled
+    # row against every row of Q, in one buffer
+    B = np.empty((n_u, Q.shape[0]))
+    np.add(W, W.T, out=B[:, :n_u])
+    B[:, :n_u] *= lam_uu
+    np.multiply(A_ul, lam_lu, out=B[:, n_u:])
 
-        def backward():
-            # Laplacian form 2 (rowsum(B) * P - B Q); the shift cancels
-            numnet._accum(p, (2.0 * out.grad) * (
-                B.sum(axis=1, keepdims=True) * Q[:n_u] - B @ Q))
-        out._backward = backward
-    return out
+    def push(g):
+        # Laplacian form 2 (rowsum(B) * P - B Q); the shift cancels
+        return [(p, (2.0 * g) * (B.sum(axis=1, keepdims=True) * Q[:n_u]
+                                 - B @ Q))]
+    return Tensor(value, push)

@@ -6,10 +6,13 @@ parameter EMA, and the one training loop (`fit`) every stage runs. The
 tape records fused nodes only, one per network forward and one per loss
 term: the `TapeMlp` forward, `softmax_rows` and `softmax_cross_entropy`
 here, NT-Xent in `ssrl`, sharpening and the graph penalty in `graphreg`,
-and the consistency term and the weighted total in `semi`. Each backward
-replays the chain rule of the per-op composition it replaced; the tests
-build those compositions and check the nodes against them bit for bit.
-It is not a general autodiff system.
+and the consistency term and the weighted total in `semi`. A node is its
+value and one push; each node feeds one consumer, so `backward` hands
+each push its whole gradient as it reaches it. Each push replays the
+chain rule of the per-op composition it replaced; the tests build those
+compositions on a general reference tape and check the nodes against
+them bit for bit. It is not a general autodiff system: a node pushed into
+twice raises.
 
 Everything is float64 except inside `ssrl.nt_xent_loss`, whose n-by-n
 scores and the two products of its backward are float32; what it hands
@@ -28,85 +31,51 @@ import numpy as np
 from .errors import NumericError
 
 Array = np.ndarray
-_SPENT = object()  # the `_backward` of a node a sweep has run
+_SPENT = object()  # the push of a node a sweep has run
 
 
 class Tensor:
-    """Node in the reverse-mode tape.
+    """A value on the tape and the one push that sends its gradient on.
 
-    Wraps a float64 ndarray. A node requires a gradient when it is a live
-    leaf or records a backward closure; constant subexpressions stay off
-    the tape entirely.
+    `push(g)` takes the gradient of the root with respect to this value
+    and returns `(input, gradient)` pairs for the node's live inputs, in
+    the order their gradients add. A constant has no push. Every node the
+    stages build has one consumer, so a sweep reaches each node once, with
+    its whole gradient, and needs no sort and no accumulation.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_push")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, push: Callable[[Array], Sequence] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Array | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._push = push
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def _accumulate(self, g: Array) -> None:
-        # Not in place: tests/tape_ops.add hands one array to both parents.
-        self.grad = g if self.grad is None else self.grad + g
-
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar root; only leaves keep `.grad`.
+        """Sweep from a scalar root, last in, first out.
 
-        The sweep spends the tape, so a second sweep over any of it raises.
+        So a node's first input and everything under it are done before its
+        second input. Each push is spent as it runs: what it captured is
+        freed, and a second sweep over the node raises.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar root")
         if not np.isfinite(self.data):
             raise NumericError(f"non-finite loss: {float(self.data)}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack = [(self, np.ones_like(self.data))] if self._push else []
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            if node._backward is _SPENT:
+            node, g = stack.pop()
+            push, node._push = node._push, _SPENT
+            if push is _SPENT:
                 raise RuntimeError("backward() already ran on this tape")
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
-                # Passed on. The closure refers to its node: dropping it
-                # breaks that cycle, so reference counts free the tape.
-                node.grad, node._backward = None, _SPENT
+            stack += reversed(push(g))
 
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _make(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
-    out = Tensor(data)
-    live = tuple(p for p in parents if p.requires_grad)
-    if live:
-        out._parents = live
-        out.requires_grad = True
-    return out
-
-
-def _accum(node: Tensor, g: Array) -> None:
-    if node.requires_grad:
-        node._accumulate(g)
 
 
 def _shifted_exp(logits: Array) -> tuple[Array, Array]:
@@ -126,14 +95,11 @@ def softmax_rows(logits: Tensor) -> Tensor:
     does, so both match the composition bit for bit.
     """
     e, s = _shifted_exp(logits.data)
-    out = _make(e / s, (logits,))
-    if out._parents:
-        def backward():
-            g = out.grad
-            ds = (-g * e / (s * s)).sum(axis=-1, keepdims=True)
-            logits._accumulate((g / s + ds) * e)
-        out._backward = backward
-    return out
+
+    def push(g):
+        ds = (-g * e / (s * s)).sum(axis=-1, keepdims=True)
+        return [(logits, (g / s + ds) * e)]
+    return Tensor(e / s, push if logits._push else None)
 
 
 LOG_FLOOR = 1e-12
@@ -153,15 +119,13 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     Pc = np.maximum(e / s, LOG_FLOOR)
     rows = (T * np.log(Pc)).sum(axis=-1)
     n = rows.size
-    out = _make(-(rows.sum() * (1.0 / n)), (logits,))
-    if out._parents:
-        def backward():
-            M = -out.grad * (1.0 / n)               # neg, then mean
-            dP = M * T / Pc * (Pc > LOG_FLOOR)       # times T, log, clip
-            ds = (-dP * e / (s * s)).sum(axis=-1, keepdims=True)
-            logits._accumulate((dP / s + ds) * e)    # divide, sum, exp
-        out._backward = backward
-    return out
+
+    def push(g):
+        M = -g * (1.0 / n)                       # neg, then mean
+        dP = M * T / Pc * (Pc > LOG_FLOOR)       # times T, log, clip
+        ds = (-dP * e / (s * s)).sum(axis=-1, keepdims=True)
+        return [(logits, (dP / s + ds) * e)]     # divide, sum, exp
+    return Tensor(-(rows.sum() * (1.0 / n)), push if logits._push else None)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +281,10 @@ class TapeMlp:
     """Tape view of an MlpParams, whose arrays never become tape leaves.
 
     `embed` and `logits` run on a constant input and record one node when
-    some group is live (not `frozen`); its backward adds into `gradients()`.
-    `grads`, the `gradients()` of an earlier tape over the same params and
-    frozen groups, is zeroed and reused instead of building a new one.
+    some layer is live (in a group not `frozen`); its push adds into
+    `gradients()`. `grads`, the `gradients()` of an earlier tape over the
+    same params and frozen groups, is zeroed and reused instead of
+    building a new one. A tape with no live layer builds no gradient.
     """
 
     def __init__(self, params: MlpParams, frozen: Iterable[str] = (),
@@ -329,23 +294,25 @@ class TapeMlp:
         if unknown:
             raise ValueError(f"unknown frozen groups: {sorted(unknown)}")
         self._params = params
-        if grads is None:   # the live groups' layout in one buffer
-            grads = MlpParams(*([] if group in frozen else getattr(params, group)
-                                for group in ("encoder", "classifier")))
-        grads.flat.fill(0.0)    # for the backward's +=
+        live = [[] if group in frozen else getattr(params, group)
+                for group in ("encoder", "classifier")]
+        if grads is None and any(live):   # the live layers in one buffer
+            grads = MlpParams(*live)
+        if grads is not None:
+            grads.flat.fill(0.0)    # for the push's +=
         self._grads = grads
 
     def _layers(self, group: str, relu_last: bool) -> list[tuple]:
         """(weight, bias, relu, gradient layer or None) for each layer of `group`."""
         layers = getattr(self._params, group)
-        grads = getattr(self._grads, group) or [None] * len(layers)
+        grads = getattr(self._grads, group, None) or [None] * len(layers)
         return [(l.weight, l.bias, relu_last or i < len(layers) - 1, g)
                 for i, (l, g) in enumerate(zip(layers, grads))]
 
     def _forward(self, X, layers: list[tuple]) -> Tensor:
         """`A = relu(A @ w + b)` per layer, bias and ReLU in place.
 
-        Layer inputs from the first live layer on are kept. The backward
+        Layer inputs from the first live layer on are kept. The push
         replays each layer from the top: the ReLU mask, `Aᵀ g` and the
         column sum for a live layer, then `g wᵀ` if a live layer lies
         below. A frozen forward holds at most two layer outputs at once.
@@ -361,24 +328,23 @@ class TapeMlp:
             A += b
             if relu:
                 np.maximum(A, 0.0, out=A)
-        out = Tensor(A, requires_grad=first < len(layers))
-        if out.requires_grad:
-            kept.append(A)
+        if first == len(layers):
+            return Tensor(A)
+        kept.append(A)
 
-            def backward():
-                g = out.grad
-                for i in range(len(layers) - 1, first - 1, -1):
-                    w, _, relu, grad = layers[i]
-                    if relu:
-                        g = g * (kept[i - first + 1] > 0.0)
-                    if grad is not None:
-                        gw, gb = grad
-                        gw += kept[i - first].T @ g
-                        gb += g.sum(axis=0)
-                    if i > first:
-                        g = g @ w.T
-            out._backward = backward
-        return out
+        def push(g):
+            for i in range(len(layers) - 1, first - 1, -1):
+                w, _, relu, grad = layers[i]
+                if relu:
+                    g = g * (kept[i - first + 1] > 0.0)
+                if grad is not None:
+                    gw, gb = grad
+                    gw += kept[i - first].T @ g
+                    gb += g.sum(axis=0)
+                if i > first:
+                    g = g @ w.T
+            return ()
+        return Tensor(A, push)
 
     def embed(self, X) -> Tensor:
         return self._forward(X, self._layers("encoder", True))
@@ -391,7 +357,7 @@ class TapeMlp:
     def gradients(self) -> MlpParams:
         """The live groups' gradients, zero where no forward used them; a
         frozen group is an empty list."""
-        return self._grads
+        return self._grads or MlpParams([], [])
 
 
 def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],

@@ -203,31 +203,26 @@ def consistency_loss(p: Tensor, targets: Array) -> Tensor:
     """
     d = p.data - targets
     n = d.shape[0]
-    out = numnet._make((d * d).sum(axis=1).sum() * (1.0 / n), (p,))
-    if out._parents:
-        def backward():
-            gd = out.grad * (1.0 / n) * d
-            p._accumulate(gd + gd)
-        out._backward = backward
-    return out
+
+    def push(g):
+        gd = g * (1.0 / n) * d
+        return [(p, gd + gd)]
+    return Tensor((d * d).sum(axis=1).sum() * (1.0 / n),
+                  push if p._push else None)
 
 
 def weighted_total(l_sup: Tensor, l_unsup: Tensor, r: Tensor,
                    lambda_u: float) -> Tensor:
     """`l_sup + l_unsup * lambda_u + r` as one node over the scalar parts.
 
-    The backward sweep visits the parts in that order, so the gradients of
+    Its push hands the live parts on in that order, so the gradients of
     the forwards under them add in that order too.
     """
-    out = numnet._make(l_sup.data + l_unsup.data * lambda_u + r.data,
-                       (l_sup, l_unsup, r))
-    if out._parents:
-        def backward():
-            numnet._accum(l_sup, out.grad)
-            numnet._accum(l_unsup, out.grad * lambda_u)
-            numnet._accum(r, out.grad)
-        out._backward = backward
-    return out
+    def push(g):
+        return [(t, gt) for t, gt in ((l_sup, g), (l_unsup, g * lambda_u),
+                                      (r, g)) if t._push]
+    return Tensor(l_sup.data + l_unsup.data * lambda_u + r.data,
+                  push if l_sup._push or l_unsup._push or r._push else None)
 
 
 def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,

@@ -66,16 +66,14 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     total = E.sum(axis=1, keepdims=True, dtype=np.float64)
     lse = np.log(total) + shift
     positive = (Zn * Zn[partner]).sum(axis=1) / temperature
-    out = numnet._make((lse[:, 0] - positive).sum() * (1.0 / n), (Z,))
-    if out._parents:
-        def backward():
-            rt = (1.0 / total).astype(np.float32)
-            dZn = (E @ Zs) / total + E.T @ (Zs * rt) - 2.0 * Zn[partner]
-            dZn *= out.grad * (1.0 / n) * inv_t
-            numnet._accum(Z, (dZn - Zn * (dZn * Zn).sum(axis=1, keepdims=True))
-                          / norms)
-        out._backward = backward
-    return out
+
+    def push(g):
+        rt = (1.0 / total).astype(np.float32)
+        dZn = (E @ Zs) / total + E.T @ (Zs * rt) - 2.0 * Zn[partner]
+        dZn *= g * (1.0 / n) * inv_t
+        return [(Z, (dZn - Zn * (dZn * Zn).sum(axis=1, keepdims=True)) / norms)]
+    return Tensor((lse[:, 0] - positive).sum() * (1.0 / n),
+                  push if Z._push else None)
 
 
 @dataclass

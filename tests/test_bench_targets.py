@@ -75,3 +75,21 @@ def test_bench_hooks_read_parameters_the_traced_functions_have():
                      (io.save_dataset_csv, "path"),
                      (semi.train_stage3, "config")):
         assert name in inspect.signature(fn).parameters, (fn.__name__, name)
+
+
+def test_traced_training_runs_one_backward_inside_each_grad():
+    """bench/NOTES.md takes `numnet.forward.s` as `numnet.grad.s` minus
+    `numnet.backward.s`, which holds while every traced gradient runs
+    exactly one traced backward."""
+    spans = bench_module("spans")
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(24, 4)), np.arange(24) % 3
+    params = numnet.init_mlp([4, 8], [8, 3], seed=5)
+    config = harness.SupervisedConfig(epochs=1, batch_size=8)
+    tracer = spans.Tracer(timed=True)
+    with tracer:
+        harness.train_supervised(params, X, y, 3, config, seed=5)
+    grads = [s[0] for s in tracer.spans if s[2] == "numnet.grad"]
+    backwards = [s[1] for s in tracer.spans if s[2] == "numnet.backward"]
+    assert tracer.calls("numnet.backward") == tracer.calls("numnet.grad") > 0
+    assert backwards == grads    # each inside its own gradient

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from noisylearn import graphreg, numnet
 from noisylearn.errors import ConfigError, NumericError
 
-from tape_ops import add, clip_min, div, mul, power, reshape, sub, sum_
+from tape_ops import (add, clip_min, div, leaf, mul, power, pushes,
+                      recording, reshape, sub, sum_)
 
 
 def unit_rows(rows):
@@ -183,21 +184,22 @@ def test_sharpen_t_equals_composition_bit_for_bit(n, c, spread, temperature,
     rng = np.random.default_rng(seed)
     p = numnet.softmax(rng.normal(scale=spread, size=(n, c)))
     upstream = rng.normal(size=(n, c))
-    leaves = [numnet.Tensor(p.copy(), requires_grad=True) for _ in range(2)]
-    fused = graphreg.sharpen_t(leaves[0], temperature)
+    leaves = [leaf(p.copy()) for _ in range(2)]
+    with recording() as made:
+        fused = graphreg.sharpen_t(leaves[0], temperature)
     composed = composed_sharpen_t(leaves[1], temperature)
-    assert fused._parents == (leaves[0],)    # one node
     for out in (fused, composed):
         sum_(mul(out, upstream)).backward()
+    assert pushes(made) == 1    # one node
     assert np.array_equal(fused.data, composed.data)
     assert np.array_equal(leaves[0].grad, leaves[1].grad)
 
 
 def test_sharpen_t_clamp_engages_and_matches():
     p = np.array([[1.0, 0.0, 1e-13, 1e-11], [0.5, 0.5, 0.0, 0.0]])
-    leaves = [numnet.Tensor(p.copy(), requires_grad=True) for _ in range(2)]
-    for leaf, fn in zip(leaves, (graphreg.sharpen_t, composed_sharpen_t)):
-        sum_(mul(fn(leaf, 0.5), np.arange(8.0).reshape(2, 4))).backward()
+    leaves = [leaf(p.copy()) for _ in range(2)]
+    for t, fn in zip(leaves, (graphreg.sharpen_t, composed_sharpen_t)):
+        sum_(mul(fn(t, 0.5), np.arange(8.0).reshape(2, 4))).backward()
     assert np.array_equal(leaves[0].grad, leaves[1].grad)
     assert np.all(leaves[0].grad[p <= 1e-12] == 0.0)
 
@@ -266,7 +268,7 @@ def test_regularizer_gradient_matches_finite_differences():
     p0 = rng.dirichlet(np.ones(4), size=3)
     y = rng.dirichlet(np.ones(4), size=2)
 
-    t = numnet.Tensor(p0.copy(), requires_grad=True)
+    t = leaf(p0.copy())
     out = graphreg.graph_regularizer(g, t, y, 0.01, 0.005)
     out.backward()
     h = 1e-6
@@ -309,7 +311,7 @@ def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
 
 
 def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu):
-    t = numnet.Tensor(p.copy(), requires_grad=True)
+    t = leaf(p.copy())
     out = penalty(graph, t, y, lam_lu, lam_uu)
     out.backward()
     return float(out.data), (t.grad if t.grad is not None
@@ -369,9 +371,9 @@ def test_regularizer_exactly_zero_when_all_rows_agree(rows, ordered, n_l, n_u,
     Z = rng.normal(size=(n_l + n_u, 6)) + 0.5
     g = graphreg.build_neighbor_graph(Z, tau=0.0, n_labeled=n_l)
     q = np.eye(c)[3] if rows == "one_hot" else rng.dirichlet(np.ones(c))
-    t = numnet.Tensor(np.tile(q, (n_u, 1)), requires_grad=True)
+    t = leaf(np.tile(q, (n_u, 1)))
     out = graphreg.graph_regularizer(g, t, np.tile(q, (n_l, 1)), 0.01,
                                      0.005 if ordered else 0.0025)
-    assert out.requires_grad and float(out.data) == 0.0
+    assert out._push is not None and float(out.data) == 0.0
     out.backward()
     assert not np.any(t.grad)

@@ -55,7 +55,7 @@ def test_frozen_forward_allocates_two_layer_outputs_at_most():
     X = rng.normal(size=(2000, 64))
     one_layer = numnet.MlpParams(numnet.init_layers([64, 64], rng), [])
     out, peak = traced_peak(lambda: numnet.TapeMlp(one_layer).embed(X))
-    assert out._backward is not None
+    assert out._push is not None
     assert peak <= 1.1 * out.data.nbytes
     params = numnet.init_mlp([64, 64, 64], [64, 64, 64], seed=3)
     frozen = numnet.TapeMlp(params, frozen=("encoder", "classifier"))

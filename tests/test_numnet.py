@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from noisylearn import graphreg, io, numnet, semi, ssrl
 from noisylearn.errors import NumericError
 
-from tape_ops import (add, clip_min, cross_entropy_rows, div, exp, log,
-                      matmul, mean, mul, relu, reshape, sub, sum_)
+from tape_ops import (Node, add, clip_min, cross_entropy_rows, div, exp,
+                      leaf, log, matmul, mean, mul, pushes, recording, relu,
+                      reshape, sub, sum_)
 from util import central_diff, max_rel_err
 
 
@@ -24,7 +25,7 @@ def finite_rows(n, d, seed):
 
 def fd_scalar(build, arrays, h=1e-6):
     """FD gradient of build(*tensors) w.r.t. each input array."""
-    tensors = [numnet.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    tensors = [leaf(a.copy()) for a in arrays]
     out = build(*tensors)
     out.backward()
     analytic = [t.grad.copy() for t in tensors]
@@ -109,8 +110,8 @@ def test_node_feeding_two_consumers_matches_finite_differences():
 
 
 def test_later_accumulation_leaves_other_leaves_untouched():
-    a = numnet.Tensor(finite_rows(2, 3, 18), requires_grad=True)
-    b = numnet.Tensor(finite_rows(2, 3, 19), requires_grad=True)
+    a = leaf(finite_rows(2, 3, 18))
+    b = leaf(finite_rows(2, 3, 19))
     sum_(add(add(a, b), a)).backward()  # b receives the array a got first
     b_grad = b.grad
     b_before = b_grad.copy()
@@ -121,7 +122,7 @@ def test_later_accumulation_leaves_other_leaves_untouched():
 
 
 def test_second_backward_on_a_spent_tape_raises():
-    a = numnet.Tensor(finite_rows(2, 3, 21), requires_grad=True)
+    a = leaf(finite_rows(2, 3, 21))
     h = mul(a, 2.0)
     root = sum_(h)
     root.backward()
@@ -132,16 +133,33 @@ def test_second_backward_on_a_spent_tape_raises():
         sum_(mul(h, 3.0)).backward()    # a new root over a spent node
     assert a.grad is spent and np.array_equal(spent, np.full((2, 3), 2.0))
     logits = numnet.TapeMlp(numnet.init_mlp([3, 4], [4, 2], seed=22)).logits(
-        finite_rows(2, 3, 22))          # a forward records no parents
+        finite_rows(2, 3, 22))          # a numnet node under reference ones
     sum_(logits).backward()
     with pytest.raises(RuntimeError, match="already ran on this tape"):
         sum_(logits).backward()
 
 
+def test_a_node_with_two_consumers_raises_instead_of_pushing_twice():
+    """Each numnet node pushes once; fan-out belongs to the reference tape."""
+    params = numnet.init_mlp([3, 4], [4, 2], seed=23)
+    targets = numnet.one_hot(np.array([0, 1]), 2)
+
+    def loss_fn(tape):
+        logits = tape.logits(finite_rows(2, 3, 23))
+        return semi.weighted_total(
+            numnet.softmax_cross_entropy(logits, targets),
+            numnet.softmax_cross_entropy(logits, targets[::-1]),
+            numnet.as_tensor(0.0), 1.0)
+
+    with pytest.raises(RuntimeError,
+                       match=r"^backward\(\) already ran on this tape$"):
+        numnet.grad(params, loss_fn)
+
+
 def test_constant_operand_gets_no_gradient_work():
     # The gradient for a constant divisor would be -g * a / 1e400: it
     # overflows, so computing it at all raises under errstate(all="raise").
-    a = numnet.Tensor(finite_rows(2, 3, 20), requires_grad=True)
+    a = leaf(finite_rows(2, 3, 20))
     with np.errstate(all="raise"):
         sum_(div(a, np.full((2, 3), 1e200))).backward()
     assert np.array_equal(a.grad, 1.0 / np.full((2, 3), 1e200))
@@ -171,7 +189,7 @@ def test_tensor_has_only_the_ops_the_stages_use():
 
 
 def test_backward_rejects_nonfinite_root():
-    t = numnet.Tensor(np.array([1.0]), requires_grad=True)
+    t = leaf(np.array([1.0]))
     with np.errstate(divide="ignore"):
         bad = sum_(log(mul(t, 0.0)))  # log(0) = -inf
     with pytest.raises(NumericError):
@@ -270,7 +288,7 @@ def composed_softmax_cross_entropy(logits, targets):
 
 def twin_leaves(arrays, live):
     """Two independent sets of leaves over the same arrays."""
-    return [[numnet.Tensor(a.copy(), requires_grad=flag)
+    return [[leaf(a.copy()) if flag else Node(a.copy())
              for a, flag in zip(arrays, live)] for _ in range(2)]
 
 
@@ -285,9 +303,8 @@ def assert_same_bits(fused, composed, leaves_f, leaves_c):
 def tape_leaves(params, frozen=()):
     """A leaf per parameter, by `walk` name; those of `frozen` groups take
     no gradient."""
-    return {name: numnet.Tensor(a.copy(),
-                                requires_grad=name.split(".")[0] not in frozen)
-            for name, a in params.walk()}
+    return {name: Node(a.copy()) if name.split(".")[0] in frozen
+            else leaf(a.copy()) for name, a in params.walk()}
 
 
 def composed_forward(leaves, X, head=True):
@@ -309,7 +326,7 @@ def composed_grad(leaves, root):
     as `TapeMlp.gradients` gives them."""
     root.backward()
     return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-            for name, t in leaves.items() if t.requires_grad}
+            for name, t in leaves.items() if t._push is not None}
 
 
 def assert_same_grads(fused, composed):
@@ -416,11 +433,12 @@ def test_softmax_rows_equals_composition_bit_for_bit(n, c, spread, vector,
     logits = rng.normal(scale=spread, size=shape)
     upstream = rng.normal(size=shape)
     leaves = twin_leaves([logits], [True])
-    fused = numnet.softmax_rows(leaves[0][0])
+    with recording() as made:
+        fused = numnet.softmax_rows(leaves[0][0])
     composed = composed_softmax_rows(leaves[1][0])
-    assert fused._parents == (leaves[0][0],)    # one node
     for out in (fused, composed):
         sum_(mul(out, upstream)).backward()
+    assert pushes(made) == 1    # one node
     assert_same_bits(fused, composed, *leaves)
 
 
@@ -450,15 +468,13 @@ def test_ce_step_equals_composed_step_bit_for_bit(frozen):
     assert v_f == float(loss.data)
 
 
-def tape_nodes(root):
-    """Recorded nodes under `root`: leaves and constants are not counted."""
-    seen, stack = set(), [root]
-    while stack:
-        node = stack.pop()
-        if node._backward is not None and id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    return len(seen)
+def tape_nodes(build):
+    """The pushes of a sweep from the root `build()` returns: one per
+    recorded node, none for leaves and constants."""
+    with recording() as made:
+        root = build()
+    root.backward()
+    return pushes(made)
 
 
 def test_ce_step_records_one_node_per_forward_plus_loss():
@@ -467,10 +483,9 @@ def test_ce_step_records_one_node_per_forward_plus_loss():
     targets = numnet.one_hot(np.arange(8) % 3, 3)
     loss_fn = next(iter(numnet.ce_batches(X, targets, 8,
                                           np.random.default_rng(0))()))
-    assert tape_nodes(loss_fn(numnet.TapeMlp(params))) == 2
-    composed = composed_softmax_cross_entropy(
-        composed_forward(tape_leaves(params), X), targets)
-    assert tape_nodes(composed) == 19
+    assert tape_nodes(lambda: loss_fn(numnet.TapeMlp(params))) == 2
+    assert tape_nodes(lambda: composed_softmax_cross_entropy(
+        composed_forward(tape_leaves(params), X), targets)) == 19
 
 
 @given(n=st.integers(1, 6), c=st.integers(1, 5),
@@ -483,12 +498,13 @@ def test_consistency_loss_equals_composition_bit_for_bit(n, c, upstream,
     p = numnet.softmax(rng.normal(scale=3.0, size=(n, c)))
     targets = rng.dirichlet(np.ones(c), size=n)
     leaves = twin_leaves([p], [True])
-    fused = semi.consistency_loss(leaves[0][0], targets)
+    with recording() as made:
+        fused = semi.consistency_loss(leaves[0][0], targets)
     diff = sub(leaves[1][0], targets)
     composed = mean(sum_(mul(diff, diff), axis=1))
-    assert fused._parents == (leaves[0][0],)    # one node
     for out in (fused, composed):
         mul(out, upstream).backward()
+    assert pushes(made) == 1    # one node
     assert_same_bits(fused, composed, *leaves)
 
 
@@ -553,9 +569,8 @@ def test_stage3_step_records_one_node_per_forward_and_term():
     batch = mixed_batch(rng, 4, 3, 2, 4, 3)
     graph = graphreg.build_neighbor_graph(np.abs(rng.normal(size=(7, 5))),
                                           tau=0.0, n_labeled=4)
-    total, _ = semi.stage3_loss(numnet.TapeMlp(params), batch, graph,
-                                semi.MixMatchConfig(K=2))
-    assert tape_nodes(total) == 10
+    assert tape_nodes(lambda: semi.stage3_loss(
+        numnet.TapeMlp(params), batch, graph, semi.MixMatchConfig(K=2))[0]) == 10
 
 
 def test_mlp_forward_is_the_tape_forward_on_constants():
@@ -568,6 +583,23 @@ def test_mlp_forward_is_the_tape_forward_on_constants():
     params.classifier[-1].weight[0, 0] = np.nan
     with pytest.raises(NumericError):
         numnet.mlp_forward(params, X)
+
+
+def test_frozen_forwards_build_no_gradient(monkeypatch):
+    """`mlp_forward` and `ssrl.embed` run a tape with no live layer, which
+    lays out no gradient buffer."""
+    params = numnet.init_mlp([4, 8, 6], [6, 3], seed=37)
+    encoder = numnet.MlpParams(params.encoder, [])
+    X = finite_rows(5, 4, 37)
+    built, post_init = [], numnet.MlpParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(numnet.MlpParams, "__post_init__", counting)
+    numnet.mlp_forward(params, X)
+    ssrl.embed(encoder, X)
+    assert built == []
 
 
 def test_predict_breaks_ties_low():

@@ -8,7 +8,8 @@ from scipy import special
 from noisylearn import data, numnet, ssrl
 from noisylearn.errors import ConfigError
 
-from tape_ops import add, div, exp, log, mean, mul, power, reshape, sub, sum_
+from tape_ops import (add, div, exp, leaf, log, mean, mul, power, reshape,
+                      sub, sum_)
 from util import logistic_probe_predict
 
 
@@ -61,7 +62,7 @@ def composed_nt_xent(Z, temperature):
 
 
 def value_and_grad(loss_fn, Z, temperature):
-    t = numnet.Tensor(Z.copy(), requires_grad=True)
+    t = leaf(Z.copy())
     out = loss_fn(t, temperature)
     out.backward()
     return float(out.data), t.grad
