@@ -161,10 +161,12 @@ def fit_gmm_em(values: Array, max_iter: int = 200) -> Gmm1D:
         trace.append(float(log_norm.mean()))
 
         # M-step; accumulate's last entry is the sequential sum that an
-        # (n, 2) column sum gives, where a 1-D sum would pair terms up
+        # (n, 2) column sum gives, where a 1-D sum would pair terms up.
+        # Over terms that are all -0.0 it is -0.0; `+ 0.0` gives the
+        # column sum's +0.0.
         counts = np.maximum([np.add.accumulate(r)[-1] for r in resp], 1e-12)
         weights = counts / values.size
-        means = np.array([np.add.accumulate(r * values)[-1]
+        means = np.array([np.add.accumulate(r * values)[-1] + 0.0
                           for r in resp]) / counts
         variances = np.array([np.add.accumulate(r * (values - m) ** 2)[-1]
                               for r, m in zip(resp, means)]) / counts
@@ -307,8 +309,6 @@ def transfer_labels(y_noisy: Array, y_pred: Array, scores: CredibilityScores,
     """
     y_noisy = np.asarray(y_noisy)
     y_pred = np.asarray(y_pred)
-    if y_noisy.shape != y_pred.shape or y_noisy.shape != scores.p_clean.shape:
-        raise ConfigError("transfer_labels: misaligned inputs")
     kept = scores.p_clean >= config.tau_clean
     in_L = kept | (scores.p_right >= config.tau_right)
     index = np.flatnonzero(in_L)

@@ -74,8 +74,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
-        if self.n_per_class < 1:
-            raise ConfigError("n_per_class must be >= 1")
+        if self.n_per_class < 2:     # the split puts a row on each side
+            raise ConfigError("n_per_class must be >= 2")
         if self.n_features < 2:
             raise ConfigError("n_features must be >= 2")
         if self.separation <= 0 or self.sigma <= 0:
@@ -113,12 +113,6 @@ def make_blobs(spec: DatasetSpec, seed: int) -> LabeledDataset:
 # Label noise
 # ---------------------------------------------------------------------------
 
-def check_noise_ratio(ratio: float) -> None:
-    """The range every corruption accepts; a ConfigError names the field."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"noise ratio must be in [0, 1], got {ratio}")
-
-
 def inject_symmetric_noise(dataset: LabeledDataset, ratio: float,
                            rng: np.random.Generator,
                            exclude_true_class: bool = False) -> LabeledDataset:
@@ -129,7 +123,6 @@ def inject_symmetric_noise(dataset: LabeledDataset, ratio: float,
     ratio * (C - 1) / C. With `exclude_true_class` the replacement is
     uniform over the other C - 1 classes and every selected label changes.
     """
-    check_noise_ratio(ratio)
     C = dataset.n_classes
     y = dataset.y_clean.copy()
     flip = rng.random(len(dataset)) < ratio
@@ -152,19 +145,11 @@ def inject_asymmetric_noise(dataset: LabeledDataset, ratio: float,
                             pair_map: dict[int, int] | None = None) -> LabeledDataset:
     """Flip a `ratio` fraction of each mapped class to its designated target.
 
-    Only classes present in `pair_map` are corrupted; a map entry whose
-    target equals its source is rejected. The default map sends each even
-    class to the next class.
+    Only classes present in `pair_map` are corrupted. The default map
+    sends each even class to the next class.
     """
-    check_noise_ratio(ratio)
-    C = dataset.n_classes
     if pair_map is None:
-        pair_map = default_pair_map(C)
-    for src, dst in pair_map.items():
-        if not (0 <= src < C and 0 <= dst < C):
-            raise ConfigError(f"pair_map entry {src}->{dst} outside [0, {C})")
-        if src == dst:
-            raise ConfigError(f"pair_map entry {src}->{dst} is a no-op")
+        pair_map = default_pair_map(dataset.n_classes)
     y = dataset.y_clean.copy()
     flip = rng.random(len(dataset)) < ratio
     for src, dst in pair_map.items():
@@ -185,7 +170,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric", "none"):
             raise ConfigError(f"unknown noise kind: {self.kind!r}")
-        check_noise_ratio(self.ratio)
+        if not 0.0 <= self.ratio <= 1.0:
+            raise ConfigError(f"noise ratio must be in [0, 1], got {self.ratio}")
         ignored = {"none": ("ratio", "exclude_true_class", "pair_map"),
                    "symmetric": ("pair_map",),
                    "asymmetric": ("exclude_true_class",)}[self.kind]
@@ -246,17 +232,15 @@ def train_test_split(dataset: LabeledDataset, test_fraction: float,
                      seed) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified split; each class contributes round(n_c * test_fraction) rows.
 
-    `seed` is an integer or an existing Generator.
+    `seed` is an integer or an existing Generator. `test_fraction` must lie
+    in (0, 1) and each class needs 2 rows or more; a config that breaks
+    either is refused when it loads.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     test_idx: list[Array] = []
     train_idx: list[Array] = []
     for c in range(dataset.n_classes):
         members = np.flatnonzero(dataset.y_clean == c)
-        if members.size < 2:
-            raise ConfigError(f"class {c} has fewer than 2 samples; cannot split")
         k = int(members.size * test_fraction + 0.5)
         k = min(max(k, 1), members.size - 1)
         perm = rng.permutation(members)

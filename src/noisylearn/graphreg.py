@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .numnet import Tensor, as_tensor
 
 Array = np.ndarray
@@ -47,13 +47,6 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5,
     the rest unlabeled; by default every row counts as unlabeled.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
-        raise ConfigError("build_neighbor_graph: Z must be 2-D")
-    if not 0 <= n_labeled <= Z.shape[0]:
-        raise ConfigError(f"build_neighbor_graph: n_labeled {n_labeled} "
-                          f"outside [0, {Z.shape[0]}]")
-    if not 0.0 <= tau < 1.0:
-        raise ConfigError(f"tau must lie in [0, 1), got {tau}")
     norms = np.linalg.norm(Z, axis=1)
     if np.any(norms == 0.0):
         raise NumericError("build_neighbor_graph: zero-norm embedding row")
@@ -77,8 +70,6 @@ def sharpen_t(p: Tensor, temperature: float) -> Tensor:
     chain rule of the composition clamp, power, row sum, divide op for op,
     so value and gradient match it bit for bit.
     """
-    if temperature <= 0:
-        raise ConfigError("sharpen: temperature must be positive")
     e = 1.0 / temperature
     clamped = np.maximum(p.data, SHARPEN_FLOOR)
     powered = clamped ** e
@@ -109,19 +100,9 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     exactly zero when all rows agree, and zero up to rounding when only
     the connected pairs do.
     """
-    if lam_lu < 0 or lam_uu < 0:
-        raise ConfigError("graph penalty weights must be non-negative")
     n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
     p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
-    if p.shape[0] != n_u:
-        raise ConfigError(
-            f"graph_regularizer: {n_u} unlabeled nodes but "
-            f"{p.shape[0]} prediction rows")
-    if labels_labeled.shape[0] != n_l:
-        raise ConfigError(
-            f"graph_regularizer: {n_l} labeled nodes but "
-            f"{labels_labeled.shape[0]} label rows")
     if n_u == 0 or not (n_l and lam_lu > 0 or n_u > 1 and lam_uu > 0):
         return as_tensor(0.0)  # no pair carries weight
 

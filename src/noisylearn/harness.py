@@ -189,10 +189,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(
+                f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        C = self.dataset.n_classes
+        for src, dst in (self.noise.pair_map or {}).items():
+            if not (0 <= src < C and 0 <= dst < C) or src == dst:
+                raise ConfigError(
+                    f"noise.pair_map entry {src}->{dst} must join two "
+                    f"different classes of [0, {C}) (dataset.n_classes)")
 
 
 def _typed(value, hint, where: str):
-    """`value` checked against the type `hint`; ints widen to floats."""
+    """`value` checked against the type `hint`; ints widen to floats, and
+    a float must be finite."""
     if dataclasses.is_dataclass(hint):
         return _build_dataclass(hint, value, where)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -212,8 +222,11 @@ def _typed(value, hint, where: str):
             out[_typed(k, key_type, f"{where} key")] = _typed(
                 v, value_type, f"{where}[{k!r}]")
         return out
-    if hint is float and type(value) is int:
-        return float(value)
+    if hint is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:     # not inf, nan or a huge int
+            return float(value)
+        raise ConfigError(f"{where} expects a finite float, got " + (
+            repr(value) if type(value) is float else "an int too large for one"))
     if type(value) is hint:                            # so bool is not int
         return value
     name = hint.__name__ if origin is None else str(hint)

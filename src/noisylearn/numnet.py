@@ -61,8 +61,6 @@ class Tensor:
         second input. Each push is spent as it runs: what it captured is
         freed, and a second sweep over the node raises.
         """
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar root")
         if not np.isfinite(self.data):
             raise NumericError(f"non-finite loss: {float(self.data)}")
         stack = [(self, np.ones_like(self.data))] if self._push else []
@@ -161,12 +159,6 @@ def one_hot(labels: Array, n_classes: int) -> Array:
 
 def cosine_lr(step: int, total_steps: int, lr0: float, eta_min: float) -> float:
     """Cosine decay from lr0 at step 0 down to eta_min at total_steps."""
-    if total_steps <= 0:
-        raise ValueError("cosine_lr: total_steps must be positive")
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"cosine_lr: step {step} outside [0, {total_steps}]")
-    if lr0 < eta_min:
-        raise ValueError("cosine_lr: lr0 must be >= eta_min")
     return eta_min + 0.5 * (lr0 - eta_min) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
@@ -372,8 +364,6 @@ def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
     """
     tape = TapeMlp(params, frozen=frozen, grads=out)
     loss = loss_fn(tape)
-    if not isinstance(loss, Tensor):
-        raise TypeError("loss_fn must return a tape Tensor")
     loss.backward()
     return float(loss.data), tape.gradients()
 
@@ -474,10 +464,6 @@ class EmaState:
     params: MlpParams
     decay: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-
 
 def ema_init(params: MlpParams, decay: float) -> EmaState:
     return EmaState(params=params.clone(), decay=decay)
@@ -486,9 +472,6 @@ def ema_init(params: MlpParams, decay: float) -> EmaState:
 def ema_update(ema: EmaState, params: MlpParams) -> EmaState:
     """ema.params <- decay * ema.params + (1 - decay) * params, elementwise."""
     s = ema.params.flat
-    if s.size != params.flat.size:
-        raise ValueError(f"EMA shape mismatch: {s.size} values against "
-                         f"{params.flat.size}")
     s *= ema.decay
     s += (1.0 - ema.decay) * params.flat
     return ema

@@ -87,8 +87,6 @@ class BalancedSamplerState:
 
 def make_balanced_sampler(transfer: TransferredLabels) -> BalancedSamplerState:
     labels = transfer.labeled.label
-    if labels.size == 0:
-        raise ConfigError("balanced sampler: L is empty")
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True,
                                  return_counts=True)
@@ -107,16 +105,12 @@ def balanced_sample_L(state: BalancedSamplerState, batch: int,
 def uniform_sample_L(transfer: TransferredLabels, batch: int,
                      rng: np.random.Generator) -> Array:
     """L positions drawn uniformly with replacement."""
-    if len(transfer.labeled) == 0:
-        raise ConfigError("uniform sampler: L is empty")
     return rng.integers(0, len(transfer.labeled), size=batch)
 
 
 def sample_U_candidates(ds: LabeledDataset, batch: int,
                         rng: np.random.Generator) -> Array:
     """Uniform row indices into the whole training set; labels never attach."""
-    if len(ds) == 0:
-        raise ConfigError("sample_U_candidates: empty dataset")
     return rng.integers(0, len(ds), size=batch)
 
 
@@ -142,10 +136,6 @@ def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
     lam' = max(lam, 1 - lam) with lam ~ Beta(alpha, alpha) drawn per row,
     so the first argument always dominates.
     """
-    if alpha <= 0:
-        raise ConfigError("mixup: alpha must be positive")
-    if x1.shape != x2.shape or y1.shape != y2.shape:
-        raise ConfigError("mixup: mismatched operand shapes")
     lam = rng.beta(alpha, alpha, size=x1.shape[0])
     lam_prime = np.maximum(lam, 1.0 - lam)[:, None]
     x = lam_prime * x1 + (1.0 - lam_prime) * x2
@@ -175,8 +165,6 @@ def prepare_mixmatch_batch(guess_params: MlpParams, X_l: Array, y_l: Array,
     so a frozen batch can be replayed exactly. `X_u` may have zero rows:
     the labeled rows then mix with a shuffle of themselves.
     """
-    if X_l.shape[0] != y_l.shape[0]:
-        raise ConfigError("prepare_mixmatch_batch: labeled rows misaligned")
     x_hat_l = augment_batch(X_l, config.augmentation, rng)
     u_all = np.concatenate([augment_batch(X_u, config.augmentation, rng)
                             for _ in range(config.K)])

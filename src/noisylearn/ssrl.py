@@ -28,7 +28,8 @@ ENCODER_WIDTHS = (64, 64)  # output widths of the encoder's layers
 def nt_xent_loss(Z, temperature: float) -> Tensor:
     """Contrastive loss over an interleaved batch of paired rows.
 
-    Rows 2k and 2k+1 must be the two views of the same example. `Z` is a
+    Rows 2k and 2k+1 must be the two views of the same example, and there
+    must be at least two pairs, as `train_encoder` makes them. `Z` is a
     tape Tensor or an array; the result is a scalar Tensor. Each row is
     L2-normalized, all pairwise cosine similarities are scaled by
     `temperature`, the self term is masked out, and the loss is the mean
@@ -46,10 +47,6 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     """
     Z = numnet.as_tensor(Z)
     n = Z.shape[0]
-    if n < 4 or n % 2 != 0:
-        raise ConfigError(f"nt_xent_loss: need an even batch of >= 4 rows, got {n}")
-    if temperature <= 0:
-        raise ConfigError("nt_xent_loss: temperature must be positive")
     idx = np.arange(n)
     partner = idx ^ 1  # 2k <-> 2k+1
     inv_t = 1.0 / temperature

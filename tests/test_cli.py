@@ -220,6 +220,29 @@ def test_bad_config_exits_two(tmp_path):
                   cwd=tmp_path)
     assert out.returncode == 2, (out.returncode, out.stderr)
     assert "unknown keys ['run_stage3']" in out.stderr, out.stderr
+    # what only data generation used to refuse, and numbers a float field
+    # cannot hold, stop every command at load, before it writes anything
+    gen_data(tmp_path, write_tiny_config(tmp_path / "good.json"))
+    tiny = json.loads((tmp_path / "good.json").read_text())
+    for overrides, field in (
+            ({"test_fraction": 1.5}, "test_fraction"),
+            ({"noise": {"kind": "asymmetric", "ratio": 0.4,
+                        "pair_map": {"0": 0}}}, "noise.pair_map"),
+            ({"dataset": {**tiny["dataset"], "n_per_class": 1}},
+             "n_per_class"),
+            ({"dataset": {**tiny["dataset"], "separation": float("inf")}},
+             "dataset.separation expects a finite float, got inf"),
+            ({"stage3": {**tiny["stage3"], "lr": 10 ** 400}},
+             "stage3.lr expects a finite float")):
+        config = write_tiny_config(tmp_path / "load.json", **overrides)
+        for command in (("stage1", "--data", "train.csv", "--out", "enc.json"),
+                        ("pipeline", "--out-dir", "loaded")):
+            out = run_cli(command[0], "--config", str(config), *command[1:],
+                          cwd=tmp_path)
+            assert out.returncode == 2, (command, overrides, out.stderr)
+            assert field in out.stderr, out.stderr
+        assert not (tmp_path / "enc.json").exists()
+        assert not (tmp_path / "loaded").exists()
 
 
 def test_mistyped_config_value_exits_two(tmp_path):

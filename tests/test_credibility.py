@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from noisylearn import credibility, data, harness, numnet
@@ -205,6 +205,7 @@ def test_em_matches_stacked_reference_on_bimodal_samples(seed):
 
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4,
                 max_size=300).filter(lambda v: np.ptp(v) > 0))
+@example([-0.0, -0.0, -0.0, -1.0])  # a component whose r * values are all -0.0
 @settings(max_examples=60, deadline=None)
 def test_em_matches_stacked_reference_on_drawn_samples(values):
     assert_em_matches_stacked_reference(np.array(values))

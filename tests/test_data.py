@@ -133,13 +133,6 @@ def test_symmetric_noise_zero_ratio_is_identity():
     assert np.array_equal(noisy.y_noisy, ds.y_clean)
 
 
-def test_symmetric_noise_rejects_bad_ratio():
-    ds = data.make_blobs(data.DatasetSpec(n_classes=3, n_per_class=5), seed=0)
-    for ratio in (-0.1, 1.5):
-        with pytest.raises((ConfigError, ValueError)):
-            data.inject_symmetric_noise(ds, ratio, rng=np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # asymmetric noise
 
@@ -165,13 +158,6 @@ def test_asymmetric_noise_only_touches_mapped_classes():
     for src, dst in pm.items():
         hit = (ds.y_clean == src) & (noisy.y_noisy != ds.y_clean)
         assert np.all(noisy.y_noisy[hit] == dst)
-
-
-def test_asymmetric_noise_rejects_identity_entries():
-    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=5), seed=0)
-    with pytest.raises((ConfigError, ValueError)):
-        data.inject_asymmetric_noise(ds, 0.2, pair_map={1: 1},
-                                     rng=np.random.default_rng(0))
 
 
 def test_apply_noise_dispatch():
@@ -264,10 +250,3 @@ def test_train_test_split_keeps_at_least_one_per_side():
     train, test = data.train_test_split(ds, 0.01, seed=26)
     assert np.all(np.bincount(test.y_clean, minlength=2) >= 1)
     assert np.all(np.bincount(train.y_clean, minlength=2) >= 1)
-
-
-def test_train_test_split_rejects_bad_fraction():
-    ds = data.make_blobs(data.DatasetSpec(n_classes=2, n_per_class=5), seed=27)
-    for frac in (0.0, 1.0, -0.2):
-        with pytest.raises((ConfigError, ValueError)):
-            data.train_test_split(ds, frac, seed=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noisylearn import graphreg, numnet
-from noisylearn.errors import ConfigError, NumericError
+from noisylearn.errors import NumericError
 
 from tape_ops import (add, clip_min, div, leaf, mul, power, pushes,
                       recording, reshape, sub, sum_)
@@ -67,18 +67,10 @@ def test_affinity_equals_triu_mirror_construction_bytewise(shape, tau,
 
 
 def test_graph_rejects_bad_input():
-    Z = np.eye(3)
-    with pytest.raises(ConfigError):
-        graphreg.build_neighbor_graph(Z, tau=1.0)
-    with pytest.raises(ConfigError):
-        graphreg.build_neighbor_graph(Z, tau=-0.1)
-    Z_bad = Z.copy()
+    Z_bad = np.eye(3)
     Z_bad[1] = 0.0
     with pytest.raises(NumericError):
         graphreg.build_neighbor_graph(Z_bad, tau=0.5)
-    for n_labeled in (-1, 4):
-        with pytest.raises(ConfigError):
-            graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=n_labeled)
 
 
 def test_graph_role_partition():
@@ -253,12 +245,6 @@ def test_regularizer_empty_unlabeled_is_zero():
     g = graphreg.build_neighbor_graph(Z, tau=0.0, n_labeled=2)
     out = graphreg.graph_regularizer(g, np.zeros((0, 2)), np.eye(2), 0.01, 0.005)
     assert float(out.data) == 0.0
-
-
-def test_regularizer_shape_mismatch():
-    g, p, y = agreement_setup()
-    with pytest.raises(ConfigError):
-        graphreg.graph_regularizer(g, p[:1], y, 0.01, 0.005)
 
 
 def test_regularizer_gradient_matches_finite_differences():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import pkgutil
 import re
 import subprocess
@@ -170,14 +171,35 @@ def test_config_rejects_unknown_keys():
      "pair_map"),
     ("noise", {"kind": "asymmetric", "ratio": 0.4,
                "exclude_true_class": True}, "exclude_true_class"),
+    ("test_fraction", 0, "test_fraction"),
+    ("test_fraction", 1, "test_fraction"),
+    ("test_fraction", 1.5, "test_fraction"),
+    # the class bound comes from the dataset section, so no section is named
+    ("noise", {"kind": "asymmetric", "ratio": 0.4, "pair_map": {"0": 0}},
+     "noise.pair_map"),
+    ("noise", {"kind": "asymmetric", "ratio": 0.4, "pair_map": {"0": 7}},
+     "noise.pair_map"),
+    ("dataset", {"n_per_class": 1}, "n_per_class"),
+    # numbers a float field cannot hold
+    ("dataset", {"separation": math.inf}, "dataset.separation"),
+    ("stage1", {"learning_rate": 1e999}, "stage1.learning_rate"),
+    ("stage2", {"lr": math.nan}, "stage2.lr"),
+    ("stage3", {"lr": 10 ** 400}, "stage3.lr"),
+    ("stage3", {"augmentation": {"scale_range": [0.8, -math.inf]}},
+     "stage3.augmentation.scale_range[1]"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:
-        harness.config_from_dict({"seed": 1, section: values})
-    # the top-level seed has no section
-    where = "config: " if section == "seed" else f"config section {section}: "
-    assert where in str(err.value)
-    assert field in str(err.value)
+        harness.config_from_dict({"seed": 1, "dataset": {"n_classes": 3},
+                                  section: values})
+    message = str(err.value)
+    if " expects " in message:             # a type check names the path
+        assert message.startswith(f"{field} expects a finite float"), message
+    else:    # top-level fields and checks across sections name no section
+        where = ("config: " if section in ("seed", "test_fraction")
+                 or "." in field else f"config section {section}: ")
+        assert where in message
+        assert field in message
 
 
 def test_config_defaults_and_coercions(tmp_path):

@@ -627,15 +627,6 @@ def test_cosine_lr_endpoints_and_midpoint():
     assert numnet.cosine_lr(100, 100, 1e-3, 2e-4) == pytest.approx(2e-4)
 
 
-def test_cosine_lr_rejects_bad_arguments():
-    with pytest.raises(Exception):
-        numnet.cosine_lr(0, 0, 1e-3, 2e-4)
-    with pytest.raises(Exception):
-        numnet.cosine_lr(101, 100, 1e-3, 2e-4)
-    with pytest.raises(Exception):
-        numnet.cosine_lr(0, 100, 1e-4, 2e-4)
-
-
 # ---------------------------------------------------------------------------
 # parameters and forward pass
 
@@ -1017,12 +1008,6 @@ def test_ema_converges_to_constant_params():
     numnet.ema_update(ema, params)
     for (_, live), (_, avg) in zip(params.walk(), shadow.walk()):
         assert np.allclose(avg, live - 1.0, atol=1e-12)
-
-
-def test_ema_update_rejects_params_of_another_shape():
-    ema = numnet.ema_init(numnet.init_mlp([2, 2], [2, 2], seed=10), decay=0.5)
-    with pytest.raises(ValueError, match="EMA shape mismatch"):
-        numnet.ema_update(ema, numnet.init_mlp([2, 3], [3, 2], seed=10))
 
 
 # ---------------------------------------------------------------------------

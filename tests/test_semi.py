@@ -84,16 +84,6 @@ def test_mixup_rows_stay_convex():
     assert np.allclose(ym.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_mixup_validation():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ConfigError):
-        semi.mixup(np.ones((2, 2)), np.ones((2, 2)),
-                   np.ones((3, 2)), np.ones((3, 2)), 0.75, rng)
-    with pytest.raises(ConfigError):
-        semi.mixup(np.ones((2, 2)), np.ones((2, 2)),
-                   np.ones((2, 2)), np.ones((2, 2)), 0.0, rng)
-
-
 # ---------------------------------------------------------------------------
 # label guessing
 
@@ -189,10 +179,15 @@ def test_balanced_sampler_matches_scalar_loop():
     assert ours.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
-def test_balanced_sampler_empty_L():
-    transfer = small_transfer(0, 2, n_classes=2)
-    with pytest.raises(ConfigError):
-        semi.make_balanced_sampler(transfer)
+def test_balanced_sampler_empty_L(tiny_blobs):
+    # stage 3 refuses an empty L before it builds either sampler
+    noisy, encoder, classifier = stage3_inputs(tiny_blobs)
+    for use_cbs in (True, False):
+        config = semi.MixMatchConfig(batch_size=16, epochs=1, use_cbs=use_cbs)
+        with pytest.raises(ConfigError, match="empty L"):
+            semi.train_stage3(encoder, classifier,
+                              small_transfer(0, len(noisy)), noisy, config,
+                              seed=24)
 
 
 def test_uniform_sampler_follows_imbalance():

@@ -171,16 +171,6 @@ def test_nt_xent_scale_invariance():
     assert nt_xent(Z, 0.5) == pytest.approx(nt_xent(Z * 37.0, 0.5), rel=1e-10)
 
 
-def test_nt_xent_rejects_bad_input():
-    Z = np.random.default_rng(2).normal(size=(5, 3))
-    with pytest.raises((ConfigError, ValueError)):
-        ssrl.nt_xent_loss(Z, 0.5)  # odd row count
-    with pytest.raises((ConfigError, ValueError)):
-        ssrl.nt_xent_loss(Z[:2], 0.5)  # below two pairs
-    with pytest.raises((ConfigError, ValueError)):
-        ssrl.nt_xent_loss(Z[:4], 0.0)
-
-
 def test_contrastive_config_validation():
     with pytest.raises(ConfigError):
         ssrl.ContrastiveConfig(batch_size=5)  # odd
