@@ -133,6 +133,13 @@ def test_symmetric_noise_zero_ratio_is_identity():
     assert np.array_equal(noisy.y_noisy, ds.y_clean)
 
 
+def test_symmetric_noise_rejects_bad_ratio():
+    # the ratio range is NoiseSpec's to check; apply_noise never sees it
+    for ratio in (-0.1, 1.5):
+        with pytest.raises(ConfigError, match="ratio"):
+            data.NoiseSpec(kind="symmetric", ratio=ratio)
+
+
 # ---------------------------------------------------------------------------
 # asymmetric noise
 
