@@ -144,10 +144,11 @@ def best_last(accuracies: list[float]) -> tuple[float, float]:
 
 
 def evaluate(params: MlpParams, test: LabeledDataset) -> tuple[float, Array]:
-    """Top-1 accuracy against clean labels, plus per-class accuracy."""
+    """Top-1 accuracy against clean labels, plus per-class accuracy; the
+    class is `numnet.predict_classes`, the argmax of the logits."""
     if len(test) == 0:
         raise ConfigError("evaluate: empty test set")
-    hits = numnet.predict(numnet.mlp_forward(params, test.X)) == test.y_clean
+    hits = numnet.predict_classes(params, test.X) == test.y_clean
     per_class = np.zeros(test.n_classes)
     for c in range(test.n_classes):
         members = test.y_clean == c
@@ -201,8 +202,9 @@ class ExperimentConfig:
 
 
 def _typed(value, hint, where: str):
-    """`value` checked against the type `hint`; ints widen to floats, and
-    a float must be finite."""
+    """`value` checked against the type `hint`; ints widen to floats, a
+    float must be finite and an int of size below 2**63, as `io._number`
+    reads them."""
     if dataclasses.is_dataclass(hint):
         return _build_dataclass(hint, value, where)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -228,6 +230,9 @@ def _typed(value, hint, where: str):
         raise ConfigError(f"{where} expects a finite float, got " + (
             repr(value) if type(value) is float else "an int too large for one"))
     if type(value) is hint:                            # so bool is not int
+        if hint is int and abs(value) >= 2 ** 63:
+            raise ConfigError(
+                f"{where} expects an int of size below 2**63, got {value}")
         return value
     name = hint.__name__ if origin is None else str(hint)
     raise ConfigError(f"{where} expects {name}, got {type(value).__name__}")
@@ -254,7 +259,7 @@ def load_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON document; the seed is mandatory."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # bad JSON or UTF-8, or an int of 4,300+ digits
         raise ConfigError(f"config file {path}: not valid JSON ({e})") from e
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be an object")

@@ -14,10 +14,12 @@ compositions on a general reference tape and check the nodes against
 them bit for bit. It is not a general autodiff system: a node pushed into
 twice raises.
 
-Everything is float64 except inside `ssrl.nt_xent_loss`, whose n-by-n
-scores and the two products of its backward are float32; what it hands
-the tape is float64 again. Runs are deterministic for a fixed seed as long
-as execution stays single-threaded.
+A node computes in the dtype of its input: float32 stays float32, all else
+becomes float64. Stage 1 feeds float32 views, so its network and NT-Xent
+run in float32 over float64 master weights (mixed precision); the other
+stages feed float64. Parameters, gradients, optimizer state and the EMA
+are always float64. Runs are deterministic for a fixed seed as long as
+execution stays single-threaded.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class Tensor:
     __slots__ = ("data", "_push")
 
     def __init__(self, data, push: Callable[[Array], Sequence] | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_float(data)
         self._push = push
 
     @property
@@ -70,6 +72,12 @@ class Tensor:
             if push is _SPENT:
                 raise RuntimeError("backward() already ran on this tape")
             stack += reversed(push(g))
+
+
+def _as_float(x) -> Array:
+    """`x` as an array of its compute dtype: float32 stays, all else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def as_tensor(value) -> Tensor:
@@ -253,20 +261,32 @@ def _check_input(layers: list[Layer], X: Array) -> None:
             f"fan-in {layers[0].weight.shape[0]}")
 
 
-def mlp_forward(params: MlpParams, X: Array) -> Array:
-    """Class probabilities of the rows of `X`.
-
-    The tape forward with both groups frozen, so it records no node.
-    """
+def _frozen_logits(params: MlpParams, X: Array) -> Array:
+    """Logits of the rows of `X`: the tape forward with both groups frozen,
+    so it records no node."""
     X = np.asarray(X, dtype=np.float64)
     _check_input(params.encoder or params.classifier, X)
-    tape = TapeMlp(params, frozen=("encoder", "classifier"))
-    return softmax(tape.logits(X).data)
+    return TapeMlp(params, frozen=("encoder", "classifier")).logits(X).data
+
+
+def mlp_forward(params: MlpParams, X: Array) -> Array:
+    """Class probabilities of the rows of `X`."""
+    return softmax(_frozen_logits(params, X))
+
+
+def predict_classes(params: MlpParams, X: Array) -> Array:
+    """Predicted class of each row of `X`: the argmax of its logits, the
+    lowest index on exact ties. No softmax runs; non-finite logits raise
+    NumericError, as they do in `mlp_forward`."""
+    logits = _frozen_logits(params, X)
+    if not np.isfinite(logits).all():
+        raise NumericError("predict_classes: non-finite logits")
+    return np.argmax(logits, axis=-1)
 
 
 def accuracy(params: MlpParams, X: Array, y: Array) -> float:
     """Share of the rows of `X` whose predicted class is their entry of `y`."""
-    return float(np.mean(predict(mlp_forward(params, X)) == y))
+    return float(np.mean(predict_classes(params, X) == y))
 
 
 class TapeMlp:
@@ -304,12 +324,18 @@ class TapeMlp:
     def _forward(self, X, layers: list[tuple]) -> Tensor:
         """`A = relu(A @ w + b)` per layer, bias and ReLU in place.
 
-        Layer inputs from the first live layer on are kept. The push
-        replays each layer from the top: the ReLU mask, `Aᵀ g` and the
-        column sum for a live layer, then `g wᵀ` if a live layer lies
-        below. A frozen forward holds at most two layer outputs at once.
+        It runs in the dtype of `X` (`_as_float`), with each weight and bias
+        cast to it; for float64 the cast is a no-op. Layer inputs from the
+        first live layer on are kept. The push casts its gradient to that
+        dtype and replays each layer from the top: the ReLU mask, `Aᵀ g`
+        and the column sum for a live layer, added into the float64
+        gradient, then `g wᵀ` if a live layer lies below. A frozen forward
+        holds at most two layer outputs at once.
         """
-        A = np.asarray(X, dtype=np.float64)
+        A = _as_float(X)
+        dtype = A.dtype
+        layers = [(w.astype(dtype, copy=False), b.astype(dtype, copy=False),
+                   relu, grad) for w, b, relu, grad in layers]
         first = next((i for i, l in enumerate(layers) if l[3] is not None),
                      len(layers))
         kept = []
@@ -325,6 +351,7 @@ class TapeMlp:
         kept.append(A)
 
         def push(g):
+            g = g.astype(dtype, copy=False)
             for i in range(len(layers) - 1, first - 1, -1):
                 w, _, relu, grad = layers[i]
                 if relu:

@@ -39,11 +39,14 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
 
     One n-by-n float32 buffer holds the scores, shifted by each row's
     maximum, and then their exponentials `E`. The backward is two float32
-    products, `(E Zn)/total + Eᵀ (Zn/total)`, which never assume `E` is
-    symmetric. Everything else runs in float64: the norms, the partner
-    term (taken from the rows), the row sums, the log-sum-exp and the
-    projection back through the normalization. So the loss and its
-    gradient carry float32 rounding of the scores, about 1e-7 / t.
+    products, `(E Zn) r + Eᵀ (Zn r)` with `r` the float32 reciprocal of
+    the row sums, which never assume `E` is symmetric. The row sums and
+    the log-sum-exp run in float64. The norms, the normalised rows, the
+    partner term (taken from the rows) and the projection back through
+    the normalization run in the dtype of `Z` (float32 in stage 1, whose
+    network runs in float32; float64 otherwise), and so does the returned
+    gradient. So the loss and its gradient carry float32 rounding of the
+    scores, about 1e-7 / t.
     """
     Z = numnet.as_tensor(Z)
     n = Z.shape[0]
@@ -52,7 +55,7 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     inv_t = 1.0 / temperature
     norms = (Z.data * Z.data).sum(axis=1, keepdims=True) ** 0.5
     Zn = Z.data / norms
-    Zs = Zn.astype(np.float32)
+    Zs = Zn.astype(np.float32, copy=False)
     # Two distinct operands make a plain gemm; `Zs @ Zs.T` would go through
     # syrk and an element-wise mirror of the triangle, which costs more.
     E = (Zs * np.float32(inv_t)) @ Zs.T
@@ -66,8 +69,8 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
 
     def push(g):
         rt = (1.0 / total).astype(np.float32)
-        dZn = (E @ Zs) / total + E.T @ (Zs * rt) - 2.0 * Zn[partner]
-        dZn *= g * (1.0 / n) * inv_t
+        dZn = (E @ Zs) * rt + E.T @ (Zs * rt) - 2.0 * Zn[partner]
+        dZn *= float(g) * (1.0 / n) * inv_t
         return [(Z, (dZn - Zn * (dZn * Zn).sum(axis=1, keepdims=True)) / norms)]
     return Tensor((lse[:, 0] - positive).sum() * (1.0 / n),
                   push if Z._push else None)
@@ -110,7 +113,8 @@ def train_encoder(X: Array, config: ContrastiveConfig,
     Each step draws a batch without labels, produces two augmented views of
     every element, interleaves them, and optimizes encoder + projection
     head jointly with Adam under a cosine schedule. Labels never enter.
-    The encoder's layers have the widths `ENCODER_WIDTHS`.
+    The encoder's layers have the widths `ENCODER_WIDTHS`. The views are
+    float32, so the network and loss run in float32 over float64 weights.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -126,7 +130,7 @@ def train_encoder(X: Array, config: ContrastiveConfig,
     def batches():
         for _ in range(steps):
             take = rng.choice(n, size=batch, replace=False)
-            views = np.empty((2 * batch, X.shape[1]))
+            views = np.empty((2 * batch, X.shape[1]), dtype=np.float32)
             views[0::2] = augment_batch(X[take], config.augmentation, rng)
             views[1::2] = augment_batch(X[take], config.augmentation, rng)
             yield lambda tape, views=views: nt_xent_loss(

@@ -233,16 +233,20 @@ def test_bad_config_exits_two(tmp_path):
             ({"dataset": {**tiny["dataset"], "separation": float("inf")}},
              "dataset.separation expects a finite float, got inf"),
             ({"stage3": {**tiny["stage3"], "lr": 10 ** 400}},
-             "stage3.lr expects a finite float")):
+             "stage3.lr expects a finite float"),
+            ({"dataset": {**tiny["dataset"], "n_per_class": 10 ** 30}},
+             "dataset.n_per_class expects an int of size below 2**63")):
         config = write_tiny_config(tmp_path / "load.json", **overrides)
         for command in (("stage1", "--data", "train.csv", "--out", "enc.json"),
-                        ("pipeline", "--out-dir", "loaded")):
+                        ("pipeline", "--out-dir", "loaded"),
+                        ("gen-data", "--out", "gen.csv",
+                         "--test-out", "gen_test.csv")):
             out = run_cli(command[0], "--config", str(config), *command[1:],
                           cwd=tmp_path)
             assert out.returncode == 2, (command, overrides, out.stderr)
             assert field in out.stderr, out.stderr
-        assert not (tmp_path / "enc.json").exists()
-        assert not (tmp_path / "loaded").exists()
+        for written in ("enc.json", "loaded", "gen.csv", "gen_test.csv"):
+            assert not (tmp_path / written).exists(), written
 
 
 def test_mistyped_config_value_exits_two(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 import noisylearn
 from noisylearn import credibility, data, harness, io, numnet
-from noisylearn.errors import ConfigError
+from noisylearn.errors import ConfigError, NumericError
 from util import child_env
 
 
@@ -109,6 +109,23 @@ def test_evaluate_reports_per_class_accuracy():
     assert np.allclose(per_class, [1.0, 1.0])
 
 
+def test_evaluate_takes_the_class_from_the_logits(monkeypatch):
+    """The argmax of the logits, the lowest index on exact ties; no
+    softmax runs, and non-finite logits raise."""
+    X = np.array([[1.0, 1.0], [-1e-17, 0.0], [0.0, 1.0]])
+    test = data.LabeledDataset(X=X, y_clean=np.array([0, 1, 1]),
+                               y_noisy=np.array([0, 1, 1]), n_classes=2)
+    params = numnet.MlpParams(
+        encoder=[], classifier=[numnet.Layer(np.eye(2), np.zeros(2))])
+    monkeypatch.setattr(numnet, "softmax", None)
+    top1, per_class = harness.evaluate(params, test)
+    assert top1 == 1.0
+    assert per_class.tolist() == [1.0, 1.0]
+    params.classifier[0].weight[1, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite logits"):
+        harness.evaluate(params, test)
+
+
 def test_evaluate_rejects_empty():
     ds = data.make_blobs(data.DatasetSpec(n_classes=2, n_per_class=2), seed=0)
     empty = ds.subset(np.array([], dtype=int))
@@ -187,6 +204,10 @@ def test_config_rejects_unknown_keys():
     ("stage3", {"lr": 10 ** 400}, "stage3.lr"),
     ("stage3", {"augmentation": {"scale_range": [0.8, -math.inf]}},
      "stage3.augmentation.scale_range[1]"),
+    # ints a C long cannot hold
+    ("dataset", {"n_per_class": 10 ** 30}, "dataset.n_per_class"),
+    ("stage1", {"epochs": 2 ** 63}, "stage1.epochs"),
+    ("seed", -2 ** 63, "seed"),
 ])
 def test_config_range_errors_name_the_field(section, values, field):
     with pytest.raises(ConfigError) as err:
@@ -194,12 +215,23 @@ def test_config_range_errors_name_the_field(section, values, field):
                                   section: values})
     message = str(err.value)
     if " expects " in message:             # a type check names the path
-        assert message.startswith(f"{field} expects a finite float"), message
+        assert message.startswith((
+            f"{field} expects a finite float",
+            f"{field} expects an int of size below 2**63")), message
     else:    # top-level fields and checks across sections name no section
         where = ("config: " if section in ("seed", "test_fraction")
                  or "." in field else f"config section {section}: ")
         assert where in message
         assert field in message
+
+
+def test_config_file_that_json_cannot_read_is_a_config_error(tmp_path):
+    path = tmp_path / "config.json"
+    for raw in (b'{"seed": 1, "dataset": {"n_per_class": ' + b"1" * 5000
+                + b"}}", b'{"seed": 1, "\xff": 0}'):
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            harness.load_config(path)
 
 
 def test_config_defaults_and_coercions(tmp_path):

@@ -15,6 +15,9 @@ from tape_ops import (Node, add, clip_min, cross_entropy_rows, div, exp,
 from util import central_diff, max_rel_err
 
 
+EPS32 = float(np.finfo(np.float32).eps)
+
+
 def finite_rows(n, d, seed):
     return np.random.default_rng(seed).normal(size=(n, d))
 
@@ -585,6 +588,45 @@ def test_mlp_forward_is_the_tape_forward_on_constants():
         numnet.mlp_forward(params, X)
 
 
+def test_tensor_keeps_float32_and_makes_the_rest_float64():
+    assert numnet.Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    for value in ([1, 2], 3.0, np.ones(2, np.float16), np.ones(2, np.int64)):
+        assert numnet.Tensor(value).data.dtype == np.float64
+
+
+def test_float32_input_runs_the_network_in_float32():
+    """Stage 1's mixed precision: a float32 input runs the forward and the
+    push in float32, and the push adds into the float64 gradient.
+
+    The input is exactly a float32 array, so the float64 run on the same
+    values differs only by float32 arithmetic. Each gradient entry sums
+    512 rows of products through three layers; over 20 draws the worst
+    error was 4 units of EPS32 times the largest gradient entry, and the
+    bound is 16.
+    """
+    params = numnet.init_mlp([16, 64, 64], [64, 32], seed=40)
+    rng = np.random.default_rng(41)
+    X32 = rng.normal(size=(512, 16)).astype(np.float32)
+    W = rng.normal(size=(512, 32))
+
+    def run(X):
+        outs = []
+
+        def loss_fn(tape):     # sum(out * W); its push hands on a float64 W
+            out = tape.logits(X)
+            outs.append(out)
+            return numnet.Tensor((out.data * W).sum(),
+                                 lambda g: [(out, W * g)])
+        _, grads = numnet.grad(params, loss_fn)
+        return outs[0].data, grads.flat
+    out32, g32 = run(X32)
+    out64, g64 = run(X32.astype(np.float64))
+    assert out32.dtype == np.float32 and out64.dtype == np.float64
+    assert g32.dtype == np.float64
+    assert not np.array_equal(g32, g64)
+    assert np.abs(g32 - g64).max() <= 16 * EPS32 * np.abs(g64).max()
+
+
 def test_frozen_forwards_build_no_gradient(monkeypatch):
     """`mlp_forward` and `ssrl.embed` run a tape with no live layer, which
     lays out no gradient buffer."""
@@ -605,6 +647,23 @@ def test_frozen_forwards_build_no_gradient(monkeypatch):
 def test_predict_breaks_ties_low():
     logits = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
     assert numnet.predict(logits).tolist() == [0, 1]
+
+
+def test_predict_classes_is_the_argmax_of_the_logits(monkeypatch):
+    """No softmax runs, and exact ties of the logits break to the lowest
+    index. In the last row the first two logits differ by less than `exp`
+    resolves, so their probabilities tie; the logits do not."""
+    params = numnet.MlpParams([], [numnet.Layer(np.eye(3), np.zeros(3))])
+    X = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-1e-17, 0.0, -5.0]])
+    assert numnet.predict(numnet.mlp_forward(params, X)).tolist() == [0, 1, 0]
+    monkeypatch.setattr(numnet, "softmax", None)
+    assert numnet.predict_classes(params, X).tolist() == [0, 1, 1]
+    assert numnet.accuracy(params, X, np.array([0, 1, 1])) == 1.0
+    params.classifier[0].weight[2, 0] = np.nan
+    for call in (numnet.predict_classes, lambda p, X: numnet.accuracy(
+            p, X, np.zeros(3, dtype=int))):
+        with pytest.raises(NumericError, match="non-finite logits"):
+            call(params, X)
 
 
 def test_one_hot_round_trip():

