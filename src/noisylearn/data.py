@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .numnet import _as_float
 
 Array = np.ndarray
 
@@ -214,14 +215,20 @@ class AugmentationSpec:
 
 def augment_batch(X: Array, spec: AugmentationSpec,
                   rng: np.random.Generator) -> Array:
-    """One stochastic view of each row: x' = mask * (s * x + jitter)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """One stochastic view of each row: x' = mask * (s * x + jitter).
+
+    float32 rows give float32 views, computed in float32 from the same
+    draws; all else is computed in float64.
+    """
+    X = np.atleast_2d(_as_float(X))
+    dtype = X.dtype
     n, d = X.shape
     scales = rng.uniform(spec.scale_range[0], spec.scale_range[1], size=(n, 1))
     jitter = rng.normal(scale=spec.jitter_sigma, size=(n, d)) if spec.jitter_sigma > 0 \
         else np.zeros((n, d))
     mask = rng.random(size=(n, d)) >= spec.drop_prob
-    return mask * (scales * X + jitter)
+    return mask * (scales.astype(dtype, copy=False) * X
+                   + jitter.astype(dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------

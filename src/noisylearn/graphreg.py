@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .numnet import Tensor, as_tensor
+from .numnet import Tensor, _as_float, as_tensor
 
 Array = np.ndarray
 
@@ -41,12 +41,14 @@ def build_neighbor_graph(Z: Array, tau: float = 0.5,
     place in the buffer of `Zn @ Zn.T`, which is bitwise symmetric: numpy
     computes a product with its own transpose as one triangle (BLAS syrk,
     or its symmetric fallback loop) mirrored into the other, and the
-    elementwise shift and clamp keep that.
+    elementwise shift and clamp keep that. It runs in the dtype of `Z`
+    (float32 stays, all else becomes float64); a float32 product with its
+    own transpose is a syrk as well.
 
     The first `n_labeled` rows are the labeled nodes of the penalty and
     the rest unlabeled; by default every row counts as unlabeled.
     """
-    Z = np.asarray(Z, dtype=np.float64)
+    Z = _as_float(Z)
     norms = np.linalg.norm(Z, axis=1)
     if np.any(norms == 0.0):
         raise NumericError("build_neighbor_graph: zero-norm embedding row")
@@ -95,10 +97,13 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
 
     with the unlabeled-unlabeled sum running over ordered pairs.
     p_unlabeled is a tape Tensor or an array; the result is a scalar
-    Tensor. It is one tape node: the value comes from the Gram form of the
-    squared distances and the gradient from the graph-Laplacian form. It is
-    exactly zero when all rows agree, and zero up to rounding when only
-    the connected pairs do.
+    Tensor. It is one tape node, and both its value and its gradient come
+    from the graph Laplacian of the weights `B` below: the value is the
+    Laplacian's quadratic form over the rows of all nodes, and the
+    gradient is `2 (rowsum(B) P - B Q)`, whose two products the value
+    shares. The affinity must be symmetric, as `build_neighbor_graph`
+    makes it; it may be float32. The penalty is exactly zero when all rows
+    agree, and zero up to rounding when only the connected pairs do.
     """
     n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
     p = as_tensor(p_unlabeled)
@@ -106,31 +111,30 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     if n_u == 0 or not (n_l and lam_lu > 0 or n_u > 1 and lam_uu > 0):
         return as_tensor(0.0)  # no pair carries weight
 
-    # Gram form of K_ij = ||q_i - q_j||^2 over the rows Q = [P; Y] shifted by
-    # P[0]: the shift keeps every distance and makes all rows exactly zero
-    # when they agree, so R is then 0 in whatever order BLAS sums products.
+    # The rows Q = [P; Y], shifted by P[0]: the shift keeps every distance
+    # and makes all rows exactly zero when they agree, so value and
+    # gradient are then 0 in whatever order BLAS sums products.
     P = p.data
     Q = np.concatenate([P, labels_labeled.reshape(n_l, P.shape[1])])
     Q -= P[0]
-    sq = (Q * Q).sum(axis=1)
-    K = sq[:n_u, None] + sq[None, :] - 2.0 * (Q[:n_u] @ Q.T)
-    # upper triangle only, doubled: each unordered pair stands for both orders
-    W = np.triu(graph.affinity[n_l:, n_l:], 1)
-    W *= 2.0
-    A_ul = graph.affinity[n_l:, :n_l]
-    value = (lam_lu * (A_ul * K[:, n_u:]).sum()
-             + lam_uu * (W * K[:, :n_u]).sum())
-    if not p._push:
-        return Tensor(value)
-    # B = [lam_uu (W + W^T) | lam_lu A_UL]: the weights of each unlabeled
-    # row against every row of Q, in one buffer
+    # B = [lam_uu (A_UU + A_UU) | lam_lu A_UL], the U-U diagonal zero: the
+    # weight of each unlabeled row against every row of Q, in float64 for a
+    # float32 affinity too. A_UU is doubled because the U-U sum runs over
+    # ordered pairs, so each unordered pair counts twice.
+    A = graph.affinity
     B = np.empty((n_u, Q.shape[0]))
-    np.add(W, W.T, out=B[:, :n_u])
+    np.add(A[n_l:, n_l:], A[n_l:, n_l:], out=B[:, :n_u])
     B[:, :n_u] *= lam_uu
-    np.multiply(A_ul, lam_lu, out=B[:, n_u:])
+    B[np.arange(n_u), np.arange(n_u)] = 0.0
+    np.multiply(A[n_l:, :n_l], lam_lu, out=B[:, n_u:], dtype=np.float64)
+    # The Laplacian rows of the unlabeled nodes, rowsum(B) Q_U - B Q, and of
+    # the labeled ones, colsum(B_UL) Q_L - B_ULᵀ Q_U; the value is
+    # tr(Qᵀ Lap Q), the sum of their rows' dot products with Q's.
+    G = B.sum(axis=1, keepdims=True) * Q[:n_u] - B @ Q
+    B_ul = B[:, n_u:]
+    H = B_ul.sum(axis=0)[:, None] * Q[n_u:] - B_ul.T @ Q[:n_u]
+    value = (Q[:n_u] * G).sum() + (Q[n_u:] * H).sum()
 
     def push(g):
-        # Laplacian form 2 (rowsum(B) * P - B Q); the shift cancels
-        return [(p, (2.0 * g) * (B.sum(axis=1, keepdims=True) * Q[:n_u]
-                                 - B @ Q))]
-    return Tensor(value, push)
+        return [(p, (2.0 * g) * G)]
+    return Tensor(value, push if p._push else None)

@@ -15,11 +15,12 @@ them bit for bit. It is not a general autodiff system: a node pushed into
 twice raises.
 
 A node computes in the dtype of its input: float32 stays float32, all else
-becomes float64. Stage 1 feeds float32 views, so its network and NT-Xent
-run in float32 over float64 master weights (mixed precision); the other
-stages feed float64. Parameters, gradients, optimizer state and the EMA
-are always float64. Runs are deterministic for a fixed seed as long as
-execution stays single-threaded.
+becomes float64. Stages 1 and 3 feed float32 rows, so their networks (and
+NT-Xent, and stage 3's softmax and sharpening) run in float32 over float64
+master weights (mixed precision); a loss against float64 targets comes out
+float64. Stage 2 and the supervised runs feed float64. Parameters,
+gradients, optimizer state and the EMA are always float64. Runs are
+deterministic for a fixed seed as long as execution stays single-threaded.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ def softmax(logits: Array) -> Array:
     """Stable softmax over the last axis of a vector or matrix of logits.
 
     The value of `softmax_rows`, bit for bit, computed in place without a
-    tape node.
+    tape node, in the dtype of `logits` (float32 stays, all else float64).
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = _as_float(logits)
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax: non-finite logits")
     e, s = _shifted_exp(logits)
@@ -263,14 +264,15 @@ def _check_input(layers: list[Layer], X: Array) -> None:
 
 def _frozen_logits(params: MlpParams, X: Array) -> Array:
     """Logits of the rows of `X`: the tape forward with both groups frozen,
-    so it records no node."""
-    X = np.asarray(X, dtype=np.float64)
+    so it records no node. It runs in the dtype of `X`, as the tape does."""
+    X = _as_float(X)
     _check_input(params.encoder or params.classifier, X)
     return TapeMlp(params, frozen=("encoder", "classifier")).logits(X).data
 
 
 def mlp_forward(params: MlpParams, X: Array) -> Array:
-    """Class probabilities of the rows of `X`."""
+    """Class probabilities of the rows of `X`, in their dtype (float32
+    stays, all else float64)."""
     return softmax(_frozen_logits(params, X))
 
 

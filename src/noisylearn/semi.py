@@ -122,10 +122,12 @@ def _guess_from_views(params: MlpParams, views: Array, K: int,
                       T: float) -> Array:
     """Sharpened mean prediction over `K` stacked blocks of view rows.
 
-    One forward over all blocks; the blocks' predictions are summed in
-    view order, as the per-view forwards were.
+    One forward over all blocks, in the dtype of `views`; the blocks'
+    predictions are summed in view order, as the per-view forwards were,
+    and in float64, since the guess is a target.
     """
-    first, *rest = np.split(numnet.mlp_forward(params, views), K)
+    probs = numnet.mlp_forward(params, views).astype(np.float64, copy=False)
+    first, *rest = np.split(probs, K)
     return sharpen_t(numnet.as_tensor(sum(rest, first) / K), T).data
 
 
@@ -134,11 +136,14 @@ def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
     """Convex combination biased toward the first argument.
 
     lam' = max(lam, 1 - lam) with lam ~ Beta(alpha, alpha) drawn per row,
-    so the first argument always dominates.
+    so the first argument always dominates. float32 features mix in
+    float32, with lam' cast to it; the targets mix in float64.
     """
     lam = rng.beta(alpha, alpha, size=x1.shape[0])
     lam_prime = np.maximum(lam, 1.0 - lam)[:, None]
-    x = lam_prime * x1 + (1.0 - lam_prime) * x2
+    lam_x = (lam_prime.astype(np.float32) if x1.dtype == np.float32
+             else lam_prime)
+    x = lam_x * x1 + (1.0 - lam_x) * x2
     y = lam_prime * y1 + (1.0 - lam_prime) * y2
     return x, y
 
@@ -243,6 +248,28 @@ def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
 # The full stage
 # ---------------------------------------------------------------------------
 
+TABLE_BLOCK = 512   # rows a forward takes while `graph_table` is built
+
+
+def graph_table(encoder: MlpParams, X: Array) -> Array:
+    """The float32 embeddings of the rows of `X` under `encoder`.
+
+    Stage 3's graph reads its rows. It is built `TABLE_BLOCK` rows at a
+    time into one buffer, so that besides the table only one block's
+    float32 rows and layer outputs are held. One forward over a float32
+    copy of every row would also hold that copy and two full-size layer
+    outputs, which raised the peak RSS of a stage-3 process.
+    """
+    from .ssrl import embed
+
+    width = encoder.encoder[-1].bias.size if encoder.encoder else X.shape[1]
+    table = np.empty((X.shape[0], width), dtype=np.float32)
+    for start in range(0, X.shape[0], TABLE_BLOCK):
+        rows = slice(start, start + TABLE_BLOCK)
+        table[rows] = embed(encoder, X[rows].astype(np.float32))
+    return table
+
+
 @dataclass
 class Stage3Result:
     params: MlpParams            # final raw weights
@@ -262,9 +289,13 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     are guessed by the EMA weights. An empty U runs the same step with
     zero U rows: L mixes with itself, and there is no unsupervised term
     and no graph.
-    """
-    from .ssrl import embed
 
+    Each step's rows are cast to float32, so augmentation, mixup, the
+    label guess and the network run in float32 over float64 weights,
+    gradients, Adam moments and EMA (mixed precision, as in stage 1);
+    targets and loss values stay float64. The graph reads the rows of
+    `graph_table`, built once per call.
+    """
     if len(transfer.labeled) == 0:
         raise ConfigError("train_stage3: transfer has an empty L set")
     rng = np.random.default_rng(seed)
@@ -274,6 +305,9 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     sampler = make_balanced_sampler(transfer) if config.use_cbs else None
     L_idx, L_targets = transfer.labeled.index, transfer.labeled_targets()
     U = transfer.unlabeled
+    table = None
+    if config.use_gsr and U.size:
+        table = graph_table(encoder_init, ds.X)
     steps = math.ceil(len(ds) / config.batch_size)
     ema = numnet.ema_init(params, config.ema_decay)
     sums = dict.fromkeys(("l_sup", "l_unsup", "r_graph", "total"), 0.0)
@@ -293,23 +327,20 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
             else:
                 pos = uniform_sample_L(transfer, config.batch_size, rng)
             l_idx, y_l = L_idx[pos], L_targets[pos]
-            X_l = ds.X[l_idx]
             if U.size == 0:
                 u_idx = U
             elif config.use_cbs:
                 u_idx = sample_U_candidates(ds, config.batch_size, rng)
             else:
                 u_idx = U[rng.integers(0, U.size, size=config.batch_size)]
-            batch = prepare_mixmatch_batch(ema.params, X_l, y_l, ds.X[u_idx],
-                                           config, rng)
+            batch = prepare_mixmatch_batch(
+                ema.params, ds.X[l_idx].astype(np.float32), y_l,
+                ds.X[u_idx].astype(np.float32), config, rng)
             graph = None
-            if config.use_gsr and u_idx.size:
-                # the batch's rows only, not a table of every row; with
-                # the pipeline's encoder (`ssrl.ENCODER_WIDTHS`) they are
-                # the table's rows bit for bit (see tests/test_ssrl.py)
+            if table is not None:
                 graph = build_neighbor_graph(
-                    embed(encoder_init, ds.X[np.concatenate([l_idx, u_idx])]),
-                    config.tau_c, n_labeled=l_idx.size)
+                    table[np.concatenate([l_idx, u_idx])], config.tau_c,
+                    n_labeled=l_idx.size)
             yield step_loss(batch, graph)
 
     history: list[dict] = []

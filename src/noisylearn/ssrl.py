@@ -147,8 +147,9 @@ def embed(encoder: MlpParams, X: Array) -> Array:
     """Representation of X under a trained encoder (no head applied).
 
     Only the encoder's layers run, on constants, so each layer's output is
-    the one array it allocates and no head or softmax is computed.
+    the one array it allocates and no head or softmax is computed. It runs
+    in the dtype of `X`: float32 stays float32, all else becomes float64.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = numnet._as_float(X)
     numnet._check_input(encoder.encoder, X)
     return numnet.TapeMlp(encoder, frozen=("encoder",)).embed(X).data

@@ -194,6 +194,39 @@ def test_augment_batch_shape_and_determinism():
     assert not np.array_equal(a, X)
 
 
+def reference_augment_batch(X, spec, rng):
+    """`augment_batch` in float64, as it ran before it kept float32 rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n, d = X.shape
+    scales = rng.uniform(spec.scale_range[0], spec.scale_range[1], size=(n, 1))
+    jitter = rng.normal(scale=spec.jitter_sigma, size=(n, d))
+    mask = rng.random(size=(n, d)) >= spec.drop_prob
+    return mask * (scales * X + jitter)
+
+
+def test_augment_batch_keeps_float32_and_float64_rows():
+    """float64 rows give the float64 views bit for bit, as stage 1 writes
+    them into its float32 view buffer; float32 rows, as stage 3 feeds
+    them, give float32 views of the same draws, within float32 rounding
+    of the casts and the two operations, relative to the size of the
+    terms summed."""
+    X = np.random.default_rng(19).normal(size=(64, 16))
+    spec = data.AugmentationSpec()
+    ref = reference_augment_batch(X, spec, np.random.default_rng(20))
+    out64 = data.augment_batch(X, spec, np.random.default_rng(20))
+    assert out64.dtype == np.float64
+    assert out64.tobytes() == ref.tobytes()
+    X32 = X.astype(np.float32)
+    out32 = data.augment_batch(X32, spec, np.random.default_rng(20))
+    assert out32.dtype == np.float32
+    ref32 = reference_augment_batch(X32, spec, np.random.default_rng(20))
+    draws = np.random.default_rng(20)     # the scales and jitter drawn
+    size = np.abs(draws.uniform(*spec.scale_range, size=(64, 1)) * X32)
+    size += np.abs(draws.normal(scale=spec.jitter_sigma, size=X.shape))
+    eps32 = np.finfo(np.float32).eps
+    assert np.all(np.abs(out32 - ref32) <= 4 * eps32 * size)
+
+
 def test_augment_batch_identity_spec():
     X = np.random.default_rng(16).normal(size=(10, 4))
     spec = data.AugmentationSpec(jitter_sigma=0.0, scale_range=(1.0, 1.0),

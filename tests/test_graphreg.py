@@ -43,6 +43,33 @@ def test_affinity_symmetric_bitwise_and_bounded():
         assert np.all(g.affinity <= 1.0 - tau + 1e-12)
 
 
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affinity_keeps_the_dtype_of_its_rows(dtype):
+    Z = np.abs(np.random.default_rng(5).normal(size=(9, 4))).astype(dtype)
+    assert graphreg.build_neighbor_graph(Z, 0.5).affinity.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [2, 7, 33, 256])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 0.8])
+def test_float32_affinity_symmetric_bitwise_and_bounded(n, tau):
+    """The stage-3 graph: float32 rows of a ReLU encoder, two of them equal.
+
+    A float32 product with its own transpose is a syrk too, so the matrix
+    is bitwise symmetric. An entry exceeds 1 - tau only by the float32
+    rounding of a cosine of 1: at most 4 EPS32 seen, bounded by 16.
+    """
+    Z = np.abs(np.random.default_rng(n).normal(size=(n, 64)))
+    Z[1] = Z[0]
+    A = graphreg.build_neighbor_graph(Z.astype(np.float32), tau).affinity
+    assert A.dtype == np.float32
+    assert np.array_equal(A, A.T)
+    assert A.min() >= 0.0
+    assert A.max() <= 1.0 - tau + 16 * EPS32
+
+
 def triu_mirror_graph(Z, tau):
     """The affinity built as before the in-place construction: clamp, then
     mirror the strict upper triangle and add the diagonal back."""
@@ -294,6 +321,77 @@ def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
     else:
         uu_term = as_tensor(0.0)
     return add(mul(lu_term, lam_lu), mul(uu_term, lam_uu))
+
+
+def gram_form_regularizer(graph, p, labels_labeled, lam_lu, lam_uu):
+    """The penalty's value in the Gram form, and its gradient in the
+    Laplacian form over the weights `W + Wᵀ` of the strict upper triangle.
+
+    This is how `graph_regularizer` computed both before its value moved
+    to the Laplacian form; kept as the reference for the value and, bit
+    for bit, for the gradient. Returns the value and a function of the
+    upstream gradient.
+    """
+    n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
+    Q = np.concatenate([p, np.asarray(labels_labeled, dtype=np.float64)
+                        .reshape(n_l, p.shape[1])])
+    Q -= p[0]
+    sq = (Q * Q).sum(axis=1)
+    K = sq[:n_u, None] + sq[None, :] - 2.0 * (Q[:n_u] @ Q.T)
+    W = np.triu(graph.affinity[n_l:, n_l:], 1)
+    W *= 2.0
+    A_ul = graph.affinity[n_l:, :n_l]
+    value = (lam_lu * (A_ul * K[:, n_u:]).sum()
+             + lam_uu * (W * K[:, :n_u]).sum())
+    B = np.empty((n_u, Q.shape[0]))
+    np.add(W, W.T, out=B[:, :n_u])
+    B[:, :n_u] *= lam_uu
+    np.multiply(A_ul, lam_lu, out=B[:, n_u:])
+
+    def gradient(g):
+        return (2.0 * g) * (B.sum(axis=1, keepdims=True) * Q[:n_u] - B @ Q)
+    return value, gradient
+
+
+@given(n_l=st.integers(0, 6), n_u=st.integers(1, 7), c=st.integers(1, 5),
+       tau=st.sampled_from([0.0, 0.3, 0.8]),
+       lam_lu=st.sampled_from([0.0, 0.01, 1.0]),
+       lam_uu=st.sampled_from([0.0, 0.005, 2.0]),
+       float32=st.booleans(), upstream=st.sampled_from([1.0, 0.37]),
+       seed=st.integers(0, 2**16))
+@example(n_l=128, n_u=128, c=10, tau=0.5, lam_lu=0.01, lam_uu=0.005,
+         float32=True, upstream=1.0, seed=0)   # the stage-3 batch
+@example(n_l=128, n_u=128, c=10, tau=0.5, lam_lu=0.01, lam_uu=0.005,
+         float32=False, upstream=1.0, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_regularizer_matches_the_gram_form(n_l, n_u, c, tau, lam_lu, lam_uu,
+                                           float32, upstream, seed):
+    """The value within the Gram form's rounding bound, and the gradient
+    bit for bit, on float64 and float32 affinities; the predictions are
+    float32 where the affinity is, as stage 3 feeds them. The weights are
+    float64 products in both forms, so the reference reads the float32
+    affinity's values as float64."""
+    rng = np.random.default_rng(seed)
+    Z = np.abs(rng.normal(size=(n_l + n_u, 8)))
+    p = rng.dirichlet(np.ones(c), size=n_u)
+    if float32:
+        Z, p = Z.astype(np.float32), p.astype(np.float32)
+    g = graphreg.build_neighbor_graph(Z, tau=tau, n_labeled=n_l)
+    y = np.eye(c)[rng.integers(0, c, size=n_l)]
+    if not (n_l and lam_lu > 0 or n_u > 1 and lam_uu > 0):
+        return      # no pair carries weight: neither form runs
+    t = leaf(p.copy())
+    out = graphreg.graph_regularizer(g, t, y, lam_lu, lam_uu)
+    mul(out, upstream).backward()
+    A = g.affinity.astype(np.float64)
+    ref, ref_gradient = gram_form_regularizer(
+        graphreg.NeighborGraph(A, n_l), p, y, lam_lu, lam_uu)
+    sq_p, sq_y = (p * p).sum(axis=1), (y * y).sum(axis=1)
+    W = np.triu(A[n_l:, n_l:], 1) * 2.0
+    scale = (lam_lu * (A[n_l:, :n_l] * (sq_p[:, None] + sq_y[None, :])).sum()
+             + lam_uu * (W * (sq_p[:, None] + sq_p[None, :])).sum())
+    assert abs(float(out.data) - ref) <= 1e-12 * scale
+    assert np.array_equal(t.grad, ref_gradient(upstream))
 
 
 def value_and_grad(penalty, graph, p, y, lam_lu, lam_uu):

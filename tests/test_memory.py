@@ -1,6 +1,7 @@
 """Peak-allocation bounds on the stage-2 and stage-3 hot paths and io.
 
-Each bound is a multiple of the bytes of the call's result, measured with
+Each bound is a multiple of the bytes of the call's result (of the graph
+penalty's weights for the penalty), measured with
 `tracemalloc` (numpy reports its array buffers to it). The inputs are made
 before tracing starts, so only what the call allocates counts. Stage 2
 must embed each dataset once. The last two tests check glibc's heap: the
@@ -17,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisylearn import data, graphreg, harness, io, numnet, ssrl
+from noisylearn import data, graphreg, harness, io, numnet, semi, ssrl
 
 from util import child_env
 
@@ -41,10 +42,39 @@ def test_embed_allocates_two_layer_outputs_at_most():
     assert peak <= 2.1 * Z.nbytes
 
 
+def test_graph_table_allocates_the_table_and_one_block():
+    """Stage 3's float32 table of 4,500 rows is built a block at a time:
+    1.31x the table's bytes. One forward over a float32 copy of the rows
+    took 2.27x."""
+    encoder = numnet.init_mlp([16, 64, 64], [], seed=0)
+    X = np.random.default_rng(1).normal(size=(4500, 16))
+    table, peak = traced_peak(lambda: semi.graph_table(encoder, X))
+    assert table.dtype == np.float32 and table.shape == (4500, 64)
+    assert peak <= 1.4 * table.nbytes
+
+
 def test_graph_build_allocates_the_affinity_and_normalized_rows():
     Z = np.abs(np.random.default_rng(2).normal(size=(256, 64)))
     graph, peak = traced_peak(lambda: graphreg.build_neighbor_graph(Z, 0.5))
     assert peak <= 1.5 * graph.affinity.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_graph_penalty_allocates_its_weights_and_little_else(dtype):
+    """The stage-3 batch, 128 L + 128 U rows: the penalty holds its weights
+    `B` (128 x 256 float64) and no n_u x n distance matrix. The ufuncs over
+    B's strided blocks buffer 8,192 elements an operand, which is most of
+    the rest: 1.84x (float64) and 1.58x (float32) B's bytes. Holding `K`,
+    `W` and `B` at once took 3.10x."""
+    rng = np.random.default_rng(6)
+    Z = np.abs(rng.normal(size=(256, 64))).astype(dtype)
+    graph = graphreg.build_neighbor_graph(Z, 0.5, n_labeled=128)
+    p = numnet.Tensor(rng.dirichlet(np.ones(10), size=128).astype(dtype),
+                      lambda g: [])
+    y = np.eye(10)[rng.integers(0, 10, size=128)]
+    _, peak = traced_peak(
+        lambda: graphreg.graph_regularizer(graph, p, y, 0.01, 0.005))
+    assert peak <= 2.0 * (128 * 256 * 8)
 
 
 def test_frozen_forward_allocates_two_layer_outputs_at_most():

@@ -594,6 +594,16 @@ def test_tensor_keeps_float32_and_makes_the_rest_float64():
         assert numnet.Tensor(value).data.dtype == np.float64
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_forward_keeps_the_dtype_of_its_rows(dtype):
+    """Stage 3's label guess runs on float32 views; stage 2 on float64."""
+    params = numnet.init_mlp([4, 8], [8, 3], seed=42)
+    X = np.random.default_rng(42).normal(size=(10, 4)).astype(dtype)
+    P = numnet.mlp_forward(params, X)
+    assert P.dtype == dtype
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-6)
+
+
 def test_float32_input_runs_the_network_in_float32():
     """Stage 1's mixed precision: a float32 input runs the forward and the
     push in float32, and the push adds into the float64 gradient.

@@ -84,6 +84,15 @@ def test_mixup_rows_stay_convex():
     assert np.allclose(ym.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mixup_features_keep_their_dtype_and_targets_are_float64(dtype):
+    rng = np.random.default_rng(2)
+    x1, x2 = (rng.normal(size=(20, 4)).astype(dtype) for _ in range(2))
+    y1, y2 = (rng.dirichlet(np.ones(3), size=20) for _ in range(2))
+    xm, ym = semi.mixup(x1, y1, x2, y2, 0.75, np.random.default_rng(3))
+    assert xm.dtype == dtype and ym.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # label guessing
 
@@ -381,6 +390,53 @@ def test_train_stage3_gsr_off_zeroes_graph_term(tiny_blobs):
     result = semi.train_stage3(encoder, classifier, transfer, noisy, config,
                                seed=28)
     assert all(row["r_graph"] == 0.0 for row in result.history)
+
+
+def test_train_stage3_runs_in_float32(tiny_blobs, monkeypatch):
+    """The training rows are cast to float32 once: the three live forwards
+    of each step, the label guess and the graph's embeddings are float32;
+    the weights it returns are float64. The test accuracy runs on the
+    float64 test rows."""
+    noisy, encoder, classifier = stage3_inputs(tiny_blobs)
+    seen, graphs = [], []
+    logits = numnet.TapeMlp.logits
+
+    def spy(self, X):
+        out = logits(self, X)
+        seen.append((out._push is not None, X.dtype, out.data.dtype))
+        return out
+
+    def graph_spy(Z, *args, build=semi.build_neighbor_graph, **kwargs):
+        graphs.append(Z.dtype)
+        return build(Z, *args, **kwargs)
+    monkeypatch.setattr(numnet.TapeMlp, "logits", spy)
+    monkeypatch.setattr(semi, "build_neighbor_graph", graph_spy)
+    config = semi.MixMatchConfig(batch_size=16, epochs=1, K=2)
+    result = semi.train_stage3(encoder, classifier, small_transfer(80, 40),
+                               noisy, config, seed=30,
+                               test_dataset=tiny_blobs)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    steps = len(graphs)
+    assert steps == 8 and set(graphs) == {f32}
+    assert seen.count((True, f32, f32)) == 3 * steps        # live forwards
+    assert seen.count((False, f32, f32)) == steps            # label guess
+    assert seen.count((False, f64, f64)) == 2                # test accuracy
+    assert len(seen) == 4 * steps + 2
+    assert all(a.dtype == np.float64 for _, a in result.params.walk())
+    assert all(a.dtype == np.float64 for _, a in result.ema.walk())
+
+
+@pytest.mark.parametrize("n_rows", [1, 511, 512, 1100])
+def test_graph_table_is_the_embedding_of_the_float32_rows(n_rows):
+    """Blocks of `TABLE_BLOCK` rows, the last one short, give the rows of
+    one forward over all of them."""
+    from noisylearn import ssrl
+    encoder = numnet.init_mlp([6, 16, 8], [8, 3], seed=31)
+    X = np.random.default_rng(31).normal(size=(n_rows, 6))
+    table = semi.graph_table(encoder, X)
+    whole = ssrl.embed(encoder, X.astype(np.float32))
+    assert table.dtype == np.float32
+    assert np.allclose(table, whole, rtol=1e-6, atol=1e-6)
 
 
 def test_train_stage3_improves_on_easy_data(tiny_blobs):

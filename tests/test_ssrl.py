@@ -247,16 +247,27 @@ def test_embed_is_the_representation_of_the_full_forward(widths):
         ssrl.embed(params, X[:, 1:])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_keeps_the_dtype_of_its_rows(dtype):
+    """Stage 3 embeds its float32 rows into a float32 graph table; stage 2
+    embeds float64 rows."""
+    params = numnet.init_mlp([6, *ssrl.ENCODER_WIDTHS], [], seed=9)
+    X = np.random.default_rng(9).normal(size=(50, 6)).astype(dtype)
+    Z = ssrl.embed(params, X)
+    assert Z.dtype == dtype
+    assert np.allclose(Z, ssrl.embed(params, X.astype(np.float64)),
+                       rtol=1e-5, atol=1e-5)
+
+
 @pytest.mark.parametrize("n_features", [1, 6, 16, 33])
 def test_embed_of_a_row_subset_is_those_rows_of_the_table(n_features):
-    """Stage 3 embeds each graph batch on its own, not a table of all rows.
+    """A row's embedding does not depend on the rows embedded with it.
 
     Bit for bit with the encoder the pipeline builds, of widths
-    `[n_features, *ssrl.ENCODER_WIDTHS]`.
-    Its batches have 2 * batch_size >= 2 rows: numpy sends a lone row
-    through gemv instead of gemm, and other layer widths can take another
-    OpenBLAS kernel for a short product than for a long one, so either
-    may differ in the last bits.
+    `[n_features, *ssrl.ENCODER_WIDTHS]`, for subsets of two rows or more:
+    numpy sends a lone row through gemv instead of gemm, and other layer
+    widths can take another OpenBLAS kernel for a short product than for
+    a long one, so either may differ in the last bits.
     """
     params = numnet.init_mlp([n_features, *ssrl.ENCODER_WIDTHS],
                              [ssrl.ENCODER_WIDTHS[-1], 32], seed=0)
