@@ -96,7 +96,7 @@ def per_sample_stats(classifier: MlpParams, dataset: LabeledDataset
     P = numnet.mlp_forward(classifier, dataset.X)
     clamped = np.maximum(P, numnet.LOG_FLOOR)
     losses = -np.log(clamped[np.arange(len(dataset)), dataset.y_noisy])
-    y_pred = numnet.predict(P)
+    y_pred = P.argmax(axis=-1)
     confidences = P[np.arange(len(dataset)), y_pred]
     return losses, confidences, y_pred
 

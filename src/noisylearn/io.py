@@ -207,7 +207,7 @@ def save_dataset_csv(path, dataset: LabeledDataset) -> None:
             fh.write(f"{','.join(map(repr, x.tolist()))},{yc},{yn}\r\n")
 
 
-def load_dataset_csv(path, n_classes: int | None = None) -> LabeledDataset:
+def load_dataset_csv(path) -> LabeledDataset:
     from array import array  # a 70 kB extension: load it only to read CSVs
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -241,11 +241,11 @@ def load_dataset_csv(path, n_classes: int | None = None) -> LabeledDataset:
         raise CheckpointError(f"dataset file {path}: non-finite feature value "
                               f"in row {i} (line {i + 2})")
     yc, yn = (np.frombuffer(y, dtype=np.int64) for y in (yc, yn))
-    if n_classes is None:
-        n_classes = int(max(yc.max(), yn.max())) + 1
+    # the class count comes from the labels, so only a negative one is bad
+    n_classes = int(max(yc.max(), yn.max())) + 1
     for column, y in (("y_clean", yc), ("y_noisy", yn)):
-        i = int(np.argmax((y < 0) | (y >= n_classes)))
-        if not 0 <= y[i] < n_classes:
+        i = int(np.argmax(y < 0))
+        if y[i] < 0:
             raise CheckpointError(
                 f"dataset file {path}: {column} {y[i]} outside "
                 f"[0, {n_classes}) in row {i} (line {i + 2})")

@@ -1,10 +1,10 @@
 """Minimal differentiable numeric core.
 
-A small reverse-mode tape over float64 numpy arrays, MLP parameter
-containers, SGD/Adam optimizers, a cosine learning-rate schedule, a
-parameter EMA, and the one training loop (`fit`) every stage runs. The
-tape records fused nodes only, one per network forward and one per loss
-term: the `TapeMlp` forward, `softmax_rows` and `softmax_cross_entropy`
+A small reverse-mode tape over numpy arrays, MLP parameter containers,
+SGD/Adam optimizers, a cosine learning-rate schedule, a parameter EMA, and
+the one training loop (`fit`) every stage runs. The tape records fused
+nodes only, one per network forward and one per loss term: the network
+forward (`TapeMlp.logits`), `softmax_rows` and `softmax_cross_entropy`
 here, NT-Xent in `ssrl`, sharpening and the graph penalty in `graphreg`,
 and the consistency term and the weighted total in `semi`. A node is its
 value and one push; each node feeds one consumer, so `backward` hands
@@ -12,7 +12,9 @@ each push its whole gradient as it reaches it. Each push replays the
 chain rule of the per-op composition it replaced; the tests build those
 compositions on a general reference tape and check the nodes against
 them bit for bit. It is not a general autodiff system: a node pushed into
-twice raises.
+twice raises. `frozen_forward` runs the same network forward on constants
+and records nothing; every probability, prediction and embedding table
+that takes no gradient comes from it.
 
 A node computes in the dtype of its input: float32 stays float32, all else
 becomes float64. Stages 1 and 3 feed float32 rows, so their networks (and
@@ -20,7 +22,8 @@ NT-Xent, and stage 3's softmax and sharpening) run in float32 over float64
 master weights (mixed precision); a loss against float64 targets comes out
 float64. Stage 2 and the supervised runs feed float64. Parameters,
 gradients, optimizer state and the EMA are always float64. Runs are
-deterministic for a fixed seed as long as execution stays single-threaded.
+deterministic for a fixed seed, and a test checks that one and two BLAS
+threads give the same bytes.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ class Tensor:
     def __init__(self, data, push: Callable[[Array], Sequence] | None = None):
         self.data = _as_float(data)
         self._push = push
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def backward(self) -> None:
         """Sweep from a scalar root, last in, first out.
@@ -153,12 +152,6 @@ def softmax(logits: Array) -> Array:
     return e
 
 
-def predict(p: Array) -> Array:
-    """Argmax class per probability row; ties break to the lowest index."""
-    p = np.asarray(p, dtype=np.float64)
-    return np.argmax(p, axis=-1)
-
-
 def one_hot(labels: Array, n_classes: int) -> Array:
     labels = np.asarray(labels)
     out = np.zeros((labels.size, n_classes), dtype=np.float64)
@@ -254,33 +247,81 @@ def init_mlp(encoder_widths: Sequence[int], classifier_widths: Sequence[int],
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _check_input(layers: list[Layer], X: Array) -> None:
-    """ValueError unless the rows of `X` fit the first of `layers`."""
-    if layers and X.shape[-1] != layers[0].weight.shape[0]:
-        raise ValueError(
-            f"input width {X.shape[-1]} does not match first layer "
-            f"fan-in {layers[0].weight.shape[0]}")
+def _forward(X, params: MlpParams, grads: MlpParams | None, head: bool
+             ) -> Tensor:
+    """`A = relu(A @ w + b)` per layer, bias and ReLU in place.
+
+    The layers are the encoder's, each with a ReLU, then with `head` the
+    classifier's, with a ReLU between them and a raw output; a layer is
+    live if `grads` holds its group. It runs in the dtype of `X`
+    (`_as_float`), with each weight and bias cast to it; for float64 the
+    cast is a no-op. Rows that do not fit the first layer raise ValueError.
+    Layer inputs from the first live layer on are kept. The push casts its
+    gradient to that dtype and replays each layer from the top: the ReLU
+    mask, `Aᵀ g` and the column sum for a live layer, added into the
+    float64 gradient, then `g wᵀ` if a live layer lies below. A forward
+    with no live layer records no node and holds at most two layer outputs
+    at once.
+    """
+    A = _as_float(X)
+    dtype = A.dtype
+    layers = []
+    for group in ("encoder", "classifier") if head else ("encoder",):
+        ps, gs = getattr(params, group), getattr(grads, group, None)
+        layers += [(w.astype(dtype, copy=False), b.astype(dtype, copy=False),
+                    group == "encoder" or i < len(ps) - 1,
+                    gs[i] if gs else None) for i, (w, b) in enumerate(ps)]
+    if layers and A.shape[-1] != layers[0][0].shape[0]:
+        raise ValueError(f"input width {A.shape[-1]} does not match first "
+                         f"layer fan-in {layers[0][0].shape[0]}")
+    first = next((i for i, l in enumerate(layers) if l[3] is not None),
+                 len(layers))
+    kept = []
+    for i, (w, b, relu, _) in enumerate(layers):
+        if i >= first:
+            kept.append(A)
+        A = A @ w
+        A += b
+        if relu:
+            np.maximum(A, 0.0, out=A)
+    if first == len(layers):
+        return Tensor(A)
+    kept.append(A)
+
+    def push(g):
+        g = g.astype(dtype, copy=False)
+        for i in range(len(layers) - 1, first - 1, -1):
+            w, _, relu, grad = layers[i]
+            if relu:
+                g = g * (kept[i - first + 1] > 0.0)
+            if grad is not None:
+                gw, gb = grad
+                gw += kept[i - first].T @ g
+                gb += g.sum(axis=0)
+            if i > first:
+                g = g @ w.T
+        return ()
+    return Tensor(A, push)
 
 
-def _frozen_logits(params: MlpParams, X: Array) -> Array:
-    """Logits of the rows of `X`: the tape forward with both groups frozen,
-    so it records no node. It runs in the dtype of `X`, as the tape does."""
-    X = _as_float(X)
-    _check_input(params.encoder or params.classifier, X)
-    return TapeMlp(params, frozen=("encoder", "classifier")).logits(X).data
+def frozen_forward(params: MlpParams, X: Array, head: bool = True) -> Array:
+    """The rows of `X` through `params` with every layer frozen, so no node
+    is recorded and no gradient laid out: the logits with `head`, else the
+    representation (the encoder's layers alone)."""
+    return _forward(X, params, None, head).data
 
 
 def mlp_forward(params: MlpParams, X: Array) -> Array:
     """Class probabilities of the rows of `X`, in their dtype (float32
     stays, all else float64)."""
-    return softmax(_frozen_logits(params, X))
+    return softmax(frozen_forward(params, X))
 
 
 def predict_classes(params: MlpParams, X: Array) -> Array:
     """Predicted class of each row of `X`: the argmax of its logits, the
     lowest index on exact ties. No softmax runs; non-finite logits raise
     NumericError, as they do in `mlp_forward`."""
-    logits = _frozen_logits(params, X)
+    logits = frozen_forward(params, X)
     if not np.isfinite(logits).all():
         raise NumericError("predict_classes: non-finite logits")
     return np.argmax(logits, axis=-1)
@@ -294,11 +335,11 @@ def accuracy(params: MlpParams, X: Array, y: Array) -> float:
 class TapeMlp:
     """Tape view of an MlpParams, whose arrays never become tape leaves.
 
-    `embed` and `logits` run on a constant input and record one node when
-    some layer is live (in a group not `frozen`); its push adds into
-    `gradients()`. `grads`, the `gradients()` of an earlier tape over the
-    same params and frozen groups, is zeroed and reused instead of
-    building a new one. A tape with no live layer builds no gradient.
+    `logits` runs on a constant input and records one node when some layer
+    is live (in a group not `frozen`); its push adds into `gradients()`.
+    `grads`, the `gradients()` of an earlier tape over the same params and
+    frozen groups, is zeroed and reused instead of building a new one. A
+    tape with no live layer builds no gradient.
     """
 
     def __init__(self, params: MlpParams, frozen: Iterable[str] = (),
@@ -316,64 +357,9 @@ class TapeMlp:
             grads.flat.fill(0.0)    # for the push's +=
         self._grads = grads
 
-    def _layers(self, group: str, relu_last: bool) -> list[tuple]:
-        """(weight, bias, relu, gradient layer or None) for each layer of `group`."""
-        layers = getattr(self._params, group)
-        grads = getattr(self._grads, group, None) or [None] * len(layers)
-        return [(l.weight, l.bias, relu_last or i < len(layers) - 1, g)
-                for i, (l, g) in enumerate(zip(layers, grads))]
-
-    def _forward(self, X, layers: list[tuple]) -> Tensor:
-        """`A = relu(A @ w + b)` per layer, bias and ReLU in place.
-
-        It runs in the dtype of `X` (`_as_float`), with each weight and bias
-        cast to it; for float64 the cast is a no-op. Layer inputs from the
-        first live layer on are kept. The push casts its gradient to that
-        dtype and replays each layer from the top: the ReLU mask, `Aᵀ g`
-        and the column sum for a live layer, added into the float64
-        gradient, then `g wᵀ` if a live layer lies below. A frozen forward
-        holds at most two layer outputs at once.
-        """
-        A = _as_float(X)
-        dtype = A.dtype
-        layers = [(w.astype(dtype, copy=False), b.astype(dtype, copy=False),
-                   relu, grad) for w, b, relu, grad in layers]
-        first = next((i for i, l in enumerate(layers) if l[3] is not None),
-                     len(layers))
-        kept = []
-        for i, (w, b, relu, _) in enumerate(layers):
-            if i >= first:
-                kept.append(A)
-            A = A @ w
-            A += b
-            if relu:
-                np.maximum(A, 0.0, out=A)
-        if first == len(layers):
-            return Tensor(A)
-        kept.append(A)
-
-        def push(g):
-            g = g.astype(dtype, copy=False)
-            for i in range(len(layers) - 1, first - 1, -1):
-                w, _, relu, grad = layers[i]
-                if relu:
-                    g = g * (kept[i - first + 1] > 0.0)
-                if grad is not None:
-                    gw, gb = grad
-                    gw += kept[i - first].T @ g
-                    gb += g.sum(axis=0)
-                if i > first:
-                    g = g @ w.T
-            return ()
-        return Tensor(A, push)
-
-    def embed(self, X) -> Tensor:
-        return self._forward(X, self._layers("encoder", True))
-
     def logits(self, X) -> Tensor:
         """Head layers on the representation: ReLU between them, raw output."""
-        return self._forward(X, self._layers("encoder", True)
-                             + self._layers("classifier", False))
+        return _forward(X, self._params, self._grads, head=True)
 
     def gradients(self) -> MlpParams:
         """The live groups' gradients, zero where no forward used them; a

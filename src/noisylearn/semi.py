@@ -27,6 +27,7 @@ from .errors import ConfigError
 from .graphreg import (NeighborGraph, build_neighbor_graph, graph_regularizer,
                        sharpen_t)
 from .numnet import MlpParams, Tensor
+from .ssrl import embed
 
 Array = np.ndarray
 
@@ -248,28 +249,6 @@ def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
 # The full stage
 # ---------------------------------------------------------------------------
 
-TABLE_BLOCK = 512   # rows a forward takes while `graph_table` is built
-
-
-def graph_table(encoder: MlpParams, X: Array) -> Array:
-    """The float32 embeddings of the rows of `X` under `encoder`.
-
-    Stage 3's graph reads its rows. It is built `TABLE_BLOCK` rows at a
-    time into one buffer, so that besides the table only one block's
-    float32 rows and layer outputs are held. One forward over a float32
-    copy of every row would also hold that copy and two full-size layer
-    outputs, which raised the peak RSS of a stage-3 process.
-    """
-    from .ssrl import embed
-
-    width = encoder.encoder[-1].bias.size if encoder.encoder else X.shape[1]
-    table = np.empty((X.shape[0], width), dtype=np.float32)
-    for start in range(0, X.shape[0], TABLE_BLOCK):
-        rows = slice(start, start + TABLE_BLOCK)
-        table[rows] = embed(encoder, X[rows].astype(np.float32))
-    return table
-
-
 @dataclass
 class Stage3Result:
     params: MlpParams            # final raw weights
@@ -293,8 +272,9 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     Each step's rows are cast to float32, so augmentation, mixup, the
     label guess and the network run in float32 over float64 weights,
     gradients, Adam moments and EMA (mixed precision, as in stage 1);
-    targets and loss values stay float64. The graph reads the rows of
-    `graph_table`, built once per call.
+    targets and loss values stay float64. The graph reads the rows of a
+    float32 table of `encoder_init`'s embeddings (`ssrl.embed`), built once
+    per call.
     """
     if len(transfer.labeled) == 0:
         raise ConfigError("train_stage3: transfer has an empty L set")
@@ -307,7 +287,7 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     U = transfer.unlabeled
     table = None
     if config.use_gsr and U.size:
-        table = graph_table(encoder_init, ds.X)
+        table = embed(encoder_init, ds.X, np.float32)
     steps = math.ceil(len(ds) / config.batch_size)
     ema = numnet.ema_init(params, config.ema_decay)
     sums = dict.fromkeys(("l_sup", "l_unsup", "r_graph", "total"), 0.0)

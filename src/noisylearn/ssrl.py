@@ -23,6 +23,7 @@ Array = np.ndarray
 
 NEG_MASK = -1e12  # self-similarity score; its exp underflows to 0
 ENCODER_WIDTHS = (64, 64)  # output widths of the encoder's layers
+TABLE_BLOCK = 512          # rows a forward takes while `embed` fills a table
 
 
 def nt_xent_loss(Z, temperature: float) -> Tensor:
@@ -49,7 +50,7 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     scores, about 1e-7 / t.
     """
     Z = numnet.as_tensor(Z)
-    n = Z.shape[0]
+    n = Z.data.shape[0]
     idx = np.arange(n)
     partner = idx ^ 1  # 2k <-> 2k+1
     inv_t = 1.0 / temperature
@@ -143,13 +144,25 @@ def train_encoder(X: Array, config: ContrastiveConfig,
     return EncoderTrainResult(encoder=encoder, loss_curve=loss_curve)
 
 
-def embed(encoder: MlpParams, X: Array) -> Array:
-    """Representation of X under a trained encoder (no head applied).
+def embed(encoder: MlpParams, X: Array, dtype=None) -> Array:
+    """Representation of the rows of `X` under a trained encoder, in `dtype`
+    (by default float32 for float32 rows, else float64).
 
-    Only the encoder's layers run, on constants, so each layer's output is
-    the one array it allocates and no head or softmax is computed. It runs
-    in the dtype of `X`: float32 stays float32, all else becomes float64.
+    Only the encoder's layers run (`numnet.frozen_forward` without the
+    head), whatever head `encoder` carries. One table is filled
+    `TABLE_BLOCK` rows at a time, so only one block's rows and layer
+    outputs are held beside it. A lone last row joins the block before it,
+    as numpy sends a one-row product through gemv, whose last bits can
+    differ from gemm's. At `ENCODER_WIDTHS` the table then equals one
+    forward over all its rows bit for bit.
     """
-    X = numnet._as_float(X)
-    numnet._check_input(encoder.encoder, X)
-    return numnet.TapeMlp(encoder, frozen=("encoder",)).embed(X).data
+    X = np.asarray(X)
+    if dtype is None:
+        dtype = np.float32 if X.dtype == np.float32 else np.float64
+    width = encoder.encoder[-1].bias.size if encoder.encoder else X.shape[-1]
+    table = np.empty((X.shape[0], width), dtype=dtype)
+    edges = [*range(0, max(len(X) - 1, 1), TABLE_BLOCK), len(X)]
+    for start, stop in zip(edges, edges[1:]):
+        table[start:stop] = numnet.frozen_forward(
+            encoder, X[start:stop].astype(dtype, copy=False), head=False)
+    return table

@@ -144,7 +144,7 @@ def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
 
     def push(g):
-        return [(p, _unbroadcast(g, p.shape)) for p in (a, b) if p._push]
+        return [(p, _unbroadcast(g, p.data.shape)) for p in (a, b) if p._push]
     return Node(a.data + b.data, (a, b), push)
 
 
@@ -153,9 +153,9 @@ def sub(a, b) -> Node:
 
     def push(g):
         if a._push:
-            yield a, _unbroadcast(g, a.shape)
+            yield a, _unbroadcast(g, a.data.shape)
         if b._push:
-            yield b, _unbroadcast(-g, b.shape)
+            yield b, _unbroadcast(-g, b.data.shape)
     return Node(a.data - b.data, (a, b), push)
 
 
@@ -164,9 +164,9 @@ def mul(a, b) -> Node:
 
     def push(g):
         if a._push:
-            yield a, _unbroadcast(g * b.data, a.shape)
+            yield a, _unbroadcast(g * b.data, a.data.shape)
         if b._push:
-            yield b, _unbroadcast(g * a.data, b.shape)
+            yield b, _unbroadcast(g * a.data, b.data.shape)
     return Node(a.data * b.data, (a, b), push)
 
 
@@ -176,7 +176,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Node:
     def push(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(g, a.shape).copy())]
+        return [(a, np.broadcast_to(g, a.data.shape).copy())]
     return Node(a.data.sum(axis=axis, keepdims=keepdims), (a,), push)
 
 
@@ -196,9 +196,9 @@ def div(a, b) -> Node:
 
     def push(g):
         if a._push:
-            yield a, _unbroadcast(g / b.data, a.shape)
+            yield a, _unbroadcast(g / b.data, a.data.shape)
         if b._push:
-            yield b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            yield b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
     return Node(a.data / b.data, (a, b), push)
 
 
@@ -244,7 +244,7 @@ def clip_min(a, floor: float) -> Node:
 def reshape(a, *shape) -> Node:
     a = as_node(a)
     return Node(a.data.reshape(*shape), (a,),
-                lambda g: [(a, g.reshape(a.shape))])
+                lambda g: [(a, g.reshape(a.data.shape))])
 
 
 def cross_entropy_rows(p, targets) -> Node:

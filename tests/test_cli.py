@@ -320,6 +320,36 @@ def test_determinism_byte_identical_metrics(tmp_path):
         (tmp_path / "b" / "model.json").read_bytes()
 
 
+def test_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """OpenBLAS splits a product over its threads only when the product is
+    large enough. At two threads it split the 512 x 32 by 32 x 512 NT-Xent
+    product of a stage-1 batch of 256, 512-row embedding blocks and the
+    256-row graph of a stage-3 batch of 128, but not a 120 x 16 by 16 x 64
+    product. So this run has 512 training rows and those batch sizes, and
+    every artifact and the printed summary must not change with the
+    thread count."""
+    config = write_tiny_config(
+        tmp_path / "config.json",
+        dataset={"n_classes": 4, "n_per_class": 160, "n_features": 8},
+        stage1={"epochs": 3, "batch_size": 256},
+        stage3={"epochs": 2, "batch_size": 128})
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        out = subprocess.run(
+            [sys.executable, "-m", "noisylearn", "pipeline", "--config",
+             str(config), "--out-dir", "run"], capture_output=True,
+            text=True, cwd=cwd,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert out.returncode == 0, out.stderr
+        files = sorted(p for p in (cwd / "run").rglob("*") if p.is_file())
+        runs.append((out.stdout, out.stderr, {
+            str(p.relative_to(cwd)): p.read_bytes() for p in files}))
+    assert len(runs[0][2]) == 10
+    assert runs[0] == runs[1]
+
+
 @pytest.fixture(scope="module")
 def stage2_dir(tmp_path_factory):
     """The stage-2 outputs of the tiny config, plus `wide.csv`: data of the

@@ -291,16 +291,7 @@ def test_dataset_csv_rejects_bad_rows(tmp_path, line, message):
     path = tmp_path / "data.csv"
     path.write_text(f"x_0,x_1,y_clean,y_noisy\n1.0,2.0,1,1\n{line}\n")
     with pytest.raises(CheckpointError, match=message):
-        io.load_dataset_csv(path, n_classes=2)
-
-
-def test_dataset_csv_explicit_class_count(tmp_path):
-    path = tmp_path / "data.csv"
-    ds = data.make_blobs(data.DatasetSpec(n_classes=4, n_per_class=3), seed=34)
-    sub = ds.subset(np.flatnonzero(ds.y_clean < 2))
-    io.save_dataset_csv(path, sub)
-    loaded = io.load_dataset_csv(path, n_classes=4)
-    assert loaded.n_classes == 4
+        io.load_dataset_csv(path)
 
 
 def test_canonical_json_is_stable():

@@ -186,9 +186,9 @@ def test_tensor_has_only_the_ops_the_stages_use():
     """Ops that only tests compose belong in `tape_ops`, not on the tape,
     and the tape MLP offers only the passes the stages run."""
     ops = public_members(numnet.Tensor)
-    assert ops - {"__init__"} == {"backward", "shape"}
+    assert ops - {"__init__"} == {"backward"}
     assert public_members(numnet.TapeMlp) - {"__init__"} == {
-        "embed", "logits", "gradients"}
+        "logits", "gradients"}
 
 
 def test_backward_rejects_nonfinite_root():
@@ -312,7 +312,7 @@ def tape_leaves(params, frozen=()):
 
 def composed_forward(leaves, X, head=True):
     """The per-layer composition that a `TapeMlp` forward fuses, on
-    `leaves`: `logits` with `head`, else `embed` (the encoder layers)."""
+    `leaves`: the logits with `head`, else the encoder layers alone."""
     layers = [name[:-len(".weight")] for name in leaves
               if name.endswith(".weight")
               and (head or name.startswith("encoder."))]
@@ -361,19 +361,22 @@ def test_forward_equals_composed_layers_bit_for_bit(n, widths, n_encoder,
                                                     consumers, head, frozen,
                                                     seed):
     """One network run on `consumers` inputs, as stage 3 runs it: each
-    forward's gradients add into the same parameters in turn."""
+    forward's gradients add into the same parameters in turn. Without
+    `head` the network is the encoder alone."""
     rng = np.random.default_rng(seed)
     params = numnet.MlpParams(numnet.init_layers(widths[:n_encoder + 1], rng),
                               numnet.init_layers(widths[n_encoder:], rng))
     for _, a in params.walk():
         a[...] = rng.normal(size=a.shape)
+    if not head:
+        params = numnet.MlpParams(params.encoder, [])
     xs = [rng.normal(size=(n, widths[0])) for _ in range(consumers)]
     out_width = widths[-1] if head else widths[n_encoder]
     weights = [rng.normal(size=(n, out_width)) for _ in range(consumers)]
     outs_f = []
 
     def loss_fn(tape):
-        outs_f.extend(tape.logits(x) if head else tape.embed(x) for x in xs)
+        outs_f.extend(tape.logits(x) for x in xs)
         return weighted_sum(outs_f, weights)
 
     value, grads = numnet.grad(params, loss_fn, frozen=frozen)
@@ -654,18 +657,14 @@ def test_frozen_forwards_build_no_gradient(monkeypatch):
     assert built == []
 
 
-def test_predict_breaks_ties_low():
-    logits = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-    assert numnet.predict(logits).tolist() == [0, 1]
-
-
 def test_predict_classes_is_the_argmax_of_the_logits(monkeypatch):
     """No softmax runs, and exact ties of the logits break to the lowest
     index. In the last row the first two logits differ by less than `exp`
     resolves, so their probabilities tie; the logits do not."""
     params = numnet.MlpParams([], [numnet.Layer(np.eye(3), np.zeros(3))])
     X = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-1e-17, 0.0, -5.0]])
-    assert numnet.predict(numnet.mlp_forward(params, X)).tolist() == [0, 1, 0]
+    P = numnet.mlp_forward(params, X)
+    assert np.argmax(P, axis=-1).tolist() == [0, 1, 0]
     monkeypatch.setattr(numnet, "softmax", None)
     assert numnet.predict_classes(params, X).tolist() == [0, 1, 1]
     assert numnet.accuracy(params, X, np.array([0, 1, 1])) == 1.0
@@ -728,8 +727,8 @@ def test_mlp_params_validates_width_chain():
 def test_mlp_forward_embedding_is_rectified():
     params = numnet.init_mlp([4, 8, 6], [6, 3], seed=1)
     X = finite_rows(10, 4, 11)
-    tape = numnet.TapeMlp(params)
-    Z, logits = tape.embed(X).data, tape.logits(X).data
+    Z = numnet.frozen_forward(params, X, head=False)
+    logits = numnet.frozen_forward(params, X)
     probs = numnet.mlp_forward(params, X)
     assert Z.shape == (10, 6)
     assert np.all(Z >= 0)  # activation applied after the last encoder layer

@@ -394,22 +394,29 @@ def test_train_stage3_gsr_off_zeroes_graph_term(tiny_blobs):
 
 def test_train_stage3_runs_in_float32(tiny_blobs, monkeypatch):
     """The training rows are cast to float32 once: the three live forwards
-    of each step, the label guess and the graph's embeddings are float32;
-    the weights it returns are float64. The test accuracy runs on the
-    float64 test rows."""
+    of each step, the label guess and the graph's table of embeddings are
+    float32; the weights it returns are float64. The test accuracy runs on
+    the float64 test rows."""
     noisy, encoder, classifier = stage3_inputs(tiny_blobs)
     seen, graphs = [], []
-    logits = numnet.TapeMlp.logits
+    logits, frozen_forward = numnet.TapeMlp.logits, numnet.frozen_forward
 
     def spy(self, X):
         out = logits(self, X)
-        seen.append((out._push is not None, X.dtype, out.data.dtype))
+        assert out._push is not None
+        seen.append(("live", X.dtype, out.data.dtype))
+        return out
+
+    def frozen_spy(params, X, head=True):
+        out = frozen_forward(params, X, head)
+        seen.append(("logits" if head else "table", X.dtype, out.dtype))
         return out
 
     def graph_spy(Z, *args, build=semi.build_neighbor_graph, **kwargs):
         graphs.append(Z.dtype)
         return build(Z, *args, **kwargs)
     monkeypatch.setattr(numnet.TapeMlp, "logits", spy)
+    monkeypatch.setattr(numnet, "frozen_forward", frozen_spy)
     monkeypatch.setattr(semi, "build_neighbor_graph", graph_spy)
     config = semi.MixMatchConfig(batch_size=16, epochs=1, K=2)
     result = semi.train_stage3(encoder, classifier, small_transfer(80, 40),
@@ -418,25 +425,28 @@ def test_train_stage3_runs_in_float32(tiny_blobs, monkeypatch):
     f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
     steps = len(graphs)
     assert steps == 8 and set(graphs) == {f32}
-    assert seen.count((True, f32, f32)) == 3 * steps        # live forwards
-    assert seen.count((False, f32, f32)) == steps            # label guess
-    assert seen.count((False, f64, f64)) == 2                # test accuracy
-    assert len(seen) == 4 * steps + 2
+    assert seen.count(("live", f32, f32)) == 3 * steps
+    assert seen.count(("logits", f32, f32)) == steps         # label guess
+    assert seen.count(("logits", f64, f64)) == 2             # test accuracy
+    assert seen.count(("table", f32, f32)) == 1              # 120 rows
+    assert len(seen) == 4 * steps + 3
     assert all(a.dtype == np.float64 for _, a in result.params.walk())
     assert all(a.dtype == np.float64 for _, a in result.ema.walk())
 
 
-@pytest.mark.parametrize("n_rows", [1, 511, 512, 1100])
+@pytest.mark.parametrize("n_rows", [1, 511, 512, 513, 1100])
 def test_graph_table_is_the_embedding_of_the_float32_rows(n_rows):
-    """Blocks of `TABLE_BLOCK` rows, the last one short, give the rows of
-    one forward over all of them."""
+    """Stage 3's table of float64 rows: blocks of `ssrl.TABLE_BLOCK` rows,
+    the last one short, give one float32 forward over all of them, bit for
+    bit. At 513 rows the lone last row joins the block before it."""
     from noisylearn import ssrl
-    encoder = numnet.init_mlp([6, 16, 8], [8, 3], seed=31)
+    encoder = numnet.init_mlp([6, *ssrl.ENCODER_WIDTHS],
+                              [ssrl.ENCODER_WIDTHS[-1], 3], seed=31)
     X = np.random.default_rng(31).normal(size=(n_rows, 6))
-    table = semi.graph_table(encoder, X)
-    whole = ssrl.embed(encoder, X.astype(np.float32))
-    assert table.dtype == np.float32
-    assert np.allclose(table, whole, rtol=1e-6, atol=1e-6)
+    table = ssrl.embed(encoder, X, np.float32)
+    whole = numnet.frozen_forward(encoder, X.astype(np.float32), head=False)
+    assert table.dtype == whole.dtype == np.float32
+    assert np.array_equal(table, whole)
 
 
 def test_train_stage3_improves_on_easy_data(tiny_blobs):

@@ -49,7 +49,7 @@ def composed_nt_xent(Z, temperature):
     `S[idx, partner]` a one-hot mask summed over columns.
     """
     Z = numnet.as_tensor(Z)
-    n, d = Z.shape
+    n, d = Z.data.shape
     norms = power(sum_(mul(Z, Z), axis=1, keepdims=True), 0.5)
     Zn = div(Z, norms)
     gram = sum_(mul(reshape(Zn, n, 1, d), reshape(Zn, 1, n, d)), axis=2)
@@ -257,6 +257,21 @@ def test_embed_keeps_the_dtype_of_its_rows(dtype):
     assert Z.dtype == dtype
     assert np.allclose(Z, ssrl.embed(params, X.astype(np.float64)),
                        rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("n_rows", [1, 511, 512, 513, 1100])
+def test_embed_blocks_equal_one_forward_bit_for_bit(n_rows):
+    """Stage 2's float64 tables: blocks of `TABLE_BLOCK` rows, the last one
+    short, give one forward over all the rows, bit for bit. At 513 rows
+    the lone last row joins the block before it; alone, numpy would send
+    it through gemv, whose last bits can differ from gemm's."""
+    encoder = numnet.init_mlp([6, *ssrl.ENCODER_WIDTHS],
+                              [ssrl.ENCODER_WIDTHS[-1], 10], seed=31)
+    X = np.random.default_rng(31).normal(size=(n_rows, 6))
+    table = ssrl.embed(encoder, X)
+    whole = numnet.frozen_forward(encoder, X, head=False)
+    assert table.dtype == whole.dtype == np.float64
+    assert np.array_equal(table, whole)
 
 
 @pytest.mark.parametrize("n_features", [1, 6, 16, 33])
