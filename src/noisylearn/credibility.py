@@ -94,10 +94,10 @@ def per_sample_stats(classifier: MlpParams, dataset: LabeledDataset
     `dataset.X` holds the embedded rows the classifier reads.
     """
     P = numnet.mlp_forward(classifier, dataset.X)
-    clamped = np.maximum(P, numnet.LOG_FLOOR)
-    losses = -np.log(clamped[np.arange(len(dataset)), dataset.y_noisy])
+    rows = np.arange(len(dataset))
+    losses = -np.log(np.maximum(P[rows, dataset.y_noisy], numnet.LOG_FLOOR))
     y_pred = P.argmax(axis=-1)
-    confidences = P[np.arange(len(dataset)), y_pred]
+    confidences = P[rows, y_pred]
     return losses, confidences, y_pred
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .numnet import Tensor, _as_float, as_tensor
+from .numnet import Tensor, _as_float
 
 Array = np.ndarray
 
@@ -84,7 +84,8 @@ def sharpen_t(p: Tensor, temperature: float) -> Tensor:
     return Tensor(powered / s, push if p._push else None)
 
 
-def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
+def graph_regularizer(graph: NeighborGraph, p_unlabeled: Tensor,
+                      labels_labeled: Array,
                       lam_lu: float, lam_uu: float) -> Tensor:
     """Affinity-weighted disagreement penalty.
 
@@ -96,35 +97,34 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
       + lam_uu * sum_{u != v in U}    A_uv ||p_u - p_v||^2
 
     with the unlabeled-unlabeled sum running over ordered pairs.
-    p_unlabeled is a tape Tensor or an array; the result is a scalar
-    Tensor. It is one tape node, and both its value and its gradient come
-    from the graph Laplacian of the weights `B` below: the value is the
-    Laplacian's quadratic form over the rows of all nodes, and the
-    gradient is `2 (rowsum(B) P - B Q)`, whose two products the value
-    shares. The affinity must be symmetric, as `build_neighbor_graph`
-    makes it; it may be float32. The penalty is exactly zero when all rows
-    agree, and zero up to rounding when only the connected pairs do.
+    p_unlabeled is a tape Tensor; the result is a scalar Tensor. It is one
+    tape node, and both its value and its gradient come from the graph
+    Laplacian of the weights `B` below: the value is the Laplacian's
+    quadratic form over the rows of all nodes, and the gradient is
+    `2 (rowsum(B) P - B Q)`, whose two products the value shares. The
+    affinity must be symmetric, as `build_neighbor_graph` makes it; it may
+    be float32. The penalty is exactly zero when all rows agree, and zero
+    up to rounding when only the connected pairs do.
     """
     n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
-    p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
     if n_u == 0 or not (n_l and lam_lu > 0 or n_u > 1 and lam_uu > 0):
-        return as_tensor(0.0)  # no pair carries weight
+        return Tensor(0.0)  # no pair carries weight
 
     # The rows Q = [P; Y], shifted by P[0]: the shift keeps every distance
     # and makes all rows exactly zero when they agree, so value and
     # gradient are then 0 in whatever order BLAS sums products.
-    P = p.data
+    P = p_unlabeled.data
     Q = np.concatenate([P, labels_labeled.reshape(n_l, P.shape[1])])
     Q -= P[0]
-    # B = [lam_uu (A_UU + A_UU) | lam_lu A_UL], the U-U diagonal zero: the
-    # weight of each unlabeled row against every row of Q, in float64 for a
+    # B = [2 lam_uu A_UU | lam_lu A_UL], the U-U diagonal zero: the weight
+    # of each unlabeled row against every row of Q, in float64 for a
     # float32 affinity too. A_UU is doubled because the U-U sum runs over
-    # ordered pairs, so each unordered pair counts twice.
+    # ordered pairs, so each unordered pair counts twice; doubling is
+    # exact, so `A (2 lam_uu)` has the bits of `(A + A) lam_uu`.
     A = graph.affinity
     B = np.empty((n_u, Q.shape[0]))
-    np.add(A[n_l:, n_l:], A[n_l:, n_l:], out=B[:, :n_u])
-    B[:, :n_u] *= lam_uu
+    np.multiply(A[n_l:, n_l:], 2.0 * lam_uu, out=B[:, :n_u], dtype=np.float64)
     B[np.arange(n_u), np.arange(n_u)] = 0.0
     np.multiply(A[n_l:, :n_l], lam_lu, out=B[:, n_u:], dtype=np.float64)
     # The Laplacian rows of the unlabeled nodes, rowsum(B) Q_U - B Q, and of
@@ -136,5 +136,5 @@ def graph_regularizer(graph: NeighborGraph, p_unlabeled, labels_labeled: Array,
     value = (Q[:n_u] * G).sum() + (Q[n_u:] * H).sum()
 
     def push(g):
-        return [(p, (2.0 * g) * G)]
-    return Tensor(value, push if p._push else None)
+        return [(p_unlabeled, (2.0 * g) * G)]
+    return Tensor(value, push if p_unlabeled._push else None)

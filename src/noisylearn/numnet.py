@@ -12,9 +12,11 @@ each push its whole gradient as it reaches it. Each push replays the
 chain rule of the per-op composition it replaced; the tests build those
 compositions on a general reference tape and check the nodes against
 them bit for bit. It is not a general autodiff system: a node pushed into
-twice raises. `frozen_forward` runs the same network forward on constants
-and records nothing; every probability, prediction and embedding table
-that takes no gradient comes from it.
+twice raises. An array enters the tape only as a `Tensor`. `frozen_forward`
+runs the same network forward on constants and records nothing; every
+probability, prediction and embedding table that takes no gradient comes
+from it, and every probability is the value of the one softmax,
+`softmax_rows`.
 
 A node computes in the dtype of its input: float32 stays float32, all else
 becomes float64. Stages 1 and 3 feed float32 rows, so their networks (and
@@ -80,10 +82,6 @@ def _as_float(x) -> Array:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _shifted_exp(logits: Array) -> tuple[Array, Array]:
     """`e = exp(logits - rowmax)` in one fresh buffer, and its row sums."""
     e = logits - logits.max(axis=-1, keepdims=True)
@@ -137,20 +135,6 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
 # ---------------------------------------------------------------------------
 # Plain (tape-free) numeric operations
 # ---------------------------------------------------------------------------
-
-def softmax(logits: Array) -> Array:
-    """Stable softmax over the last axis of a vector or matrix of logits.
-
-    The value of `softmax_rows`, bit for bit, computed in place without a
-    tape node, in the dtype of `logits` (float32 stays, all else float64).
-    """
-    logits = _as_float(logits)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("softmax: non-finite logits")
-    e, s = _shifted_exp(logits)
-    e /= s
-    return e
-
 
 def one_hot(labels: Array, n_classes: int) -> Array:
     labels = np.asarray(labels)
@@ -313,8 +297,12 @@ def frozen_forward(params: MlpParams, X: Array, head: bool = True) -> Array:
 
 def mlp_forward(params: MlpParams, X: Array) -> Array:
     """Class probabilities of the rows of `X`, in their dtype (float32
-    stays, all else float64)."""
-    return softmax(frozen_forward(params, X))
+    stays, all else float64): the value of the `softmax_rows` node on the
+    frozen logits. Non-finite logits raise NumericError."""
+    logits = frozen_forward(params, X)
+    if not np.isfinite(logits).all():
+        raise NumericError("mlp_forward: non-finite logits")
+    return softmax_rows(Tensor(logits)).data
 
 
 def predict_classes(params: MlpParams, X: Array) -> Array:

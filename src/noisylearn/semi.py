@@ -129,7 +129,7 @@ def _guess_from_views(params: MlpParams, views: Array, K: int,
     """
     probs = numnet.mlp_forward(params, views).astype(np.float64, copy=False)
     first, *rest = np.split(probs, K)
-    return sharpen_t(numnet.as_tensor(sum(rest, first) / K), T).data
+    return sharpen_t(Tensor(sum(rest, first) / K), T).data
 
 
 def mixup(x1: Array, y1: Array, x2: Array, y2: Array, alpha: float,
@@ -231,7 +231,7 @@ def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
     of its three parts.
     """
     l_sup = numnet.softmax_cross_entropy(tape.logits(batch.X_sup), batch.y_sup)
-    l_unsup = r = numnet.as_tensor(0.0)
+    l_unsup = r = Tensor(0.0)
     if batch.X_unsup.shape[0]:  # a mean over zero rows would divide by zero
         l_unsup = consistency_loss(
             numnet.softmax_rows(tape.logits(batch.X_unsup)), batch.q_unsup)

@@ -26,12 +26,12 @@ ENCODER_WIDTHS = (64, 64)  # output widths of the encoder's layers
 TABLE_BLOCK = 512          # rows a forward takes while `embed` fills a table
 
 
-def nt_xent_loss(Z, temperature: float) -> Tensor:
+def nt_xent_loss(Z: Tensor, temperature: float) -> Tensor:
     """Contrastive loss over an interleaved batch of paired rows.
 
     Rows 2k and 2k+1 must be the two views of the same example, and there
     must be at least two pairs, as `train_encoder` makes them. `Z` is a
-    tape Tensor or an array; the result is a scalar Tensor. Each row is
+    tape Tensor; the result is a scalar Tensor. Each row is
     L2-normalized, all pairwise cosine similarities are scaled by
     `temperature`, the self term is masked out, and the loss is the mean
     cross-entropy of picking the partner row. It is one tape node whose
@@ -49,7 +49,6 @@ def nt_xent_loss(Z, temperature: float) -> Tensor:
     gradient. So the loss and its gradient carry float32 rounding of the
     scores, about 1e-7 / t.
     """
-    Z = numnet.as_tensor(Z)
     n = Z.data.shape[0]
     idx = np.arange(n)
     partner = idx ^ 1  # 2k <-> 2k+1

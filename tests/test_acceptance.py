@@ -23,7 +23,7 @@ from noisylearn.data import (DatasetSpec, default_pair_map,
                              make_blobs)
 from tape_ops import cross_entropy_rows
 from test_credibility import bimodal_sample, reference_em
-from util import central_diff, child_env, max_rel_err
+from util import central_diff, child_env, max_rel_err, softmax
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -147,7 +147,7 @@ def test_criterion_04_probability_and_graph_algebra(capsys):
     rng = np.random.default_rng(31)
 
     logits = rng.normal(size=(1000, 10)) * 5.0
-    P = numnet.softmax(logits)
+    P = softmax(logits)
     closure = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
 
     sharpened = graphreg.sharpen_t(numnet.Tensor(P), 0.5).data
@@ -160,13 +160,13 @@ def test_criterion_04_probability_and_graph_algebra(capsys):
     symmetric = bool(np.array_equal(A, A.T))
     in_range = bool(A.min() >= 0.0 and A.max() <= 0.5 + 1e-12)
 
-    p_u = numnet.softmax(rng.normal(size=(500, 10)))
+    p_u = numnet.Tensor(softmax(rng.normal(size=(500, 10))))
     y_l = numnet.one_hot(rng.integers(0, 10, size=500), 10)
     r_random = float(graphreg.graph_regularizer(graph, p_u, y_l, 0.01,
                                                 0.005).data)
     agree = numnet.one_hot(np.full(500, 3), 10)
-    r_agree = float(graphreg.graph_regularizer(graph, agree, agree, 0.01,
-                                               0.005).data)
+    r_agree = float(graphreg.graph_regularizer(graph, numnet.Tensor(agree),
+                                               agree, 0.01, 0.005).data)
 
     dt = time.perf_counter() - t0
     ok = (closure <= 1e-12 and argmax_kept and symmetric and in_range

@@ -320,33 +320,53 @@ def test_determinism_byte_identical_metrics(tmp_path):
         (tmp_path / "b" / "model.json").read_bytes()
 
 
-def test_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
-    """OpenBLAS splits a product over its threads only when the product is
-    large enough. At two threads it split the 512 x 32 by 32 x 512 NT-Xent
-    product of a stage-1 batch of 256, 512-row embedding blocks and the
-    256-row graph of a stage-3 batch of 128, but not a 120 x 16 by 16 x 64
-    product. So this run has 512 training rows and those batch sizes, and
-    every artifact and the printed summary must not change with the
-    thread count."""
-    config = write_tiny_config(
-        tmp_path / "config.json",
-        dataset={"n_classes": 4, "n_per_class": 160, "n_features": 8},
-        stage1={"epochs": 3, "batch_size": 256},
-        stage3={"epochs": 2, "batch_size": 128})
+# OpenBLAS splits a product over its threads only when the product is large
+# enough. At two threads it split the 512 x 32 by 32 x 512 NT-Xent product
+# of a stage-1 batch of 256, 512-row embedding blocks and the 256-row graph
+# of a stage-3 batch of 128, but not a 120 x 16 by 16 x 64 product. So the
+# thread tests run on 640 rows with those batch sizes.
+THREAD_SPLIT = {
+    "dataset": {"n_classes": 4, "n_per_class": 160, "n_features": 8},
+    "stage1": {"epochs": 3, "batch_size": 256},
+    "stage3": {"epochs": 2, "batch_size": 128},
+}
+
+
+def outputs_at_one_and_two_blas_threads(tmp_path, command, *args):
+    """`command` on the `THREAD_SPLIT` config at OPENBLAS_NUM_THREADS=1 and
+    =2, each in a fresh directory: its stdout, stderr and the bytes of
+    every file it wrote there."""
+    config = write_tiny_config(tmp_path / "config.json", **THREAD_SPLIT)
     runs = []
     for threads in ("1", "2"):
         cwd = tmp_path / f"threads{threads}"
         cwd.mkdir()
         out = subprocess.run(
-            [sys.executable, "-m", "noisylearn", "pipeline", "--config",
-             str(config), "--out-dir", "run"], capture_output=True,
-            text=True, cwd=cwd,
+            [sys.executable, "-m", "noisylearn", command, "--config",
+             str(config), *args], capture_output=True, text=True, cwd=cwd,
             env={**child_env(), "OPENBLAS_NUM_THREADS": threads})
         assert out.returncode == 0, out.stderr
-        files = sorted(p for p in (cwd / "run").rglob("*") if p.is_file())
+        files = sorted(p for p in cwd.rglob("*") if p.is_file())
         runs.append((out.stdout, out.stderr, {
             str(p.relative_to(cwd)): p.read_bytes() for p in files}))
+    return runs
+
+
+def test_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """Every artifact and the printed summary."""
+    runs = outputs_at_one_and_two_blas_threads(tmp_path, "pipeline",
+                                               "--out-dir", "run")
     assert len(runs[0][2]) == 10
+    assert runs[0] == runs[1]
+
+
+def test_ablate_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """The metrics CSV and the printed summary of all four cells, the
+    graph-off and uniform-sampler ones included."""
+    runs = outputs_at_one_and_two_blas_threads(tmp_path, "ablate",
+                                               "--metrics", "ablate.csv")
+    assert list(runs[0][2]) == ["ablate.csv"]
+    assert len(runs[0][0].splitlines()) == 4
     assert runs[0] == runs[1]
 
 

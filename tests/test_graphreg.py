@@ -7,6 +7,7 @@ from noisylearn.errors import NumericError
 
 from tape_ops import (add, clip_min, div, leaf, mul, power, pushes,
                       recording, reshape, sub, sum_)
+from util import softmax
 
 
 def unit_rows(rows):
@@ -114,7 +115,8 @@ def test_graph_role_partition():
              for u in range(3) for v in range(2))
     uu = sum(A[2 + u, 2 + w] * np.sum((p[u] - p[w]) ** 2)
              for u in range(3) for w in range(3) if u != w)
-    got = float(graphreg.graph_regularizer(g, p, y, 0.01, 0.005).data)
+    got = float(graphreg.graph_regularizer(g, numnet.Tensor(p), y, 0.01,
+                                           0.005).data)
     assert got == pytest.approx(0.01 * lu + 0.005 * uu, rel=1e-12)
 
 
@@ -201,7 +203,7 @@ def test_sharpen_t_equals_composition_bit_for_bit(n, c, spread, temperature,
     """Softmax rows from soft to near one-hot; at large spreads most
     entries lie under the 1e-12 clamp, where the gradient is cut."""
     rng = np.random.default_rng(seed)
-    p = numnet.softmax(rng.normal(scale=spread, size=(n, c)))
+    p = softmax(rng.normal(scale=spread, size=(n, c)))
     upstream = rng.normal(size=(n, c))
     leaves = [leaf(p.copy()) for _ in range(2)]
     with recording() as made:
@@ -232,7 +234,7 @@ def agreement_setup():
     Z = unit_rows([[1, 0], [1, 0], [1, 0], [1, 0]])
     g = graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=2)
     y = np.array([[1.0, 0.0], [1.0, 0.0]])
-    p = np.array([[1.0, 0.0], [1.0, 0.0]])
+    p = numnet.Tensor([[1.0, 0.0], [1.0, 0.0]])
     return g, p, y
 
 
@@ -246,7 +248,7 @@ def test_regularizer_nonnegative_random():
     for _ in range(20):
         Z = rng.normal(size=(6, 4)) + 0.2
         g = graphreg.build_neighbor_graph(Z, tau=0.1, n_labeled=3)
-        p = rng.dirichlet(np.ones(3), size=3)
+        p = numnet.Tensor(rng.dirichlet(np.ones(3), size=3))
         y = np.eye(3)
         assert float(graphreg.graph_regularizer(g, p, y, 0.01, 0.005).data) >= 0.0
 
@@ -256,7 +258,7 @@ def test_regularizer_hand_value():
     Z = unit_rows([[1, 0], [1, 0], [1, 0]])
     g = graphreg.build_neighbor_graph(Z, tau=0.5, n_labeled=1)
     y = np.array([[1.0, 0.0]])
-    p = np.array([[0.9, 0.1], [1.0, 0.0]])
+    p = numnet.Tensor([[0.9, 0.1], [1.0, 0.0]])
     # LU: 0.5*(0.02) + 0.5*0 = 0.01; UU ordered both directions: 2*0.5*0.02
     expected = 0.01 * (0.5 * 0.02 + 0.5 * 0.0) + 0.005 * (2 * 0.5 * 0.02)
     got = float(graphreg.graph_regularizer(g, p, y, 0.01, 0.005).data)
@@ -270,7 +272,8 @@ def test_regularizer_hand_value():
 def test_regularizer_empty_unlabeled_is_zero():
     Z = unit_rows([[1, 0], [0, 1]])
     g = graphreg.build_neighbor_graph(Z, tau=0.0, n_labeled=2)
-    out = graphreg.graph_regularizer(g, np.zeros((0, 2)), np.eye(2), 0.01, 0.005)
+    out = graphreg.graph_regularizer(g, numnet.Tensor(np.zeros((0, 2))),
+                                     np.eye(2), 0.01, 0.005)
     assert float(out.data) == 0.0
 
 
@@ -289,37 +292,36 @@ def test_regularizer_gradient_matches_finite_differences():
     for i in np.ndindex(p0.shape):
         bump = p0.copy()
         bump[i] += h
-        up = float(graphreg.graph_regularizer(g, bump, y, 0.01, 0.005).data)
+        up = float(graphreg.graph_regularizer(g, numnet.Tensor(bump), y,
+                                              0.01, 0.005).data)
         bump[i] -= 2 * h
-        down = float(graphreg.graph_regularizer(g, bump, y, 0.01, 0.005).data)
+        down = float(graphreg.graph_regularizer(g, numnet.Tensor(bump), y,
+                                                0.01, 0.005).data)
         fd[i] = (up - down) / (2 * h)
     assert np.max(np.abs(t.grad - fd)) < 1e-6
 
 
-def difference_stack_regularizer(graph, p_unlabeled, labels_labeled, lam_lu,
-                                 lam_uu):
+def difference_stack_regularizer(graph, p, labels_labeled, lam_lu, lam_uu):
     """The penalty as (u, l, C) and (u, u, C) difference stacks on the tape.
 
     This is the form the fused node replaced, kept as its reference: it
     builds every pairwise difference explicitly, so it is slow but plainly
     the sum the docstring states.
     """
-    as_tensor = numnet.as_tensor
     n_l, n_u = graph.n_labeled, graph.n_nodes - graph.n_labeled
-    p = as_tensor(p_unlabeled)
     labels_labeled = np.asarray(labels_labeled, dtype=np.float64)
     if n_l and lam_lu > 0:
         diff_ul = sub(reshape(p, n_u, 1, -1), labels_labeled[None, :, :])
         lu_term = sum_(mul(graph.affinity[n_l:, :n_l],
                            sum_(mul(diff_ul, diff_ul), axis=2)))
     else:
-        lu_term = as_tensor(0.0)
+        lu_term = numnet.Tensor(0.0)
     if n_u > 1 and lam_uu > 0:
         diff_uu = sub(reshape(p, n_u, 1, -1), reshape(p, 1, n_u, -1))
         W = np.triu(graph.affinity[n_l:, n_l:], 1) * 2.0
         uu_term = sum_(mul(W, sum_(mul(diff_uu, diff_uu), axis=2)))
     else:
-        uu_term = as_tensor(0.0)
+        uu_term = numnet.Tensor(0.0)
     return add(mul(lu_term, lam_lu), mul(uu_term, lam_uu))
 
 

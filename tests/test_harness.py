@@ -117,7 +117,7 @@ def test_evaluate_takes_the_class_from_the_logits(monkeypatch):
                                y_noisy=np.array([0, 1, 1]), n_classes=2)
     params = numnet.MlpParams(
         encoder=[], classifier=[numnet.Layer(np.eye(2), np.zeros(2))])
-    monkeypatch.setattr(numnet, "softmax", None)
+    monkeypatch.setattr(numnet, "softmax_rows", None)
     top1, per_class = harness.evaluate(params, test)
     assert top1 == 1.0
     assert per_class.tolist() == [1.0, 1.0]

@@ -64,10 +64,11 @@ def test_graph_build_allocates_the_affinity_and_normalized_rows():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_graph_penalty_allocates_its_weights_and_little_else(dtype):
     """The stage-3 batch, 128 L + 128 U rows: the penalty holds its weights
-    `B` (128 x 256 float64) and no n_u x n distance matrix. The ufuncs over
-    B's strided blocks buffer 8,192 elements an operand, which is most of
-    the rest: 1.84x (float64) and 1.58x (float32) B's bytes. Holding `K`,
-    `W` and `B` at once took 3.10x."""
+    `B` (128 x 256 float64) and no n_u x n distance matrix: 1.59x (float64)
+    and 1.58x (float32) B's bytes. A ufunc over a strided block of B
+    buffers 8,192 elements an operand; filling the U-U block with an add
+    and then a scale took 1.84x (float64), and holding `K`, `W` and `B` at
+    once took 3.10x."""
     rng = np.random.default_rng(6)
     Z = np.abs(rng.normal(size=(256, 64))).astype(dtype)
     graph = graphreg.build_neighbor_graph(Z, 0.5, n_labeled=128)
@@ -76,7 +77,7 @@ def test_graph_penalty_allocates_its_weights_and_little_else(dtype):
     y = np.eye(10)[rng.integers(0, 10, size=128)]
     _, peak = traced_peak(
         lambda: graphreg.graph_regularizer(graph, p, y, 0.01, 0.005))
-    assert peak <= 2.0 * (128 * 256 * 8)
+    assert peak <= 1.7 * (128 * 256 * 8)
 
 
 def test_frozen_forward_allocates_two_layer_outputs_at_most():

@@ -12,7 +12,7 @@ from noisylearn.errors import NumericError
 from tape_ops import (Node, add, clip_min, cross_entropy_rows, div, exp,
                       leaf, log, matmul, mean, mul, pushes, recording, relu,
                       reshape, sub, sum_)
-from util import central_diff, max_rel_err
+from util import central_diff, max_rel_err, softmax
 
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -152,7 +152,7 @@ def test_a_node_with_two_consumers_raises_instead_of_pushing_twice():
         return semi.weighted_total(
             numnet.softmax_cross_entropy(logits, targets),
             numnet.softmax_cross_entropy(logits, targets[::-1]),
-            numnet.as_tensor(0.0), 1.0)
+            numnet.Tensor(0.0), 1.0)
 
     with pytest.raises(RuntimeError,
                        match=r"^backward\(\) already ran on this tape$"):
@@ -204,7 +204,7 @@ def test_backward_rejects_nonfinite_root():
 
 
 def test_softmax_hand_value():
-    p = numnet.softmax(np.array([[1.0, 2.0, 3.0]]))
+    p = softmax(np.array([[1.0, 2.0, 3.0]]))
     expected = [0.09003057317038046, 0.24472847105479764, 0.6652409557748218]
     assert np.allclose(p[0], expected, atol=1e-12)
     assert p.shape == (1, 3)
@@ -212,26 +212,27 @@ def test_softmax_hand_value():
 
 def test_softmax_shift_invariance():
     logits = finite_rows(5, 4, 9)
-    assert np.allclose(numnet.softmax(logits), numnet.softmax(logits + 123.0),
+    assert np.allclose(softmax(logits), softmax(logits + 123.0),
                        atol=1e-12)
 
 
 def test_softmax_handles_large_logits():
-    p = numnet.softmax(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
+    p = softmax(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
     assert np.all(np.isfinite(p))
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
-def test_softmax_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        numnet.softmax(np.array([[np.nan, 0.0]]))
+def test_mlp_forward_rejects_nonfinite_logits():
+    params = numnet.MlpParams([], [numnet.Layer(np.eye(2), np.zeros(2))])
+    with pytest.raises(NumericError, match="non-finite logits"):
+        numnet.mlp_forward(params, np.array([[np.nan, 0.0]]))
 
 
 @given(st.integers(2, 6), st.integers(1, 8), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_softmax_simplex_closure(c, n, seed):
     logits = np.random.default_rng(seed).normal(scale=5.0, size=(n, c))
-    p = numnet.softmax(logits)
+    p = softmax(logits)
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
@@ -316,7 +317,7 @@ def composed_forward(leaves, X, head=True):
     layers = [name[:-len(".weight")] for name in leaves
               if name.endswith(".weight")
               and (head or name.startswith("encoder."))]
-    Z = numnet.as_tensor(X)
+    Z = numnet.Tensor(X)
     for i, layer in enumerate(layers):
         Z = composed_dense(Z, leaves[layer + ".weight"],
                            leaves[layer + ".bias"],
@@ -416,7 +417,7 @@ def test_softmax_cross_entropy_floor_engages_and_matches():
     """Spread logits floor most probabilities at LOG_FLOOR, gradient and all."""
     logits = np.random.default_rng(7).normal(scale=200.0, size=(5, 6))
     targets = np.full((5, 6), 1.0 / 6)
-    assert np.mean(numnet.softmax(logits) < numnet.LOG_FLOOR) > 0.5
+    assert np.mean(softmax(logits) < numnet.LOG_FLOOR) > 0.5
     leaves = twin_leaves([logits], [True])
     fused = numnet.softmax_cross_entropy(leaves[0][0], targets)
     composed = composed_softmax_cross_entropy(leaves[1][0], targets)
@@ -446,14 +447,6 @@ def test_softmax_rows_equals_composition_bit_for_bit(n, c, spread, vector,
         sum_(mul(out, upstream)).backward()
     assert pushes(made) == 1    # one node
     assert_same_bits(fused, composed, *leaves)
-
-
-def test_softmax_is_softmax_rows_on_a_constant():
-    logits = finite_rows(7, 5, 36) * 30.0
-    assert np.array_equal(numnet.softmax(logits),
-                          numnet.softmax_rows(numnet.Tensor(logits)).data)
-    assert np.array_equal(numnet.softmax(logits[0]),
-                          composed_softmax_rows(numnet.Tensor(logits[0])).data)
 
 
 @pytest.mark.parametrize("frozen", [(), ("encoder",), ("classifier",)])
@@ -501,7 +494,7 @@ def test_ce_step_records_one_node_per_forward_plus_loss():
 def test_consistency_loss_equals_composition_bit_for_bit(n, c, upstream,
                                                          seed):
     rng = np.random.default_rng(seed)
-    p = numnet.softmax(rng.normal(scale=3.0, size=(n, c)))
+    p = softmax(rng.normal(scale=3.0, size=(n, c)))
     targets = rng.dirichlet(np.ones(c), size=n)
     leaves = twin_leaves([p], [True])
     with recording() as made:
@@ -529,7 +522,7 @@ def composed_stage3_loss(leaves, batch, graph, config):
     total terms composed from `tape_ops`."""
     l_sup = composed_softmax_cross_entropy(
         composed_forward(leaves, batch.X_sup), batch.y_sup)
-    l_unsup = r = numnet.as_tensor(0.0)
+    l_unsup = r = numnet.Tensor(0.0)
     if batch.X_unsup.shape[0]:
         diff = sub(composed_softmax_rows(
             composed_forward(leaves, batch.X_unsup)), batch.q_unsup)
@@ -665,7 +658,7 @@ def test_predict_classes_is_the_argmax_of_the_logits(monkeypatch):
     X = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-1e-17, 0.0, -5.0]])
     P = numnet.mlp_forward(params, X)
     assert np.argmax(P, axis=-1).tolist() == [0, 1, 0]
-    monkeypatch.setattr(numnet, "softmax", None)
+    monkeypatch.setattr(numnet, "softmax_rows", None)
     assert numnet.predict_classes(params, X).tolist() == [0, 1, 1]
     assert numnet.accuracy(params, X, np.array([0, 1, 1])) == 1.0
     params.classifier[0].weight[2, 0] = np.nan

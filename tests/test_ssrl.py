@@ -38,7 +38,7 @@ def reference_nt_xent(Z, temperature):
 
 
 def nt_xent(Z, temperature):
-    return float(ssrl.nt_xent_loss(Z, temperature).data)
+    return float(ssrl.nt_xent_loss(numnet.Tensor(Z), temperature).data)
 
 
 def composed_nt_xent(Z, temperature):
@@ -48,7 +48,6 @@ def composed_nt_xent(Z, temperature):
     `Zn @ Zn.T` is the broadcast product summed over features and
     `S[idx, partner]` a one-hot mask summed over columns.
     """
-    Z = numnet.as_tensor(Z)
     n, d = Z.data.shape
     norms = power(sum_(mul(Z, Z), axis=1, keepdims=True), 0.5)
     Zn = div(Z, norms)
@@ -76,7 +75,7 @@ def test_nt_xent_gradient_matches_finite_differences():
     _, analytic = value_and_grad(composed_nt_xent, Z, 0.5)
 
     def composed(Z):
-        return float(composed_nt_xent(Z, 0.5).data)
+        return float(composed_nt_xent(numnet.Tensor(Z), 0.5).data)
 
     numeric = np.zeros_like(Z)
     h = 1e-6

@@ -68,6 +68,11 @@ def max_rel_err(analytic, numeric):
     return worst
 
 
+def softmax(logits):
+    """The value of the `softmax_rows` node on constant `logits`."""
+    return numnet.softmax_rows(numnet.Tensor(logits)).data
+
+
 def logistic_probe_predict(X_train, y_train, X_eval, n_classes,
                            steps=400, lr=0.5):
     """Full-batch multinomial logistic regression on standardized features."""
@@ -79,7 +84,7 @@ def logistic_probe_predict(X_train, y_train, X_eval, n_classes,
     b = np.zeros(n_classes)
     targets = np.eye(n_classes)[y_train]
     for _ in range(steps):
-        probs = numnet.softmax(Xs @ W + b)
+        probs = softmax(Xs @ W + b)
         g = (probs - targets) / len(Xs)
         W -= lr * (Xs.T @ g)
         b -= lr * g.sum(axis=0)
