@@ -167,10 +167,10 @@ def load_transfer(path) -> tuple[TransferredLabels, int]:
     if n_classes < 2 or n_samples < 1:
         raise CheckpointError(f"{where}n_classes, n_samples: expected at "
                               f"least 2 and 1, got {n_classes}, {n_samples}")
-    thresholds = _object(where + "thresholds", doc.get("thresholds", {}))
-    tau = [_number(f"{where}thresholds.{name}", thresholds.get(name, 0.5))
+    thresholds = _object(where + "thresholds", doc.get("thresholds"))
+    tau = [_number(f"{where}thresholds.{name}", thresholds.get(name))
            for name in ("tau_clean", "tau_right")]
-    rows, entry = doc.get("L", []), f"{path}: bad L entry: transfer field L"
+    rows, entry = doc.get("L"), f"{path}: bad L entry: transfer field L"
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise CheckpointError(f"{entry}: expected a list of objects")
     index, label = (_numbers(f"{entry}.{key}", [row.get(key) for row in rows],
@@ -183,7 +183,7 @@ def load_transfer(path) -> tuple[TransferredLabels, int]:
     if out.any():
         raise CheckpointError(f"{entry}.label: label out of range in entry "
                               f"{rows[np.argmax(out)]!r}")
-    unlabeled = _numbers(where + "U", doc.get("U", []), integer=True)
+    unlabeled = _numbers(where + "U", doc.get("U"), integer=True)
     if len(index) + len(unlabeled) != n_samples or not np.array_equal(
             np.sort(np.concatenate([index, unlabeled])), np.arange(n_samples)):
         raise CheckpointError(

@@ -4,19 +4,19 @@ A small reverse-mode tape over numpy arrays, MLP parameter containers,
 SGD/Adam optimizers, a cosine learning-rate schedule, a parameter EMA, and
 the one training loop (`fit`) every stage runs. The tape records fused
 nodes only, one per network forward and one per loss term: the network
-forward (`TapeMlp.logits`), `softmax_rows` and `softmax_cross_entropy`
-here, NT-Xent in `ssrl`, sharpening and the graph penalty in `graphreg`,
-and the consistency term and the weighted total in `semi`. A node is its
-value and one push; each node feeds one consumer, so `backward` hands
-each push its whole gradient as it reaches it. Each push replays the
-chain rule of the per-op composition it replaced; the tests build those
-compositions on a general reference tape and check the nodes against
-them bit for bit. It is not a general autodiff system: a node pushed into
-twice raises. An array enters the tape only as a `Tensor`. `frozen_forward`
-runs the same network forward on constants and records nothing; every
-probability, prediction and embedding table that takes no gradient comes
-from it, and every probability is the value of the one softmax,
-`softmax_rows`.
+forward (the `logits` that `grad` hands each loss), `softmax_rows` and
+`softmax_cross_entropy` here, NT-Xent in `ssrl`, sharpening and the graph
+penalty in `graphreg`, and the consistency term and the weighted total in
+`semi`. A node is its value and one push; each node feeds one consumer, so
+`backward` hands each push its whole gradient as it reaches it. Each push
+replays the chain rule of the per-op composition it replaced; the tests
+build those compositions on a general reference tape and check the nodes
+against them bit for bit. It is not a general autodiff system: a node
+pushed into twice raises. An array enters the tape only as a `Tensor`.
+`frozen_forward` runs the same network forward on constants and records
+nothing; every probability, prediction and embedding table that takes no
+gradient comes from it, and every probability is the value of the one
+softmax, `softmax_rows`.
 
 A node computes in the dtype of its input: float32 stays float32, all else
 becomes float64. Stages 1 and 3 feed float32 rows, so their networks (and
@@ -99,11 +99,13 @@ def softmax_rows(logits: Tensor) -> Tensor:
     does, so both match the composition bit for bit.
     """
     e, s = _shifted_exp(logits.data)
+    if not logits._push:    # a constant: no push keeps `e`
+        return Tensor(np.divide(e, s, out=e))
 
     def push(g):
         ds = (-g * e / (s * s)).sum(axis=-1, keepdims=True)
         return [(logits, (g / s + ds) * e)]
-    return Tensor(e / s, push if logits._push else None)
+    return Tensor(e / s, push)
 
 
 LOG_FLOOR = 1e-12
@@ -320,55 +322,28 @@ def accuracy(params: MlpParams, X: Array, y: Array) -> float:
     return float(np.mean(predict_classes(params, X) == y))
 
 
-class TapeMlp:
-    """Tape view of an MlpParams, whose arrays never become tape leaves.
+LossFn = Callable[[Callable[[Array], Tensor]], Tensor]
 
-    `logits` runs on a constant input and records one node when some layer
-    is live (in a group not `frozen`); its push adds into `gradients()`.
-    `grads`, the `gradients()` of an earlier tape over the same params and
-    frozen groups, is zeroed and reused instead of building a new one. A
-    tape with no live layer builds no gradient.
+
+def grad(params: MlpParams, loss_fn: LossFn, frozen: Sequence[str] = (),
+         out: MlpParams | None = None) -> tuple[float, MlpParams]:
+    """The value of `loss_fn` and its gradient with respect to `params`.
+
+    `loss_fn(logits)` must build a scalar from tape operations, where
+    `logits(X)` is the network forward of `params` on the rows of `X`
+    (`_forward` with the head), one node whose push adds into the
+    gradient. The gradient holds the groups not named in `frozen`; a frozen
+    group is an empty list, and with both frozen no forward records a node.
+    `out`, a result of an earlier call with the same params and `frozen`,
+    is zeroed and refilled instead of laying out a new buffer.
     """
-
-    def __init__(self, params: MlpParams, frozen: Iterable[str] = (),
-                 grads: MlpParams | None = None):
-        frozen = set(frozen)
-        unknown = frozen - {"encoder", "classifier"}
-        if unknown:
-            raise ValueError(f"unknown frozen groups: {sorted(unknown)}")
-        self._params = params
-        live = [[] if group in frozen else getattr(params, group)
-                for group in ("encoder", "classifier")]
-        if grads is None and any(live):   # the live layers in one buffer
-            grads = MlpParams(*live)
-        if grads is not None:
-            grads.flat.fill(0.0)    # for the push's +=
-        self._grads = grads
-
-    def logits(self, X) -> Tensor:
-        """Head layers on the representation: ReLU between them, raw output."""
-        return _forward(X, self._params, self._grads, head=True)
-
-    def gradients(self) -> MlpParams:
-        """The live groups' gradients, zero where no forward used them; a
-        frozen group is an empty list."""
-        return self._grads or MlpParams([], [])
-
-
-def grad(params: MlpParams, loss_fn: Callable[[TapeMlp], Tensor],
-         frozen: Iterable[str] = (), out: MlpParams | None = None
-         ) -> tuple[float, MlpParams]:
-    """Evaluate `loss_fn` on a tape view of `params` and return gradients.
-
-    `loss_fn` must build a scalar from tape operations. Parameter groups
-    named in `frozen` are empty in the result. `out`, a result of an
-    earlier call with the same params and `frozen`, is overwritten and
-    returned instead of a new gradient.
-    """
-    tape = TapeMlp(params, frozen=frozen, grads=out)
-    loss = loss_fn(tape)
+    if out is None:
+        out = MlpParams(*([] if group in frozen else getattr(params, group)
+                          for group in ("encoder", "classifier")))
+    out.flat.fill(0.0)    # for the push's +=
+    loss = loss_fn(lambda X: _forward(X, params, out, head=True))
     loss.backward()
-    return float(loss.data), tape.gradients()
+    return float(loss.data), out
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +464,6 @@ def ema_params(ema: EmaState) -> MlpParams:
 # The training loop
 # ---------------------------------------------------------------------------
 
-LossFn = Callable[[TapeMlp], Tensor]
-
-
 def fit(params: MlpParams, opt: OptState, epochs: int, steps: int,
         batches: Callable[[], Iterable[LossFn]], eta_min: float,
         frozen: tuple[str, ...] = (), ema: EmaState | None = None
@@ -529,7 +501,7 @@ def ce_batches(X: Array, targets: Array, batch_size: int,
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], batch_size):
             take = order[start:start + batch_size]
-            yield lambda tape, xb=X[take], tb=targets[take]: (
-                softmax_cross_entropy(tape.logits(xb), tb))
+            yield lambda logits, xb=X[take], tb=targets[take]: (
+                softmax_cross_entropy(logits(xb), tb))
 
     return batches

@@ -219,7 +219,7 @@ def weighted_total(l_sup: Tensor, l_unsup: Tensor, r: Tensor,
                   push if l_sup._push or l_unsup._push or r._push else None)
 
 
-def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
+def stage3_loss(logits, batch: MixedBatch, graph: NeighborGraph | None,
                 config: MixMatchConfig) -> tuple[Tensor, dict[str, float]]:
     """The stage-3 objective L_sup + lambda_u * L_unsup + R on one batch.
 
@@ -227,16 +227,17 @@ def stage3_loss(tape, batch: MixedBatch, graph: NeighborGraph | None,
     mean squared distance of the mixed unlabeled rows' predictions from
     their targets, zero when the batch has no unlabeled rows. R is the
     graph penalty on the sharpened predictions for the raw unlabeled rows,
-    or zero without a graph. Returns the total on the tape and the values
-    of its three parts.
+    or zero without a graph. `logits` is the live forward that
+    `numnet.grad` hands a loss. Returns the total on the tape and the
+    values of its three parts.
     """
-    l_sup = numnet.softmax_cross_entropy(tape.logits(batch.X_sup), batch.y_sup)
+    l_sup = numnet.softmax_cross_entropy(logits(batch.X_sup), batch.y_sup)
     l_unsup = r = Tensor(0.0)
     if batch.X_unsup.shape[0]:  # a mean over zero rows would divide by zero
         l_unsup = consistency_loss(
-            numnet.softmax_rows(tape.logits(batch.X_unsup)), batch.q_unsup)
+            numnet.softmax_rows(logits(batch.X_unsup)), batch.q_unsup)
     if graph is not None:
-        p_hat = sharpen_t(numnet.softmax_rows(tape.logits(batch.X_u_raw)),
+        p_hat = sharpen_t(numnet.softmax_rows(logits(batch.X_u_raw)),
                           config.T)
         r = graph_regularizer(graph, p_hat, batch.y_l, config.lambda_lu,
                               config.lambda_uu)
@@ -293,8 +294,8 @@ def train_stage3(encoder_init: MlpParams, classifier_init: MlpParams,
     sums = dict.fromkeys(("l_sup", "l_unsup", "r_graph", "total"), 0.0)
 
     def step_loss(batch: MixedBatch, graph: NeighborGraph | None):
-        def loss_fn(tape):
-            total, parts = stage3_loss(tape, batch, graph, config)
+        def loss_fn(logits):
+            total, parts = stage3_loss(logits, batch, graph, config)
             for key, value in {**parts, "total": float(total.data)}.items():
                 sums[key] += value
             return total

@@ -133,8 +133,8 @@ def train_encoder(X: Array, config: ContrastiveConfig,
             views = np.empty((2 * batch, X.shape[1]), dtype=np.float32)
             views[0::2] = augment_batch(X[take], config.augmentation, rng)
             views[1::2] = augment_batch(X[take], config.augmentation, rng)
-            yield lambda tape, views=views: nt_xent_loss(
-                tape.logits(views), config.temperature)
+            yield lambda logits, views=views: nt_xent_loss(
+                logits(views), config.temperature)
 
     loss_curve = [float(np.mean(losses)) for losses in numnet.fit(
         params, numnet.adam(config.learning_rate), config.epochs, steps,

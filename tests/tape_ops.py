@@ -1,8 +1,9 @@
 """The reference tape: per-op nodes that no training stage records.
 
-The stages run fused nodes: the `TapeMlp` forward, `softmax_rows`,
-`softmax_cross_entropy`, `ssrl.nt_xent_loss`, `graphreg.sharpen_t`,
-`graph_regularizer`, `semi.consistency_loss` and `semi.weighted_total`.
+The stages run fused nodes: the network forward that `numnet.grad`
+hands each loss, `softmax_rows`, `softmax_cross_entropy`,
+`ssrl.nt_xent_loss`, `graphreg.sharpen_t`, `graph_regularizer`,
+`semi.consistency_loss` and `semi.weighted_total`.
 Each feeds one consumer, so `numnet`'s backward only hands each push its
 gradient. The tests check each fused node against the composition it
 replaced, built from the ops here, whose nodes may feed any number of

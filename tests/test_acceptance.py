@@ -23,7 +23,7 @@ from noisylearn.data import (DatasetSpec, default_pair_map,
                              make_blobs)
 from tape_ops import cross_entropy_rows
 from test_credibility import bimodal_sample, reference_em
-from util import central_diff, child_env, max_rel_err, softmax
+from util import central_diff, child_env, live_logits, max_rel_err, softmax
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -63,12 +63,12 @@ def test_criterion_01_gradient_correctness(capsys):
     X = rng.normal(size=(8, 5))
     targets = numnet.one_hot(rng.integers(0, 4, size=8), 4)
 
-    def mlp_loss(tape):
-        return cross_entropy_rows(numnet.softmax_rows(tape.logits(X)), targets)
+    def mlp_loss(logits):
+        return cross_entropy_rows(numnet.softmax_rows(logits(X)), targets)
 
     _, grads = numnet.grad(params, mlp_loss)
     fd = central_diff(params, lambda p: float(
-        mlp_loss(numnet.TapeMlp(p)).data))
+        mlp_loss(live_logits(p)).data))
     err_mlp = max_rel_err(grads, fd)
 
     # full stage-3 objective: mixed supervised + consistency + graph penalty
@@ -83,12 +83,12 @@ def test_criterion_01_gradient_correctness(capsys):
     Z = rng.normal(size=(9, 16))
     graph = graphreg.build_neighbor_graph(Z, tau=cfg.tau_c, n_labeled=4)
 
-    def stage3_loss(tape):
-        return semi.stage3_loss(tape, batch, graph, cfg)[0]
+    def stage3_loss(logits):
+        return semi.stage3_loss(logits, batch, graph, cfg)[0]
 
     _, grads3 = numnet.grad(model, stage3_loss)
     fd3 = central_diff(model, lambda p: float(
-        stage3_loss(numnet.TapeMlp(p)).data),
+        stage3_loss(live_logits(p)).data),
         max_coords=12, rng=np.random.default_rng(11))
     err_stage3 = max_rel_err(grads3, fd3)
 

@@ -323,12 +323,16 @@ def test_determinism_byte_identical_metrics(tmp_path):
 # OpenBLAS splits a product over its threads only when the product is large
 # enough. At two threads it split the 512 x 32 by 32 x 512 NT-Xent product
 # of a stage-1 batch of 256, 512-row embedding blocks and the 256-row graph
-# of a stage-3 batch of 128, but not a 120 x 16 by 16 x 64 product. So the
-# thread tests run on 640 rows with those batch sizes.
+# of a stage-3 batch of 128, but not a 120 x 16 by 16 x 64 product. In a
+# supervised batch of 256 it split the 256 x 64 by 64 x 64 products of the
+# middle layer (forward, and the push's `g wᵀ`) and its 64 x 256 by 256 x 64
+# weight gradient, but not a batch of 128's. So the thread tests run on 640
+# rows with those batch sizes.
 THREAD_SPLIT = {
     "dataset": {"n_classes": 4, "n_per_class": 160, "n_features": 8},
     "stage1": {"epochs": 3, "batch_size": 256},
     "stage3": {"epochs": 2, "batch_size": 128},
+    "supervised": {"epochs": 4, "batch_size": 256},
 }
 
 
@@ -366,6 +370,16 @@ def test_ablate_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
     runs = outputs_at_one_and_two_blas_threads(tmp_path, "ablate",
                                                "--metrics", "ablate.csv")
     assert list(runs[0][2]) == ["ablate.csv"]
+    assert len(runs[0][0].splitlines()) == 4
+    assert runs[0] == runs[1]
+
+
+def test_decouple_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """The metrics CSV and the printed summary of all four regimes, the two
+    with one group frozen included."""
+    runs = outputs_at_one_and_two_blas_threads(tmp_path, "decouple",
+                                               "--metrics", "decouple.csv")
+    assert list(runs[0][2]) == ["decouple.csv"]
     assert len(runs[0][0].splitlines()) == 4
     assert runs[0] == runs[1]
 
@@ -455,7 +469,13 @@ def test_stage3_rejects_a_transfer_of_another_class_count(stage2_dir):
     (lambda doc: doc.update(U=7), "transfer field U: expected a list"),
     (lambda doc: doc.update(U=[i + 0.5 for i in doc["U"]]),
      "transfer field U[0]: expected an integer"),
-], ids=["U_int", "U_shifted_by_half"])
+    (lambda doc: doc.pop("thresholds"),
+     "transfer field thresholds: expected an object"),
+    (lambda doc: doc.pop("L"),
+     "bad L entry: transfer field L: expected a list of objects"),
+    (lambda doc: doc.pop("U"), "transfer field U: expected a list"),
+], ids=["U_int", "U_shifted_by_half", "thresholds_missing", "L_missing",
+        "U_missing"])
 def test_stage3_rejects_a_malformed_transfer_naming_the_file(stage2_dir, edit,
                                                              message):
     doc = json.loads((stage2_dir / "transfer.json").read_text())

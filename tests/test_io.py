@@ -203,6 +203,15 @@ ARTIFACTS = {  # kind: (write a valid file, load one)
     ("transfer", lambda doc: doc["thresholds"].update(tau_clean="abc"),
      "transfer field thresholds.tau_clean: expected a finite number, "
      "got 'abc'"),
+    ("transfer", lambda doc: doc.pop("thresholds"),
+     "transfer field thresholds: expected an object, got NoneType"),
+    ("transfer", lambda doc: doc["thresholds"].pop("tau_right"),
+     "transfer field thresholds.tau_right: expected a finite number, "
+     "got None"),
+    ("transfer", lambda doc: doc.pop("L"),
+     "bad L entry: transfer field L: expected a list of objects"),
+    ("transfer", lambda doc: doc.pop("U"),
+     "transfer field U: expected a list, got NoneType"),
     ("checkpoint", lambda doc: doc.update(ema=[]),
      "checkpoint field ema: expected an object or null, got list"),
     ("checkpoint", lambda doc: doc["shapes"]["encoder"][0].__setitem__(1, 0),
@@ -213,6 +222,7 @@ ARTIFACTS = {  # kind: (write a valid file, load one)
      "checkpoint field shapes: layer widths do not chain: 6 -> 7"),
 ], ids=["U_int", "U_fraction", "U_huge", "L_index_fraction", "L_label_bool",
         "L_object", "n_samples_float", "thresholds_list", "tau_string",
+        "thresholds_missing", "tau_right_missing", "L_missing", "U_missing",
         "ema_list",
         "shape_zero", "widths_unchained"])
 def test_artifact_errors_start_with_the_file_and_name_the_field(

@@ -18,9 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisylearn import data, graphreg, harness, io, numnet, ssrl
+from noisylearn import credibility, data, graphreg, harness, io, numnet, ssrl
 
-from util import child_env
+from util import child_env, live_logits
 
 
 def traced_peak(call):
@@ -87,12 +87,27 @@ def test_frozen_forward_allocates_two_layer_outputs_at_most():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(2000, 64))
     one_layer = numnet.MlpParams(numnet.init_layers([64, 64], rng), [])
-    out, peak = traced_peak(lambda: numnet.TapeMlp(one_layer).logits(X))
+    logits = live_logits(one_layer)
+    out, peak = traced_peak(lambda: logits(X))
     assert out._push is not None
     assert peak <= 1.1 * out.data.nbytes
     params = numnet.init_mlp([64, 64, 64], [64, 64, 64], seed=3)
     out, peak = traced_peak(lambda: numnet.frozen_forward(params, X))
     assert peak <= 2.1 * out.nbytes
+
+
+def test_probabilities_allocate_two_tables_at_most():
+    """Stage 2's head on 4,500 float64 embeddings: the logits and the
+    shifted exponentials, divided in place into the probabilities, 2.29x
+    one n x C table. A fresh buffer for the quotient took 3.29x."""
+    rng = np.random.default_rng(7)
+    head = numnet.MlpParams([], numnet.init_layers([64, 10], rng))
+    y = rng.integers(0, 10, size=4500)
+    ds = data.LabeledDataset(rng.normal(size=(4500, 64)), y, y, 10)
+    P, peak = traced_peak(lambda: numnet.mlp_forward(head, ds.X))
+    assert peak <= 2.4 * P.nbytes
+    _, peak = traced_peak(lambda: credibility.per_sample_stats(head, ds))
+    assert peak <= 2.4 * P.nbytes
 
 
 def test_dataset_csv_load_allocates_about_the_array():

@@ -12,7 +12,7 @@ from noisylearn.errors import NumericError
 from tape_ops import (Node, add, clip_min, cross_entropy_rows, div, exp,
                       leaf, log, matmul, mean, mul, pushes, recording, relu,
                       reshape, sub, sum_)
-from util import central_diff, max_rel_err, softmax
+from util import central_diff, live_logits, max_rel_err, softmax
 
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -135,7 +135,7 @@ def test_second_backward_on_a_spent_tape_raises():
     with pytest.raises(RuntimeError, match="already ran on this tape"):
         sum_(mul(h, 3.0)).backward()    # a new root over a spent node
     assert a.grad is spent and np.array_equal(spent, np.full((2, 3), 2.0))
-    logits = numnet.TapeMlp(numnet.init_mlp([3, 4], [4, 2], seed=22)).logits(
+    logits = live_logits(numnet.init_mlp([3, 4], [4, 2], seed=22))(
         finite_rows(2, 3, 22))          # a numnet node under reference ones
     sum_(logits).backward()
     with pytest.raises(RuntimeError, match="already ran on this tape"):
@@ -147,11 +147,11 @@ def test_a_node_with_two_consumers_raises_instead_of_pushing_twice():
     params = numnet.init_mlp([3, 4], [4, 2], seed=23)
     targets = numnet.one_hot(np.array([0, 1]), 2)
 
-    def loss_fn(tape):
-        logits = tape.logits(finite_rows(2, 3, 23))
+    def loss_fn(logits):
+        out = logits(finite_rows(2, 3, 23))
         return semi.weighted_total(
-            numnet.softmax_cross_entropy(logits, targets),
-            numnet.softmax_cross_entropy(logits, targets[::-1]),
+            numnet.softmax_cross_entropy(out, targets),
+            numnet.softmax_cross_entropy(out, targets[::-1]),
             numnet.Tensor(0.0), 1.0)
 
     with pytest.raises(RuntimeError,
@@ -183,12 +183,9 @@ def public_members(cls) -> set[str]:
 
 
 def test_tensor_has_only_the_ops_the_stages_use():
-    """Ops that only tests compose belong in `tape_ops`, not on the tape,
-    and the tape MLP offers only the passes the stages run."""
+    """Ops that only tests compose belong in `tape_ops`, not on the tape."""
     ops = public_members(numnet.Tensor)
     assert ops - {"__init__"} == {"backward"}
-    assert public_members(numnet.TapeMlp) - {"__init__"} == {
-        "logits", "gradients"}
 
 
 def test_backward_rejects_nonfinite_root():
@@ -312,7 +309,7 @@ def tape_leaves(params, frozen=()):
 
 
 def composed_forward(leaves, X, head=True):
-    """The per-layer composition that a `TapeMlp` forward fuses, on
+    """The per-layer composition that the live forward fuses, on
     `leaves`: the logits with `head`, else the encoder layers alone."""
     layers = [name[:-len(".weight")] for name in leaves
               if name.endswith(".weight")
@@ -327,7 +324,7 @@ def composed_forward(leaves, X, head=True):
 
 def composed_grad(leaves, root):
     """Sweep `root`; the live leaves' gradients by name, zero where unused,
-    as `TapeMlp.gradients` gives them."""
+    as `numnet.grad` gives them."""
     root.backward()
     return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
             for name, t in leaves.items() if t._push is not None}
@@ -376,8 +373,8 @@ def test_forward_equals_composed_layers_bit_for_bit(n, widths, n_encoder,
     weights = [rng.normal(size=(n, out_width)) for _ in range(consumers)]
     outs_f = []
 
-    def loss_fn(tape):
-        outs_f.extend(tape.logits(x) for x in xs)
+    def loss_fn(logits):
+        outs_f.extend(logits(x) for x in xs)
         return weighted_sum(outs_f, weights)
 
     value, grads = numnet.grad(params, loss_fn, frozen=frozen)
@@ -482,7 +479,7 @@ def test_ce_step_records_one_node_per_forward_plus_loss():
     targets = numnet.one_hot(np.arange(8) % 3, 3)
     loss_fn = next(iter(numnet.ce_batches(X, targets, 8,
                                           np.random.default_rng(0))()))
-    assert tape_nodes(lambda: loss_fn(numnet.TapeMlp(params))) == 2
+    assert tape_nodes(lambda: loss_fn(live_logits(params))) == 2
     assert tape_nodes(lambda: composed_softmax_cross_entropy(
         composed_forward(tape_leaves(params), X), targets)) == 19
 
@@ -552,8 +549,8 @@ def test_stage3_step_equals_composed_step_bit_for_bit(B, n_u, gsr, lambda_u,
     if gsr and n_u:
         graph = graphreg.build_neighbor_graph(
             np.abs(rng.normal(size=(B + n_u, 5))), tau=0.0, n_labeled=B)
-    value, grads = numnet.grad(params, lambda tape: semi.stage3_loss(
-        tape, batch, graph, config)[0])
+    value, grads = numnet.grad(params, lambda logits: semi.stage3_loss(
+        logits, batch, graph, config)[0])
     leaves = tape_leaves(params)
     total = composed_stage3_loss(leaves, batch, graph, config)
     assert_same_grads(grads, composed_grad(leaves, total))
@@ -569,13 +566,13 @@ def test_stage3_step_records_one_node_per_forward_and_term():
     graph = graphreg.build_neighbor_graph(np.abs(rng.normal(size=(7, 5))),
                                           tau=0.0, n_labeled=4)
     assert tape_nodes(lambda: semi.stage3_loss(
-        numnet.TapeMlp(params), batch, graph, semi.MixMatchConfig(K=2))[0]) == 10
+        live_logits(params), batch, graph, semi.MixMatchConfig(K=2))[0]) == 10
 
 
 def test_mlp_forward_is_the_tape_forward_on_constants():
     params = numnet.init_mlp([4, 8, 6], [6, 5, 3], seed=34)
     X = finite_rows(10, 4, 35)
-    taped = numnet.softmax_rows(numnet.TapeMlp(params).logits(X))
+    taped = numnet.softmax_rows(live_logits(params)(X))
     assert np.array_equal(numnet.mlp_forward(params, X), taped.data)
     with pytest.raises(ValueError):
         numnet.mlp_forward(params, finite_rows(10, 3, 35))
@@ -618,8 +615,8 @@ def test_float32_input_runs_the_network_in_float32():
     def run(X):
         outs = []
 
-        def loss_fn(tape):     # sum(out * W); its push hands on a float64 W
-            out = tape.logits(X)
+        def loss_fn(logits):   # sum(out * W); its push hands on a float64 W
+            out = logits(X)
             outs.append(out)
             return numnet.Tensor((out.data * W).sum(),
                                  lambda g: [(out, W * g)])
@@ -634,8 +631,8 @@ def test_float32_input_runs_the_network_in_float32():
 
 
 def test_frozen_forwards_build_no_gradient(monkeypatch):
-    """`mlp_forward` and `ssrl.embed` run a tape with no live layer, which
-    lays out no gradient buffer."""
+    """`mlp_forward` and `ssrl.embed` run the forward with no live layer
+    (`frozen_forward`), which lays out no gradient buffer."""
     params = numnet.init_mlp([4, 8, 6], [6, 3], seed=37)
     encoder = numnet.MlpParams(params.encoder, [])
     X = finite_rows(5, 4, 37)
@@ -752,8 +749,8 @@ def test_walk_names_are_stable():
 def loss_on(params, X, y):
     targets = numnet.one_hot(y, int(y.max()) + 1)
 
-    def fn(tape):
-        return cross_entropy_rows(numnet.softmax_rows(tape.logits(X)), targets)
+    def fn(logits):
+        return cross_entropy_rows(numnet.softmax_rows(logits(X)), targets)
     return fn
 
 
@@ -997,14 +994,14 @@ def ce_case(frozen):
     params = numnet.init_mlp([6, 16, 8], [8, 3], seed=30)
     X = rng.normal(size=(12, 6))
     T = numnet.one_hot(rng.integers(0, 3, size=12), 3)
-    return params, lambda tape: numnet.softmax_cross_entropy(
-        tape.logits(X), T), frozen
+    return params, lambda logits: numnet.softmax_cross_entropy(
+        logits(X), T), frozen
 
 
 def nt_xent_case():
     Z = np.random.default_rng(31).normal(size=(16, 6))
     params = numnet.init_mlp([6, 16, 8], [8, 4], seed=31)
-    return params, lambda tape: ssrl.nt_xent_loss(tape.logits(Z), 0.5), ()
+    return params, lambda logits: ssrl.nt_xent_loss(logits(Z), 0.5), ()
 
 
 def stage3_case():
@@ -1018,8 +1015,8 @@ def stage3_case():
     graph = graphreg.build_neighbor_graph(rng.normal(size=(9, 16)),
                                           tau=cfg.tau_c, n_labeled=4)
     assert graph.affinity.any()
-    return params, lambda tape: semi.stage3_loss(tape, batch, graph,
-                                                 cfg)[0], ()
+    return params, lambda logits: semi.stage3_loss(logits, batch, graph,
+                                                   cfg)[0], ()
 
 
 @pytest.mark.parametrize("case", [

@@ -4,6 +4,8 @@ import pytest
 from noisylearn import credibility, data, graphreg, numnet, semi
 from noisylearn.errors import ConfigError
 
+from util import live_logits
+
 
 def identity_aug():
     return data.AugmentationSpec(jitter_sigma=0.0, scale_range=(1.0, 1.0),
@@ -284,7 +286,7 @@ def test_prepare_batch_without_unlabeled_rows_is_the_labeled_only_batch(K):
 
 def mixmatch_loss_values(params, X_l, y_l, X_u, config, rng):
     batch = semi.prepare_mixmatch_batch(params, X_l, y_l, X_u, config, rng)
-    _, parts = semi.stage3_loss(numnet.TapeMlp(params), batch, None, config)
+    _, parts = semi.stage3_loss(live_logits(params), batch, None, config)
     return parts["l_sup"], parts["l_unsup"]
 
 
@@ -399,12 +401,13 @@ def test_train_stage3_runs_in_float32(tiny_blobs, monkeypatch):
     the float64 test rows."""
     noisy, encoder, classifier = stage3_inputs(tiny_blobs)
     seen, graphs = [], []
-    logits, frozen_forward = numnet.TapeMlp.logits, numnet.frozen_forward
+    forward, frozen_forward = numnet._forward, numnet.frozen_forward
 
-    def spy(self, X):
-        out = logits(self, X)
-        assert out._push is not None
-        seen.append(("live", X.dtype, out.data.dtype))
+    def spy(X, params, grads, head):
+        out = forward(X, params, grads, head)
+        if grads is not None:           # a live forward, not a frozen one
+            assert out._push is not None
+            seen.append(("live", X.dtype, out.data.dtype))
         return out
 
     def frozen_spy(params, X, head=True):
@@ -415,7 +418,7 @@ def test_train_stage3_runs_in_float32(tiny_blobs, monkeypatch):
     def graph_spy(Z, *args, build=semi.build_neighbor_graph, **kwargs):
         graphs.append(Z.dtype)
         return build(Z, *args, **kwargs)
-    monkeypatch.setattr(numnet.TapeMlp, "logits", spy)
+    monkeypatch.setattr(numnet, "_forward", spy)
     monkeypatch.setattr(numnet, "frozen_forward", frozen_spy)
     monkeypatch.setattr(semi, "build_neighbor_graph", graph_spy)
     config = semi.MixMatchConfig(batch_size=16, epochs=1, K=2)

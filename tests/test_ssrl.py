@@ -221,13 +221,14 @@ def test_train_encoder_runs_the_network_in_float32(tiny_blobs, monkeypatch):
     """The view batch is float32, so the network runs in float32; the
     encoder it returns is float64."""
     seen = []
-    logits = numnet.TapeMlp.logits
+    forward = numnet._forward
 
-    def spy(self, X):
-        out = logits(self, X)
-        seen.append((X.dtype, out.data.dtype))
+    def spy(X, params, grads, head):
+        out = forward(X, params, grads, head)
+        if grads is not None:           # a live forward, not a frozen one
+            seen.append((X.dtype, out.data.dtype))
         return out
-    monkeypatch.setattr(numnet.TapeMlp, "logits", spy)
+    monkeypatch.setattr(numnet, "_forward", spy)
     config = ssrl.ContrastiveConfig(epochs=2, batch_size=16)
     result = ssrl.train_encoder(tiny_blobs.X, config, seed=7)
     assert seen and set(seen) == {(np.dtype(np.float32),) * 2}

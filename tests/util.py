@@ -68,6 +68,14 @@ def max_rel_err(analytic, numeric):
     return worst
 
 
+def live_logits(params):
+    """The `logits` that `numnet.grad` hands a loss, with every layer of
+    `params` live and pushing into a zeroed gradient buffer of its own."""
+    grads = params.clone()
+    grads.flat.fill(0.0)
+    return lambda X: numnet._forward(X, params, grads, head=True)
+
+
 def softmax(logits):
     """The value of the `softmax_rows` node on constant `logits`."""
     return numnet.softmax_rows(numnet.Tensor(logits)).data
